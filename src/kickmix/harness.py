@@ -38,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -46,7 +45,9 @@ from typing import Iterator, Mapping
 from .circuit import Circuit, parse, static_resources
 from .curve import CurveParams, CurvePoint, INFINITY, named_curve, point_add, point_neg, scalar_mul
 from .builders import decode_point, encode_point
-from .sim import check_phase_all_branches, run
+# run and check_phase_all_branches stay importable from here: the benchmark
+# in perfbench/ times the simulator layer by wrapping these names.
+from .sim import check_phase_all_branches, run, run_lanes  # noqa: F401
 
 __all__ = [
     "HarnessError",
@@ -89,15 +90,22 @@ def commit(data: bytes) -> str:
 
 
 class _XofStream:
-    """Incremental reads from a SHAKE256 output stream (prefix-stable)."""
+    """Incremental reads from a SHAKE256 output stream (prefix-stable).
+
+    SHAKE output can only be taken as a prefix, so the buffered prefix grows
+    geometrically: n bytes read cost O(n) bytes hashed, not O(n^2)."""
 
     def __init__(self, seed: bytes):
         self._hash = hashlib.shake_256(seed)
+        self._buffer = b""
         self._pos = 0
 
     def read(self, count: int) -> bytes:
-        out = self._hash.digest(self._pos + count)[self._pos :]
-        self._pos += count
+        end = self._pos + count
+        if end > len(self._buffer):
+            self._buffer = self._hash.digest(max(end, 2 * len(self._buffer)))
+        out = self._buffer[self._pos : end]
+        self._pos = end
         return out
 
 
@@ -203,24 +211,47 @@ class VerificationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VerificationSpec":
-        allowed = {
-            "curve",
-            "test_count",
-            "registers",
-            "base_source",
-            "tolerated_failure_fraction",
-            "security_bits",
-            "max_avg_non_clifford",
-            "max_qubits",
-            "max_total_ops",
-            "allow_failures",
-        }
-        unknown = sorted(set(data) - allowed)
+        """Build a spec from decoded JSON, checking every field's type."""
+        unknown = sorted(set(data) - set(_SPEC_FIELDS))
         if unknown:
             raise HarnessError(f"unknown spec field(s): {', '.join(unknown)}")
         if "curve" not in data or "test_count" not in data:
             raise HarnessError("spec requires at least curve and test_count")
-        return cls(**{k: v for k, v in data.items()})
+        for name, value in data.items():
+            types, what = _SPEC_FIELDS[name]
+            if not _fits(value, types):
+                raise HarnessError(
+                    f"spec field {name!r} must be {what}, got {type(value).__name__}"
+                )
+        return cls(**data)
+
+
+# The JSON type of each spec field, and how an error message names it.
+_NULL = type(None)
+_SPEC_FIELDS = {
+    "curve": ((str,), "a string"),
+    "test_count": ((int,), "an integer"),
+    "registers": ((dict,), "an object mapping roles to register names"),
+    "base_source": ((str,), "a string"),
+    "tolerated_failure_fraction": ((int, float), "a number"),
+    "security_bits": ((int,), "an integer"),
+    "max_avg_non_clifford": ((int, float, _NULL), "a number or null"),
+    "max_qubits": ((int, _NULL), "an integer or null"),
+    "max_total_ops": ((int, _NULL), "an integer or null"),
+    "allow_failures": ((bool,), "true or false"),
+}
+
+
+def _fits(value, types: tuple) -> bool:
+    """isinstance, except that bool is no number, floats must be finite, and
+    objects must map strings to strings."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        return False
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())
+    return True
 
 
 def spec_for_circuit(circuit: Circuit, **overrides) -> VerificationSpec:
@@ -263,8 +294,16 @@ class Transcript:
     tests: tuple[TestCase, ...]
 
     def measurement_bits(self, index: int) -> Iterator[int]:
-        seed = bytes.fromhex(self.commitment) + index.to_bytes(8, "big")
-        return _bit_stream(seed)
+        return _bit_stream(self._measurement_seed(index))
+
+    def measurement_word(self, index: int, count: int) -> int:
+        """The first count bits of test index's measurement stream as one
+        big-endian int: the stream's first bit is the most significant."""
+        raw = hashlib.shake_256(self._measurement_seed(index)).digest((count + 7) // 8)
+        return int.from_bytes(raw, "big") >> (-count % 8)
+
+    def _measurement_seed(self, index: int) -> bytes:
+        return bytes.fromhex(self.commitment) + index.to_bytes(8, "big")
 
 
 def derive_tests(circuit_bytes: bytes, spec: VerificationSpec) -> Transcript:
@@ -292,31 +331,36 @@ def _derive(
 ) -> Transcript:
     if test_count < 0:
         raise ValueError("test_count must be >= 0")
-    commitment = commit(circuit_bytes)
-    master = _XofStream(circuit_bytes)
     scalar_bytes = (curve.order.bit_length() + 7) // 8
-    scalars = [
-        int.from_bytes(master.read(scalar_bytes), "big") % curve.order
-        for _ in range(test_count)
-    ]
-    windows: list[int | None] = [None] * test_count
+    window_bytes = 0 if window_bits is None else (window_bits + 7) // 8
+    addend_bytes = scalar_bytes if with_addend else 0
+    # The whole draw length is known up front: take it in one digest.
+    master = hashlib.shake_256(circuit_bytes).digest(
+        test_count * (scalar_bytes + window_bytes + addend_bytes)
+    )
+    offset = 0
+
+    def draw(width: int, modulus: int) -> list[int | None]:
+        nonlocal offset
+        start = offset
+        offset += test_count * width
+        return [
+            int.from_bytes(master[i : i + width], "big") % modulus
+            for i in range(start, offset, width)
+        ]
+
+    scalars = draw(scalar_bytes, curve.order)
+    windows = [None] * test_count
     if window_bits is not None:
-        wbytes = (window_bits + 7) // 8
-        windows = [
-            int.from_bytes(master.read(wbytes), "big") % (1 << window_bits)
-            for _ in range(test_count)
-        ]
-    addends: list[int | None] = [None] * test_count
+        windows = draw(window_bytes, 1 << window_bits)
+    addends = [None] * test_count
     if with_addend:
-        addends = [
-            int.from_bytes(master.read(scalar_bytes), "big") % curve.order
-            for _ in range(test_count)
-        ]
+        addends = draw(scalar_bytes, curve.order)
     tests = tuple(
         TestCase(index=i, scalar=scalars[i], window=windows[i], addend_scalar=addends[i])
         for i in range(test_count)
     )
-    return Transcript(commitment=commitment, curve_name=curve.name, tests=tests)
+    return Transcript(commitment=commit(circuit_bytes), curve_name=curve.name, tests=tests)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +451,6 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     )
 
 
-def _addend_for(plan: _Plan, case: TestCase) -> CurvePoint:
-    if plan.addend_x is not None:
-        return scalar_mul(case.addend_scalar, plan.curve.generator, plan.curve)
-    if plan.window_reg is not None:
-        return scalar_mul(case.window, plan.base, plan.curve)
-    return plan.base
-
-
 def _is_exceptional(plan: _Plan, accumulator: CurvePoint, addend: CurvePoint) -> bool:
     """Inputs where the generic chord rule does not apply."""
     if accumulator.is_infinity or addend.is_infinity:
@@ -430,12 +466,12 @@ def _split_point(point: CurvePoint, nb: int) -> tuple[int, int]:
     return packed & ones, (packed >> nb) & ones
 
 
-def _case_inputs(plan: _Plan, accumulator: CurvePoint, case: TestCase,
+def _case_inputs(plan: _Plan, accumulator: CurvePoint, window: int | None,
                  addend: CurvePoint) -> dict[str, int]:
     x_val, y_val = _split_point(accumulator, plan.coordinate_bits)
     inputs = {plan.acc_x: x_val, plan.acc_y: y_val}
     if plan.window_reg is not None:
-        inputs[plan.window_reg] = case.window
+        inputs[plan.window_reg] = window
     if plan.addend_x is not None:
         ax, ay = _split_point(addend, plan.coordinate_bits)
         inputs[plan.addend_x] = ax
@@ -453,6 +489,114 @@ def _expected_outputs(plan: _Plan, inputs: dict[str, int],
     expected[plan.acc_y] = ey
     out_names = {r.name for r in plan.circuit.outputs}
     return {name: value for name, value in expected.items() if name in out_names}
+
+
+def _addend_for(plan: _Plan, window: int | None, addend_scalar: int | None) -> CurvePoint:
+    if plan.addend_x is not None:
+        return scalar_mul(addend_scalar, plan.curve.generator, plan.curve)
+    if plan.window_reg is not None:
+        return scalar_mul(window, plan.base, plan.curve)
+    return plan.base
+
+
+def _oracle_case(plan: _Plan, accumulator: CurvePoint, window: int | None,
+                 addend: CurvePoint):
+    """(inputs, expected outputs) for one test, or None for an input the
+    circuit's undefined-input policy skips."""
+    if plan.policy == "undefined" and _is_exceptional(plan, accumulator, addend):
+        return None
+    inputs = _case_inputs(plan, accumulator, window, addend)
+    expected_sum = point_add(accumulator, addend, plan.curve)
+    return inputs, _expected_outputs(plan, inputs, expected_sum)
+
+
+def _transcript_cases(plan: _Plan, transcript: Transcript):
+    # Small groups make thousands of tests share a few distinct inputs, so
+    # the oracle runs once per distinct (scalar, window, addend scalar).
+    memo: dict = {}
+    for case in transcript.tests:
+        entry: dict = {"index": case.index, "scalar": case.scalar}
+        if case.window is not None:
+            entry["window"] = case.window
+        if case.addend_scalar is not None:
+            entry["addend_scalar"] = case.addend_scalar
+        key = (case.scalar, case.window, case.addend_scalar)
+        if key not in memo:
+            accumulator = scalar_mul(case.scalar, plan.curve.generator, plan.curve)
+            addend = _addend_for(plan, case.window, case.addend_scalar)
+            memo[key] = _oracle_case(plan, accumulator, case.window, addend)
+        yield entry, memo[key]
+
+
+def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
+    index = 0
+    for window in window_values:
+        addend = _addend_for(plan, window, None)
+        for accumulator in points:
+            entry: dict = {
+                "index": index,
+                "accumulator": "inf"
+                if accumulator.is_infinity
+                else [accumulator.x, accumulator.y],
+            }
+            if window is not None:
+                entry["window"] = window
+            index += 1
+            yield entry, _oracle_case(plan, accumulator, window, addend)
+
+
+# Lanes per engine pass.  Bounds the per-lane results alive at once (and so
+# peak memory) while keeping the per-pass overhead negligible.
+LANE_CHUNK = 1024
+
+_SKIPPED = {
+    "skipped": True,
+    "output_ok": None,
+    "phase_ok": None,
+    "executed_total": 0,
+    "executed_non_clifford": 0,
+}
+
+
+def _failing(entry: dict) -> bool:
+    return not entry["skipped"] and not (entry["output_ok"] and entry["phase_ok"])
+
+
+def _run_cases(circuit: Circuit, cases, transcript: Transcript | None,
+               fail_fast: bool = False) -> list[dict]:
+    """Fill in each (entry, oracle case) pair from lane-engine passes over
+    fixed-size chunks.
+
+    With a transcript, each test is judged on its own sampled measurement
+    branch; without one (exhaustive mode), on every branch at once, with the
+    executed counts of the all-zeros branch.  fail_fast truncates after the
+    first failing entry."""
+    m = sum(1 for g in circuit.gates if g.kind == "MX")
+    entries: list[dict] = []
+    cases = iter(cases)
+    while chunk := list(itertools.islice(cases, LANE_CHUNK)):
+        ran = [(entry, case) for entry, case in chunk if case is not None]
+        words = None
+        if transcript is not None:
+            words = [transcript.measurement_word(entry["index"], m) for entry, _ in ran]
+        lanes = run_lanes(circuit, [inputs for _, (inputs, _) in ran], words) if ran else []
+        for (entry, (_, expected)), lane in zip(ran, lanes):
+            entry["skipped"] = False
+            entry["output_ok"] = all(lane.outputs[name] == v for name, v in expected.items())
+            if transcript is None:
+                entry["phase_ok"] = lane.phase_always_plus_one
+                entry["branches_covered"] = f"2^{m}"
+            else:
+                entry["phase_ok"] = lane.phase == 1
+            entry["executed_total"] = lane.executed_total
+            entry["executed_non_clifford"] = lane.executed_non_clifford
+        for entry, case in chunk:
+            if case is None:
+                entry.update(_SKIPPED)
+            entries.append(entry)
+            if fail_fast and _failing(entry):
+                return entries
+    return entries
 
 
 @dataclass(frozen=True)
@@ -505,7 +649,7 @@ def _aggregate(
     resources,
 ) -> VerificationReport:
     executed = [e for e in entries if not e["skipped"]]
-    failures = [e["index"] for e in executed if not (e["output_ok"] and e["phase_ok"])]
+    failures = [e["index"] for e in executed if _failing(e)]
     nc_sum = sum(e["executed_non_clifford"] for e in executed)
     avg_nc = Fraction(nc_sum, len(executed)) if executed else Fraction(0)
 
@@ -570,14 +714,18 @@ def verify(
 ) -> VerificationReport:
     """Run the transcript-derived test set against the curve oracle.
 
-    jobs > 1 runs tests in a thread pool; reports are byte-identical for any
-    job count because every test's inputs and randomness are derived
-    independently.  fail_fast stops at the first failing test (sequential)
-    and is meant for mutation screening, not for final reports.
+    Every test runs as one lane of a bit-sliced pass (sim.run_lanes) over
+    fixed-size chunks, in this process.  jobs must be >= 1 and is otherwise
+    ignored: every test's inputs and randomness are derived independently,
+    so reports are byte-identical for any job count.  fail_fast truncates
+    the report after the first failing test and is meant for mutation
+    screening, not for final reports.
 
     tolerated_failure_fraction = 0 means random sampling cannot reach the
     target, so the whole enumerable domain is checked instead (equivalent to
     verify_exhaustive; test_count is ignored)."""
+    if jobs < 1:
+        raise HarnessError(f"jobs must be at least 1, got {jobs}")
     if spec.tolerated_failure_fraction == 0:
         return verify_exhaustive(circuit_bytes, spec)
     circuit = parse(circuit_bytes)
@@ -600,55 +748,7 @@ def verify(
             f"{spec.tolerated_failure_fraction}"
         )
 
-    def run_case(case: TestCase) -> dict:
-        accumulator = scalar_mul(case.scalar, plan.curve.generator, plan.curve)
-        addend = _addend_for(plan, case)
-        entry: dict = {"index": case.index, "scalar": case.scalar}
-        if case.window is not None:
-            entry["window"] = case.window
-        if case.addend_scalar is not None:
-            entry["addend_scalar"] = case.addend_scalar
-        if plan.policy == "undefined" and _is_exceptional(plan, accumulator, addend):
-            entry.update(
-                {
-                    "skipped": True,
-                    "output_ok": None,
-                    "phase_ok": None,
-                    "executed_total": 0,
-                    "executed_non_clifford": 0,
-                }
-            )
-            return entry
-        inputs = _case_inputs(plan, accumulator, case, addend)
-        expected = _expected_outputs(
-            plan, inputs, point_add(accumulator, addend, plan.curve)
-        )
-        result = run(circuit, inputs, transcript.measurement_bits(case.index))
-        output_ok = all(result.outputs[name] == expected[name] for name in expected)
-        entry.update(
-            {
-                "skipped": False,
-                "output_ok": output_ok,
-                "phase_ok": result.phase == 1,
-                "executed_total": result.executed_total,
-                "executed_non_clifford": result.executed_non_clifford,
-            }
-        )
-        return entry
-
-    entries: list[dict]
-    if fail_fast:
-        entries = []
-        for case in transcript.tests:
-            entry = run_case(case)
-            entries.append(entry)
-            if not entry["skipped"] and not (entry["output_ok"] and entry["phase_ok"]):
-                break
-    elif jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(run_case, transcript.tests))
-    else:
-        entries = [run_case(case) for case in transcript.tests]
+    entries = _run_cases(circuit, _transcript_cases(plan, transcript), transcript, fail_fast)
 
     data = {
         "circuit_commitment": transcript.commitment,
@@ -680,54 +780,7 @@ def verify_exhaustive(circuit_bytes: bytes, spec: VerificationSpec) -> Verificat
     points = enumerate_points(plan.curve)
     window_values = range(1 << plan.window_bits) if plan.window_reg else (None,)
 
-    entries: list[dict] = []
-    index = 0
-    for window in window_values:
-        case = TestCase(index=index, scalar=0, window=window)
-        addend = _addend_for(plan, case)
-        for accumulator in points:
-            entry: dict = {
-                "index": index,
-                "accumulator": "inf"
-                if accumulator.is_infinity
-                else [accumulator.x, accumulator.y],
-            }
-            if window is not None:
-                entry["window"] = window
-            case = TestCase(index=index, scalar=0, window=window)
-            index += 1
-            if plan.policy == "undefined" and _is_exceptional(plan, accumulator, addend):
-                entry.update(
-                    {
-                        "skipped": True,
-                        "output_ok": None,
-                        "phase_ok": None,
-                        "executed_total": 0,
-                        "executed_non_clifford": 0,
-                    }
-                )
-                entries.append(entry)
-                continue
-            inputs = _case_inputs(plan, accumulator, case, addend)
-            expected = _expected_outputs(
-                plan, inputs, point_add(accumulator, addend, plan.curve)
-            )
-            summary = check_phase_all_branches(circuit, inputs)
-            zero_branch = run(circuit, inputs, itertools.repeat(0))
-            output_ok = all(
-                summary.outputs[name] == expected[name] for name in expected
-            )
-            entry.update(
-                {
-                    "skipped": False,
-                    "output_ok": output_ok,
-                    "phase_ok": summary.phase_always_plus_one,
-                    "branches_covered": f"2^{summary.measurement_count}",
-                    "executed_total": zero_branch.executed_total,
-                    "executed_non_clifford": zero_branch.executed_non_clifford,
-                }
-            )
-            entries.append(entry)
+    entries = _run_cases(circuit, _exhaustive_cases(plan, points, window_values), None)
 
     data = {
         "circuit_commitment": commit(circuit_bytes),

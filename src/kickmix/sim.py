@@ -18,13 +18,17 @@ runs reproducible and lets callers enumerate outcome branches exhaustively.
 For circuits whose conditioned gates are all diagonal, the branch space
 factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
+:func:`run_lanes` makes that pass for many inputs at once, one bit per input
+in each qubit's int, and also gives each lane's exact sign and executed
+counts on its own sampled branch.  :func:`run` stays the reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .circuit import Circuit, static_resources
 
@@ -32,7 +36,9 @@ __all__ = [
     "RngExhausted",
     "RunResult",
     "BranchInvariant",
+    "LaneResult",
     "run",
+    "run_lanes",
     "run_all_measurement_branches",
     "check_phase_all_branches",
     "DEFAULT_BRANCH_LIMIT",
@@ -102,7 +108,7 @@ def _initial_bits(circuit: Circuit, inputs: Mapping[str, int]) -> list[int]:
     return bits
 
 
-def _read_register(bits: list[int], lo: int, hi: int) -> int:
+def _read_register(bits: Sequence[int], lo: int, hi: int) -> int:
     value = 0
     for q in range(hi, lo - 1, -1):
         value = (value << 1) | bits[q]
@@ -200,6 +206,199 @@ def run_all_measurement_branches(
     ]
 
 
+@dataclass(frozen=True)
+class LaneResult:
+    """One lane of :func:`run_lanes`.
+
+    outputs and final_bits hold on every measurement branch.
+    phase_always_plus_one and phase_defects are the all-branch verdict of
+    :func:`check_phase_all_branches` (None and () on the scalar fallback).
+    phase is the sign on the lane's own branch (None without a stream word);
+    the executed counts are taken on that branch, or on the all-zeros branch
+    without a stream word.
+    """
+
+    outputs: dict[str, int]
+    phase: int | None
+    phase_always_plus_one: bool | None
+    phase_defects: tuple[int, ...]
+    executed_total: int
+    executed_non_clifford: int
+    final_bits: tuple[int, ...]
+
+
+def _lane_planes(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]]) -> list[int]:
+    """One int per qubit whose bit j is that qubit's initial value in lane j."""
+    planes = [0] * circuit.qubit_count
+    for j, inputs in enumerate(lane_inputs):
+        for q, bit in enumerate(_initial_bits(circuit, inputs)):
+            if bit:
+                planes[q] |= 1 << j
+    return planes
+
+
+def _executed_count(circuit: Circuit, position: Mapping[int, int], non_clifford: bool):
+    """Executed gates as a constant plus per-measurement steps.
+
+    A gate conditioned on (c, v) runs iff measurement c came out v, so the
+    count on a branch is the all-zeros count plus, for every measurement
+    that came out 1, the gates it enables minus those it disables.  Returns
+    (all-zeros count, [(step, mask of stream-word bits with that step)])."""
+    counts = Counter(
+        g.condition for g in circuit.gates if not non_clifford or g.is_non_clifford
+    )
+    constant = counts[None]
+    masks: dict[int, int] = {}
+    for cb, pos in position.items():
+        constant += counts[(cb, 0)]
+        step = counts[(cb, 1)] - counts[(cb, 0)]
+        if step:
+            masks[step] = masks.get(step, 0) | (1 << pos)
+    return constant, list(masks.items())
+
+
+def _word_bits(word: int, count: int) -> Iterator[int]:
+    return ((word >> shift) & 1 for shift in range(count - 1, -1, -1))
+
+
+def run_lanes(
+    circuit: Circuit,
+    lane_inputs: Sequence[Mapping[str, int]],
+    words: Sequence[int] | None = None,
+) -> list[LaneResult]:
+    """Simulate many basis-state runs in one bitwise pass (bitslicing).
+
+    Each qubit is one int whose bit j holds lane j, so CCX is
+    ``q[t] ^= q[a] & q[b]`` for every lane at once.  MX records the measured
+    plane v_i and clears the qubit; diagonal gates XOR their parity into a
+    base plane, or into corr0_i / corr1_i when conditioned on c_i = 0 / 1.
+    The sign on branch r is then (see :func:`check_phase_all_branches`)
+
+        zero-branch parity  XOR  XOR_i r_i & (v_i ^ corr0_i ^ corr1_i),
+
+    so a lane is clean on every branch iff its zero-branch parity and all
+    its defect bits v_i ^ corr0_i ^ corr1_i are 0.
+
+    words[j], when given, is lane j's measurement randomness: the first m
+    bits of its stream read as one big-endian int, so measurement i (in gate
+    order) is bit m-1-i.  The lane's phase and executed counts are exact on
+    that branch.  Circuits with a conditioned X/CX/CCX do not factorize;
+    they run lane by lane through :func:`run` when words are given and are
+    refused with ValueError otherwise.
+    """
+    m = sum(1 for g in circuit.gates if g.kind == "MX")
+    blocker = next(
+        (
+            (index, g.kind)
+            for index, g in enumerate(circuit.gates)
+            if g.condition is not None and not g.is_diagonal
+        ),
+        None,
+    )
+    if blocker is not None and words is not None:
+        return [
+            _scalar_lane(run(circuit, inputs, _word_bits(word, m)))
+            for inputs, word in zip(lane_inputs, words)
+        ]
+    q = _lane_planes(circuit, lane_inputs)
+    if blocker is not None:
+        raise ValueError(
+            f"gate {blocker[0]} is a conditioned {blocker[1]}: branch space does "
+            "not factorize; use run_all_measurement_branches instead"
+        )
+
+    full = (1 << len(lane_inputs)) - 1
+    base = 0
+    measured: dict[int, int] = {}
+    corr: dict[tuple[int, int], int] = {}
+    for gate in circuit.gates:
+        kind = gate.kind
+        qs = gate.qubits
+        if kind == "CCX":
+            a, b, t = qs
+            q[t] ^= q[a] & q[b]
+        elif kind == "CX":
+            a, t = qs
+            q[t] ^= q[a]
+        elif kind == "X":
+            q[qs[0]] ^= full
+        elif kind == "MX":
+            measured[gate.cbit] = q[qs[0]]
+            q[qs[0]] = 0
+        else:
+            if kind == "CCZ":
+                a, b, c = qs
+                parity = q[a] & q[b] & q[c]
+            elif kind == "CZ":
+                a, b = qs
+                parity = q[a] & q[b]
+            else:
+                parity = q[qs[0]]
+            cond = gate.condition
+            if cond is None:
+                base ^= parity
+            else:
+                corr[cond] = corr.get(cond, 0) ^ parity
+
+    position = {cb: m - 1 - i for i, cb in enumerate(measured)}
+    zero = base
+    defect_words: dict[int, int] = {}
+    defects: dict[int, list[int]] = {}
+    for cb in sorted(measured):
+        c0 = corr.get((cb, 0), 0)
+        zero ^= c0
+        plane = measured[cb] ^ c0 ^ corr.get((cb, 1), 0)
+        bit = 1 << position[cb]
+        while plane:
+            low = plane & -plane
+            j = low.bit_length() - 1
+            defect_words[j] = defect_words.get(j, 0) | bit
+            defects.setdefault(j, []).append(cb)
+            plane ^= low
+    total0, total_steps = _executed_count(circuit, position, non_clifford=False)
+    nc0, nc_steps = _executed_count(circuit, position, non_clifford=True)
+
+    results = []
+    for j in range(len(lane_inputs)):
+        bits = tuple((plane >> j) & 1 for plane in q)
+        zero_j = (zero >> j) & 1
+        defect = defect_words.get(j, 0)
+        phase = None
+        total, nc = total0, nc0
+        if words is not None:
+            word = words[j]
+            phase = -1 if zero_j ^ ((word & defect).bit_count() & 1) else 1
+            total += sum(step * (word & mask).bit_count() for step, mask in total_steps)
+            nc += sum(step * (word & mask).bit_count() for step, mask in nc_steps)
+        results.append(
+            LaneResult(
+                outputs={
+                    reg.name: _read_register(bits, reg.lo, reg.hi)
+                    for reg in circuit.outputs
+                },
+                phase=phase,
+                phase_always_plus_one=not zero_j and not defect,
+                phase_defects=tuple(defects.get(j, ())),
+                executed_total=total,
+                executed_non_clifford=nc,
+                final_bits=bits,
+            )
+        )
+    return results
+
+
+def _scalar_lane(result: RunResult) -> LaneResult:
+    return LaneResult(
+        outputs=result.outputs,
+        phase=result.phase,
+        phase_always_plus_one=None,
+        phase_defects=(),
+        executed_total=result.executed_total,
+        executed_non_clifford=result.executed_non_clifford,
+        final_bits=result.final_bits,
+    )
+
+
 def check_phase_all_branches(
     circuit: Circuit, inputs: Mapping[str, int]
 ) -> BranchInvariant:
@@ -216,56 +415,15 @@ def check_phase_all_branches(
     one of the 2^m branches iff each measurement's two halves agree
     (corr_i(0) == v_i + corr_i(1) mod 2) and the all-zeros branch is +1.
 
-    Cross-validated against brute-force branch enumeration in the test
-    suite; raises ValueError when a conditioned permutation gate makes the
-    factorization inapplicable.
+    This is a one-lane :func:`run_lanes` call.  Cross-validated against
+    brute-force branch enumeration in the test suite; raises ValueError when
+    a conditioned permutation gate makes the factorization inapplicable.
     """
-    bits = _initial_bits(circuit, inputs)
-    base_parity = 0
-    measured_value: dict[int, int] = {}
-    corr_when_0: dict[int, int] = {}
-    corr_when_1: dict[int, int] = {}
-
-    for index, gate in enumerate(circuit.gates):
-        kind = gate.kind
-        qs = gate.qubits
-        if kind in ("X", "CX", "CCX"):
-            if gate.condition is not None:
-                raise ValueError(
-                    f"gate {index} is a conditioned {kind}: branch space does not "
-                    "factorize; use run_all_measurement_branches instead"
-                )
-            if all(bits[q] for q in qs[:-1]):
-                bits[qs[-1]] ^= 1
-        elif kind == "MX":
-            measured_value[gate.cbit] = bits[qs[0]]
-            bits[qs[0]] = 0
-        else:  # diagonal
-            parity = 1 if all(bits[q] for q in qs) else 0
-            if gate.condition is None:
-                base_parity ^= parity
-            else:
-                cb, wanted = gate.condition
-                table = corr_when_1 if wanted == 1 else corr_when_0
-                table[cb] = table.get(cb, 0) ^ parity
-
-    defects = tuple(
-        cb
-        for cb in sorted(measured_value)
-        if corr_when_0.get(cb, 0) != (measured_value[cb] ^ corr_when_1.get(cb, 0))
-    )
-    zero_branch_parity = base_parity
-    for cb in measured_value:
-        zero_branch_parity ^= corr_when_0.get(cb, 0)
-    ok = not defects and zero_branch_parity == 0
-
-    outputs = {
-        reg.name: _read_register(bits, reg.lo, reg.hi) for reg in circuit.outputs
-    }
+    [lane] = run_lanes(circuit, [inputs])
     return BranchInvariant(
-        outputs=outputs,
-        phase_always_plus_one=ok,
-        measurement_count=len(measured_value),
-        phase_defects=defects,
-        final_bits=tuple(bits),
+        outputs=lane.outputs,
+        phase_always_plus_one=lane.phase_always_plus_one,
+        measurement_count=sum(1 for g in circuit.gates if g.kind == "MX"),
+        phase_defects=lane.phase_defects,
+        final_bits=lane.final_bits,
     )

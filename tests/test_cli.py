@@ -339,3 +339,30 @@ def test_missing_subcommand_is_a_usage_error(capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_verify_rejects_non_positive_jobs_in_one_line(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
+    capsys.readouterr()
+    for jobs in ("0", "-2"):
+        for extra in ([], ["--exhaustive"]):
+            assert main(["verify", str(circuit), "--spec", str(spec), "--jobs", jobs, *extra]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_verify_rejects_mistyped_spec_fields_in_one_line(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    capsys.readouterr()
+    for fields, message in (
+        ({"test_count": 5.5}, "'test_count' must be an integer, got float"),
+        ({"test_count": True}, "'test_count' must be an integer, got bool"),
+        ({"test_count": 5, "registers": "qx"}, "'registers' must be an object"),
+        ({"test_count": 5, "max_total_ops": "many"}, "'max_total_ops' must be an integer or null"),
+    ):
+        spec = _write_spec(tmp_path, curve="toy-p11-b7", **fields)
+        assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad spec: spec field ") and message in err
+        assert err.count("\n") == 1

@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from kickmix import harness
 from kickmix import (
     INFINITY,
     HarnessError,
@@ -520,3 +522,102 @@ def test_exhaustive_windowed_covers_the_product_domain(
     assert report.data["test_count"] == 48  # 4 window values x 12 points
     windows = {entry["window"] for entry in report.data["tests"]}
     assert windows == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# lane chunks, streams, and spec types
+
+
+def test_reports_do_not_depend_on_the_lane_chunk_size(
+    pointadd11, pointadd11_bytes, monkeypatch
+) -> None:
+    spec = spec_for_circuit(pointadd11.circuit, test_count=50)
+    mutated = serialize(mutate(parse(pointadd11_bytes), 5))
+    full = verify(mutated, spec)
+    fast = verify(mutated, spec, fail_fast=True)
+    exhaustive_spec = spec_for_circuit(
+        pointadd11.circuit, test_count=0, tolerated_failure_fraction=0
+    )
+    exhaustive = verify_exhaustive(mutated, exhaustive_spec)
+    first = full.data["failure_indices"][0]
+    assert first >= 2  # so a two-lane chunk passes cleanly before the failure
+    assert fast.data["tests"] == full.data["tests"][: first + 1]
+
+    monkeypatch.setattr(harness, "LANE_CHUNK", 2)
+    assert verify(mutated, spec).to_json_bytes() == full.to_json_bytes()
+    assert verify(mutated, spec, fail_fast=True).to_json_bytes() == fast.to_json_bytes()
+    assert verify_exhaustive(mutated, exhaustive_spec).to_json_bytes() == (
+        exhaustive.to_json_bytes()
+    )
+
+
+class _CountingShake:
+    def __init__(self, seed: bytes) -> None:
+        self._real = hashlib.shake_256(seed)
+        self.hashed = 0
+
+    def digest(self, length: int) -> bytes:
+        self.hashed += length
+        return self._real.digest(length)
+
+
+def test_xof_stream_is_prefix_exact_and_hashes_linearly() -> None:
+    stream = harness._XofStream(b"seed")
+    stream._hash = counting = _CountingShake(b"seed")
+    sizes = [1, 7, 64, 0, 300, 5] + [32] * 9024
+    data = b"".join(stream.read(n) for n in sizes)
+    assert data == hashlib.shake_256(b"seed").digest(sum(sizes))
+    assert counting.hashed <= 4 * sum(sizes)
+
+
+def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> None:
+    transcript = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=3))
+    for count in (0, 1, 7, 8, 9, 66, 200):
+        bits = transcript.measurement_bits(2)
+        prefix = [next(bits) for _ in range(count)]
+        assert transcript.measurement_word(2, count) == int("".join(map(str, prefix)) or "0", 2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("test_count", 5.5, "'test_count' must be an integer, got float"),
+        ("test_count", True, "'test_count' must be an integer, got bool"),
+        ("registers", "qx", "'registers' must be an object mapping roles"),
+        ("registers", {"accumulator_x": 1}, "'registers' must be an object mapping roles"),
+        ("tolerated_failure_fraction", "0.01", "must be a number, got str"),
+        ("tolerated_failure_fraction", float("nan"), "must be a number, got float"),
+        ("security_bits", 40.0, "'security_bits' must be an integer, got float"),
+        ("max_avg_non_clifford", "66", "must be a number or null, got str"),
+        ("max_avg_non_clifford", float("inf"), "must be a number or null, got float"),
+        ("max_qubits", False, "'max_qubits' must be an integer or null, got bool"),
+        ("max_total_ops", [1], "'max_total_ops' must be an integer or null, got list"),
+        ("allow_failures", 1, "'allow_failures' must be true or false, got int"),
+        ("curve", None, "'curve' must be a string, got NoneType"),
+    ],
+)
+def test_spec_from_dict_checks_field_types(field, value, message) -> None:
+    data = {"curve": "toy-p11-b7", "test_count": 5, field: value}
+    with pytest.raises(HarnessError, match=re.escape(message)):
+        VerificationSpec.from_dict(data)
+
+
+def test_spec_from_dict_accepts_every_json_type_it_documents() -> None:
+    spec = VerificationSpec.from_dict(
+        {
+            "curve": "toy-p11-b7",
+            "test_count": 5,
+            "tolerated_failure_fraction": 0,
+            "max_avg_non_clifford": 66,
+            "max_qubits": None,
+            "allow_failures": False,
+        }
+    )
+    assert spec.tolerated_failure_fraction == 0 and spec.max_avg_non_clifford == 66
+
+
+def test_verify_rejects_non_positive_jobs(pointadd11, pointadd11_bytes) -> None:
+    spec = spec_for_circuit(pointadd11.circuit, test_count=5)
+    for jobs in (0, -1):
+        with pytest.raises(HarnessError, match=f"jobs must be at least 1, got {jobs}"):
+            verify(pointadd11_bytes, spec, jobs=jobs)

@@ -1,0 +1,190 @@
+"""The bit-sliced lane engine against the scalar reference.
+
+``sim.run_lanes`` must agree with ``sim.run`` lane by lane on the sampled
+branch (outputs, sign, executed counts, final bits) and with brute-force
+branch enumeration on the all-branch verdict.  Circuits are random and small,
+with conditioned diagonal gates that often leave phase defects, plus the
+temporary-AND pattern that cleans its own kickback.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kickmix import (
+    Circuit,
+    Gate,
+    Register,
+    check_phase_all_branches,
+    run,
+    run_all_measurement_branches,
+    run_lanes,
+)
+
+_ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
+
+
+@st.composite
+def circuits(draw, conditioned_permutations: bool = False) -> Circuit:
+    qubit_count = draw(st.integers(1, 5))
+    gates: list[Gate] = []
+    written: list[int] = []
+
+    def operands(arity: int) -> tuple[int, ...]:
+        return tuple(draw(st.permutations(range(qubit_count)))[:arity])
+
+    def condition(kind: str):
+        allowed = kind in ("Z", "CZ", "CCZ") or conditioned_permutations
+        if written and allowed and draw(st.booleans()):
+            return draw(st.sampled_from(written)), draw(st.integers(0, 1))
+        return None
+
+    for _ in range(draw(st.integers(0, 14))):
+        kinds = [k for k, arity in _ARITY.items() if arity <= qubit_count]
+        if len(written) >= 8:
+            kinds.remove("MX")
+        if qubit_count >= 3 and len(written) < 8:
+            kinds.append("temp-and")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "temp-and":
+            # a, b -> t, measure t out, undo the kickback: clean iff t was 0
+            a, b, t = operands(3)
+            cb = len(written)
+            gates += [
+                Gate("CCX", (a, b, t)),
+                Gate("MX", (t,), cbit=cb),
+                Gate("CZ", (a, b), condition=(cb, 1)),
+            ]
+            written.append(cb)
+        elif kind == "MX":
+            gates.append(Gate("MX", operands(1), cbit=len(written)))
+            written.append(len(written))
+        else:
+            gates.append(Gate(kind, operands(_ARITY[kind]), condition=condition(kind)))
+    split = draw(st.integers(0, qubit_count - 1))
+    outputs = [Register("lo", 0, split)]
+    if split + 1 < qubit_count:
+        outputs.append(Register("hi", split + 1, qubit_count - 1))
+    return Circuit(
+        qubit_count=qubit_count,
+        classical_bit_count=len(written),
+        inputs=(Register("a", 0, qubit_count - 1),),
+        outputs=tuple(outputs),
+        gates=tuple(gates),
+    )
+
+
+def _measurements(circuit: Circuit) -> int:
+    return sum(1 for g in circuit.gates if g.kind == "MX")
+
+
+def _bits(word: int, count: int) -> list[int]:
+    """A stream word's bits in stream order (most significant first)."""
+    return [(word >> (count - 1 - i)) & 1 for i in range(count)]
+
+
+@st.composite
+def lanes(draw, conditioned_permutations: bool = False):
+    circuit = draw(circuits(conditioned_permutations))
+    m = _measurements(circuit)
+    count = draw(st.integers(1, 70))
+    values = draw(st.lists(st.integers(0, (1 << circuit.qubit_count) - 1),
+                           min_size=count, max_size=count))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=count, max_size=count))
+    return circuit, [{"a": v} for v in values], words
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes(conditioned_permutations=True))
+def test_every_lane_matches_scalar_run_on_its_own_branch(case) -> None:
+    circuit, inputs, words = case
+    m = _measurements(circuit)
+    for lane, lane_inputs, word in zip(run_lanes(circuit, inputs, words), inputs, words):
+        scalar = run(circuit, lane_inputs, _bits(word, m))
+        assert lane.outputs == scalar.outputs
+        assert lane.phase == scalar.phase
+        assert lane.executed_total == scalar.executed_total
+        assert lane.executed_non_clifford == scalar.executed_non_clifford
+        assert lane.final_bits == scalar.final_bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes())
+def test_all_branch_verdict_matches_enumeration(case) -> None:
+    circuit, inputs, _ = case
+    results = run_lanes(circuit, inputs)
+    for lane, lane_inputs in zip(results[:4], inputs):
+        branches = run_all_measurement_branches(circuit, lane_inputs, branch_limit=10)
+        assert lane.phase_always_plus_one == all(b.phase == 1 for b in branches)
+        assert all(b.outputs == lane.outputs for b in branches)
+        # Without words the counts are those of the all-zeros branch.
+        assert lane.executed_total == branches[0].executed_total
+        assert lane.executed_non_clifford == branches[0].executed_non_clifford
+        # cbit c is a defect iff flipping outcome c flips the sign; here the
+        # circuit writes c0, c1, ... in measurement order.
+        m = _measurements(circuit)
+        phase = {
+            outcomes: b.phase
+            for outcomes, b in zip(itertools.product((0, 1), repeat=m), branches)
+        }
+        flips = {
+            c
+            for outcomes in phase
+            for c in range(m)
+            if phase[outcomes] != phase[outcomes[:c] + (1 - outcomes[c],) + outcomes[c + 1:]]
+        }
+        assert lane.phase_defects == tuple(sorted(flips))
+        assert check_phase_all_branches(circuit, lane_inputs).phase_defects == lane.phase_defects
+
+
+def test_the_random_corpus_exercises_both_verdicts() -> None:
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(lanes())
+    def collect(case) -> None:
+        circuit, inputs, _ = case
+        seen.update(lane.phase_always_plus_one for lane in run_lanes(circuit, inputs))
+
+    collect()
+    assert seen == {True, False}
+
+
+def _conditioned_cx() -> Circuit:
+    return Circuit(
+        qubit_count=3,
+        classical_bit_count=1,
+        inputs=(Register("a", 0, 2),),
+        outputs=(Register("a", 0, 2),),
+        gates=(
+            Gate("CX", (0, 2)),
+            Gate("MX", (2,), cbit=0),
+            Gate("CX", (0, 1), condition=(0, 1)),
+            Gate("CCZ", (0, 1, 2), condition=(0, 0)),
+        ),
+    )
+
+
+def test_conditioned_permutations_fall_back_to_scalar_runs() -> None:
+    circuit = _conditioned_cx()
+    inputs = [{"a": v} for v in range(8)]
+    words = [v % 2 for v in range(8)]
+    for lane, lane_inputs, word in zip(run_lanes(circuit, inputs, words), inputs, words):
+        scalar = run(circuit, lane_inputs, [word])
+        assert lane.outputs == scalar.outputs and lane.phase == scalar.phase
+        assert lane.phase_always_plus_one is None
+    with pytest.raises(ValueError, match="gate 2 is a conditioned CX: branch space"):
+        run_lanes(circuit, inputs)
+
+
+def test_lane_inputs_are_validated_like_scalar_runs() -> None:
+    circuit = _conditioned_cx()
+    with pytest.raises(ValueError, match=r"no such input register\(s\): b"):
+        run_lanes(circuit, [{"a": 1}, {"a": 1, "b": 0}])
+    with pytest.raises(ValueError, match="value 8 does not fit input register 'a'"):
+        run_lanes(circuit, [{"a": 8}])
+    assert run_lanes(circuit, [], []) == []
