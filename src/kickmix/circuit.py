@@ -44,11 +44,19 @@ Structural rules enforced on every circuit:
 * gate operands are distinct, in-range qubit indices;
 * each classical bit is written by at most one MX;
 * a condition may only reference a classical bit that an earlier MX wrote;
+* at most ``MAX_QUBITS`` qubits and ``MAX_CBITS`` classical bits, checked
+  before anything else, so no header value sizes an allocation;
 * register ranges are in bounds and disjoint within the input spec and
   within the output spec (an input register may also be an output);
 * the ``exceptional`` metadata key, when present, is one of ``undefined``,
   ``correct`` or ``wraps`` (how the circuit treats exceptional inputs such
   as the identity or a doubling for point arithmetic).
+
+These rules live in :class:`Gate`, :class:`Register` and
+:meth:`Circuit.validate` only; :func:`parse` checks syntax and header order.
+A :class:`ParseError` for a broken rule points at the gate's source line and
+the column of that line's first token; a rule that belongs to no one gate
+(counts, registers, metadata) points at line 1, column 1.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -56,8 +64,10 @@ afterwards; ``qubit_count`` is the peak width.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "GATE_KINDS",
@@ -65,6 +75,8 @@ __all__ = [
     "DIAGONAL_KINDS",
     "NON_CLIFFORD_KINDS",
     "EXCEPTIONAL_POLICIES",
+    "MAX_QUBITS",
+    "MAX_CBITS",
     "CircuitError",
     "ParseError",
     "Gate",
@@ -81,12 +93,19 @@ DIAGONAL_KINDS = ("Z", "CZ", "CCZ")
 GATE_KINDS = PERMUTATION_KINDS + DIAGONAL_KINDS + ("MX",)
 NON_CLIFFORD_KINDS = ("CCX", "CCZ")
 EXCEPTIONAL_POLICIES = ("undefined", "correct", "wraps")
+MAX_QUBITS = 1 << 16
+MAX_CBITS = 1 << 20
 
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
 
 
 class CircuitError(ValueError):
-    """A structurally invalid circuit."""
+    """A structurally invalid circuit; ``gate`` is the offending gate's index
+    when the error belongs to one gate."""
+
+    def __init__(self, message: str, gate: int | None = None):
+        super().__init__(message)
+        self.gate = gate
 
 
 class ParseError(CircuitError):
@@ -204,6 +223,12 @@ class Circuit:
     def validate(self) -> None:
         if self.qubit_count < 0 or self.classical_bit_count < 0:
             raise CircuitError("negative qubit or classical bit count")
+        if self.qubit_count > MAX_QUBITS:
+            raise CircuitError(f"{self.qubit_count} qubits exceed the ceiling {MAX_QUBITS}")
+        if self.classical_bit_count > MAX_CBITS:
+            raise CircuitError(
+                f"{self.classical_bit_count} classical bits exceed the ceiling {MAX_CBITS}"
+            )
         for spec_name, regs in (("in", self.inputs), ("out", self.outputs)):
             seen_names: set[str] = set()
             used: set[int] = set()
@@ -228,29 +253,30 @@ class Circuit:
             for q in gate.qubits:
                 if q >= self.qubit_count:
                     raise CircuitError(
-                        f"gate {i} ({gate.kind}) uses qubit {q} "
-                        f"but the circuit has {self.qubit_count}"
+                        f"qubit {q} out of range: gate {i} ({gate.kind}) uses qubit "
+                        f"{q} but the circuit has {self.qubit_count}",
+                        gate=i,
                     )
-            if gate.condition is not None:
-                cb, _ = gate.condition
-                if cb >= self.classical_bit_count:
-                    raise CircuitError(
-                        f"gate {i} conditions on c{cb} but the circuit has "
-                        f"{self.classical_bit_count} classical bit(s)"
-                    )
-                if cb not in written:
-                    raise CircuitError(
-                        f"gate {i} conditions on c{cb} before any measurement writes it"
-                    )
+            # the classical bit the gate reads (condition) or writes (MX)
+            cb = gate.cbit if gate.condition is None else gate.condition[0]
+            if cb is not None and cb >= self.classical_bit_count:
+                raise CircuitError(
+                    f"classical bit c{cb} out of range: gate {i} ({gate.kind}) uses "
+                    f"c{cb} but the circuit has {self.classical_bit_count}",
+                    gate=i,
+                )
+            if gate.condition is not None and cb not in written:
+                raise CircuitError(
+                    f"gate {i} ({gate.kind}): condition on c{cb} before any "
+                    "measurement writes it",
+                    gate=i,
+                )
             if gate.kind == "MX":
-                if gate.cbit >= self.classical_bit_count:
+                if cb in written:
                     raise CircuitError(
-                        f"gate {i} writes c{gate.cbit} but the circuit has "
-                        f"{self.classical_bit_count} classical bit(s)"
+                        f"gate {i} (MX): classical bit c{cb} written twice", gate=i
                     )
-                if gate.cbit in written:
-                    raise CircuitError(f"classical bit c{gate.cbit} written twice")
-                written.add(gate.cbit)
+                written.add(cb)
         for key, value in self.metadata.items():
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {key!r}")
@@ -291,20 +317,17 @@ def static_resources(circuit: Circuit) -> StaticResources:
 # parsing
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Split on whitespace, keeping 1-based starting columns."""
-    out = []
-    col = 0
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace():
-            i += 1
-        out.append((line[start:i], start + 1))
-    return out
+_TOKEN = re.compile(r"\S+")
+_HEADERS = ("qubits", "cbits", "meta", "in", "out")
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str, list[tuple[str, int]]]]:
+    """(line number, line, tokens with 1-based columns) for every line that
+    is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw)]
+        if toks and not toks[0][0].startswith("#"):
+            yield lineno, raw, toks
 
 
 def _parse_int(tok: str, what: str, line: int, col: int) -> int:
@@ -318,19 +341,24 @@ def _parse_int(tok: str, what: str, line: int, col: int) -> int:
 
 
 def _parse_cref(tok: str, line: int, col: int) -> int:
-    if not tok.startswith("c") or not tok[1:].isdigit():
+    digits = tok[1:]
+    if not tok.startswith("c") or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"expected classical bit like c0, got {tok!r}", line, col)
-    return int(tok[1:])
+    return _parse_int(digits, "classical bit index", line, col)
 
 
 def parse(text: str | bytes) -> Circuit:
     """Parse `.kmx` text into a validated Circuit.
 
     Raises :class:`ParseError` carrying 1-based line/column on any syntax or
-    structural problem.
+    structural problem; see the module docstring for the position rule.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lines = (text[: exc.start].decode("utf-8") + "?").splitlines()
+            raise ParseError("invalid UTF-8", len(lines), len(lines[-1])) from None
     qubit_count: int | None = None
     classical_bit_count = 0
     saw_cbits = False
@@ -338,17 +366,12 @@ def parse(text: str | bytes) -> Circuit:
     outputs: list[Register] = []
     gates: list[Gate] = []
     metadata: dict[str, str] = {}
-    written: set[int] = set()
     in_body = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        toks = _tokens(raw)
+    for lineno, raw, toks in _content_lines(text):
         head, head_col = toks[0]
 
-        if head in ("qubits", "cbits", "meta", "in", "out"):
+        if head in _HEADERS:
             if in_body:
                 raise ParseError(f"header line {head!r} after gates", lineno, head_col)
             if head == "qubits":
@@ -406,75 +429,31 @@ def parse(text: str | bytes) -> Circuit:
             if len(toks) < 2:
                 raise ParseError("IF needs a classical bit", lineno, head_col)
             ctok, ccol = toks[1]
-            if "=" in ctok:
-                cpart, vpart = ctok.split("=", 1)
-                cb = _parse_cref(cpart, lineno, ccol)
-                if vpart not in ("0", "1"):
-                    raise ParseError(
-                        f"condition value must be 0 or 1, got {vpart!r}", lineno, ccol
-                    )
-                condition = (cb, int(vpart))
-            else:
-                condition = (_parse_cref(ctok, lineno, ccol), 1)
+            cpart, eq, vpart = ctok.partition("=")
+            cb = _parse_cref(cpart, lineno, ccol)
+            if eq and vpart not in ("0", "1"):
+                raise ParseError(
+                    f"condition value must be 0 or 1, got {vpart!r}", lineno, ccol
+                )
+            condition = (cb, int(vpart) if eq else 1)
             idx = 2
             if idx >= len(toks):
                 raise ParseError("IF prefix without a gate", lineno, ccol)
         opcode, op_col = toks[idx]
         if opcode not in GATE_KINDS:
             raise ParseError(f"unknown opcode {opcode!r}", lineno, op_col)
-        if opcode == "MX" and condition is not None:
-            raise ParseError("measurements cannot be conditioned", lineno, head_col)
         rest = toks[idx + 1 :]
         dest: int | None = None
-        if opcode == "MX":
-            if len(rest) < 3 or rest[-2][0] != "->":
-                raise ParseError("usage: MX q -> c<k>", lineno, op_col)
+        if len(rest) >= 2 and rest[-2][0] == "->":
             dest = _parse_cref(rest[-1][0], lineno, rest[-1][1])
             rest = rest[:-2]
-        elif any(tok == "->" for tok, _ in rest):
-            raise ParseError(f"{opcode} does not write a classical bit", lineno, op_col)
-        qubits = []
-        for tok, col in rest:
-            qubits.append(_parse_int(tok, "qubit index", lineno, col))
+        elif opcode == "MX":
+            raise ParseError("usage: MX q -> c<k>", lineno, op_col)
+        qubits = [_parse_int(tok, "qubit index", lineno, col) for tok, col in rest]
         try:
-            gate = Gate(opcode, tuple(qubits), cbit=dest, condition=condition)
+            gates.append(Gate(opcode, tuple(qubits), cbit=dest, condition=condition))
         except CircuitError as exc:
-            raise ParseError(str(exc), lineno, op_col) from None
-        # positioned structural checks (duplicated by Circuit.validate, but
-        # here we can still point at the line)
-        for q in gate.qubits:
-            if q >= qubit_count:
-                raise ParseError(
-                    f"qubit {q} out of range (qubits {qubit_count})", lineno, op_col
-                )
-        if gate.condition is not None:
-            cb = gate.condition[0]
-            if cb >= classical_bit_count:
-                raise ParseError(
-                    f"classical bit c{cb} out of range (cbits {classical_bit_count})",
-                    lineno,
-                    head_col,
-                )
-            if cb not in written:
-                raise ParseError(
-                    f"condition on c{cb} before any measurement writes it",
-                    lineno,
-                    head_col,
-                )
-        if gate.kind == "MX":
-            if gate.cbit >= classical_bit_count:
-                raise ParseError(
-                    f"classical bit c{gate.cbit} out of range "
-                    f"(cbits {classical_bit_count})",
-                    lineno,
-                    op_col,
-                )
-            if gate.cbit in written:
-                raise ParseError(
-                    f"classical bit c{gate.cbit} written twice", lineno, op_col
-                )
-            written.add(gate.cbit)
-        gates.append(gate)
+            raise ParseError(str(exc), lineno, head_col) from None
 
     if qubit_count is None:
         raise ParseError("missing qubits line", 1, 1)
@@ -488,7 +467,15 @@ def parse(text: str | bytes) -> Circuit:
             metadata=metadata,
         )
     except CircuitError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        if exc.gate is None:
+            raise ParseError(str(exc), 1, 1) from None
+        gate_lines = (
+            (lineno, toks[0][1])
+            for lineno, _, toks in _content_lines(text)
+            if toks[0][0] not in _HEADERS
+        )
+        lineno, col = next(itertools.islice(gate_lines, exc.gate, None))
+        raise ParseError(str(exc), lineno, col) from None
 
 
 # ---------------------------------------------------------------------------

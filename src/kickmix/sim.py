@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .circuit import Circuit, static_resources
+from .circuit import GATE_KINDS, NON_CLIFFORD_KINDS, Circuit, static_resources
 
 __all__ = [
     "RngExhausted",
@@ -237,23 +237,31 @@ def _lane_planes(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]]) -> 
     return planes
 
 
-def _executed_count(circuit: Circuit, position: Mapping[int, int], non_clifford: bool):
-    """Executed gates as a constant plus per-measurement steps.
+def _executed_count(by_kind: Counter, position: Mapping[int, int], kinds: Sequence[str]):
+    """Executed gates of the given kinds as a constant plus per-measurement steps.
 
     A gate conditioned on (c, v) runs iff measurement c came out v, so the
     count on a branch is the all-zeros count plus, for every measurement
-    that came out 1, the gates it enables minus those it disables.  Returns
+    that came out 1, the gates it enables minus those it disables.  by_kind
+    counts the circuit's gates per (condition, kind).  Returns
     (all-zeros count, [(step, mask of stream-word bits with that step)])."""
-    counts = Counter(
-        g.condition for g in circuit.gates if not non_clifford or g.is_non_clifford
-    )
-    constant = counts[None]
+    constant = 0
+    steps: dict[int, int] = {}
+    for (condition, kind), n in by_kind.items():
+        if kind not in kinds:
+            continue
+        if condition is None:
+            constant += n
+            continue
+        cb, value = condition
+        if not value:
+            constant += n
+            n = -n
+        steps[cb] = steps.get(cb, 0) + n
     masks: dict[int, int] = {}
-    for cb, pos in position.items():
-        constant += counts[(cb, 0)]
-        step = counts[(cb, 1)] - counts[(cb, 0)]
+    for cb, step in steps.items():
         if step:
-            masks[step] = masks.get(step, 0) | (1 << pos)
+            masks[step] = masks.get(step, 0) | (1 << position[cb])
     return constant, list(masks.items())
 
 
@@ -355,8 +363,9 @@ def run_lanes(
             defect_words[j] = defect_words.get(j, 0) | bit
             defects.setdefault(j, []).append(cb)
             plane ^= low
-    total0, total_steps = _executed_count(circuit, position, non_clifford=False)
-    nc0, nc_steps = _executed_count(circuit, position, non_clifford=True)
+    by_kind = Counter((g.condition, g.kind) for g in circuit.gates)
+    total0, total_steps = _executed_count(by_kind, position, GATE_KINDS)
+    nc0, nc_steps = _executed_count(by_kind, position, NON_CLIFFORD_KINDS)
 
     results = []
     for j in range(len(lane_inputs)):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickmix import (
     Circuit,
@@ -155,10 +157,32 @@ def test_four_gate_example_counts() -> None:
             4,
             "condition value must be 0 or 1",
         ),
+        # The line of a gate error comes from the source, not the gate count.
+        ("qubits 2\n\n# pair\nCX 0 1\n\n# bad\nCX 0 2\n", 7, 1, "qubit 2 out of range"),
+        ("qubits 1\ncbits 1\nMX 0 -> c3\n", 3, 1, "classical bit c3 out of range"),
+        # A gate error points at the first token of its line, even on an IF line.
+        (
+            "qubits 1\ncbits 1\nMX 0 -> c0\n   IF c0 Z 4\n",
+            4,
+            4,
+            "qubit 4 out of range",
+        ),
+        ("qubits 1\ncbits 1\nIF c\u00b2 Z 0\n", 3, 4, "expected classical bit like c0"),
+        ("qubits 1\ncbits 1\nMX 0 -> c\u00b2\n", 3, 9, "expected classical bit like c0"),
+        pytest.param(
+            "qubits 1\ncbits 1\nMX 0 -> c" + "1" * 5000 + "\n",
+            3,
+            9,
+            "expected classical bit index",
+            id="cref-of-5000-digits",
+        ),
+        ("qubits 65537\n", 1, 1, "65537 qubits exceed the ceiling 65536"),
+        ("qubits 1\ncbits 1048577\n", 1, 1, "classical bits exceed the ceiling"),
+        (b"qubits 1\nX 0\n# \xc3\n", 3, 3, "invalid UTF-8"),
     ],
 )
 def test_parse_errors_carry_position_and_message(
-    text: str, line: int, column: int, message: str
+    text: str | bytes, line: int, column: int, message: str
 ) -> None:
     with pytest.raises(ParseError) as excinfo:
         parse(text)
@@ -167,6 +191,33 @@ def test_parse_errors_carry_position_and_message(
     assert err.column == column
     assert message in str(err)
     assert str(err).startswith(f"line {line}, column {column}: ")
+
+
+_KMX_TOKENS = (
+    "qubits", "cbits", "meta", "in", "out", "IF", "X", "CX", "CCX", "Z", "CZ",
+    "CCZ", "MX", "->", "#", "0", "1", "3", "-1", "65537", "1048577", "0..1",
+    "1..0", "4000000000", "c0", "c1", "c0=0", "c0=2", "c\u00b2", "\u00b2",
+    "\u0663", "c" + "9" * 5000, "a", "a b", "\u2028", "\x85",
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.lists(st.sampled_from(_KMX_TOKENS), max_size=5).map(" ".join),
+            max_size=6,
+        ).map(lambda lines: "\n".join(["qubits 2", "cbits 2", *lines]).encode()),
+    )
+)
+def test_parse_of_any_bytes_raises_only_a_one_line_parse_error(data: bytes) -> None:
+    try:
+        circuit = parse(data)
+    except ParseError as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert parse(serialize(circuit)) == circuit
 
 
 def test_gate_validation() -> None:

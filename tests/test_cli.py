@@ -162,6 +162,27 @@ def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
     assert "line 2, column 1: unknown opcode 'BOGUS'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (b"qubits 2\nX 0\n\xff\xfe\n", "line 3, column 1: invalid UTF-8"),
+        ("qubits 1\ncbits 1\nIF c\u00b2 Z 0\n".encode(), "line 3, column 4: "),
+    ],
+)
+def test_malformed_circuit_bytes_exit_1_with_one_line(
+    tmp_path, capsys, command: str, text: bytes, where: str
+) -> None:
+    mangled = tmp_path / "mangled.kmx"
+    mangled.write_bytes(text)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
+    extra = ["--spec", str(spec)] if command == "verify" else []
+    assert main([command, str(mangled), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
