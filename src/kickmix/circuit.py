@@ -31,6 +31,9 @@ Header lines, then one gate per line::
   ``lo..hi``; the qubit at ``lo`` is the least significant bit.
 * A gate line is ``[IF c<k>[=0|=1] ] OPCODE q ...``; a bare ``IF c<k>`` means
   ``=1``.  MX lines end with ``-> c<k>`` naming the destination bit.
+* Every integer is a string of ASCII digits (no sign, ``_``, or non-ASCII
+  digit).  A syntax error quotes at most the first 20 characters of the
+  offending token.
 * Blank lines and full-line ``#`` comments are accepted by the parser.
 
 The canonical form produced by :func:`serialize` is byte-exact: header order
@@ -58,6 +61,11 @@ A :class:`ParseError` for a broken rule points at the gate's source line and
 the column of that line's first token; a rule that belongs to no one gate
 (counts, registers, metadata) points at line 1, column 1.
 
+:func:`parse` builds one :class:`Gate` per distinct gate line: a line that
+repeats an earlier one byte for byte reuses that line's ``Gate``, so equal
+lines share one immutable object and callers must not rely on gate identity.
+``validate`` still checks every position, repeated lines included.
+
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
 """
@@ -67,7 +75,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "GATE_KINDS",
@@ -321,29 +329,40 @@ _TOKEN = re.compile(r"\S+")
 _HEADERS = ("qubits", "cbits", "meta", "in", "out")
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str, list[tuple[str, int]]]]:
-    """(line number, line, tokens with 1-based columns) for every line that
-    is neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw)]
-        if toks and not toks[0][0].startswith("#"):
-            yield lineno, raw, toks
+def _tokens(raw: str) -> list[tuple[str, int]]:
+    """Tokens of one line with 1-based columns; empty for a blank line or a
+    ``#`` comment."""
+    toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw)]
+    return toks if toks and not toks[0][0].startswith("#") else []
+
+
+def _shown(tok: str) -> str:
+    """A token as echoed in an error message, cut to a bounded length."""
+    return tok if len(tok) <= 20 else tok[:20] + "\u2026"
+
+
+def _is_digits(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
 
 
 def _parse_int(tok: str, what: str, line: int, col: int) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", line, col) from None
-    if value < 0:
-        raise ParseError(f"{what} must be non-negative, got {tok}", line, col)
-    return value
+    """A non-negative integer spelled in ASCII digits only."""
+    if _is_digits(tok):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    elif tok.startswith("-") and _is_digits(tok[1:]):
+        raise ParseError(f"{what} must be non-negative, got {_shown(tok)}", line, col)
+    raise ParseError(f"expected {what}, got {_shown(tok)!r}", line, col)
 
 
 def _parse_cref(tok: str, line: int, col: int) -> int:
     digits = tok[1:]
-    if not tok.startswith("c") or not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"expected classical bit like c0, got {tok!r}", line, col)
+    if not tok.startswith("c") or not _is_digits(digits):
+        raise ParseError(
+            f"expected classical bit like c0, got {_shown(tok)!r}", line, col
+        )
     return _parse_int(digits, "classical bit index", line, col)
 
 
@@ -367,8 +386,18 @@ def parse(text: str | bytes) -> Circuit:
     gates: list[Gate] = []
     metadata: dict[str, str] = {}
     in_body = False
+    # gate line text -> the Gate its first copy produced; Gate is frozen, so
+    # repeated lines share it and only the first copy is tokenized and built
+    line_gates: dict[str, Gate] = {}
 
-    for lineno, raw, toks in _content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = line_gates.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        toks = _tokens(raw)
+        if not toks:
+            continue
         head, head_col = toks[0]
 
         if head in _HEADERS:
@@ -400,7 +429,9 @@ def parse(text: str | bytes) -> Circuit:
                 key = toks[1][0]
                 value = raw[toks[2][1] - 1 :].strip()
                 if key in metadata:
-                    raise ParseError(f"duplicate metadata key {key!r}", lineno, toks[1][1])
+                    raise ParseError(
+                        f"duplicate metadata key {_shown(key)!r}", lineno, toks[1][1]
+                    )
                 metadata[key] = value
             else:  # in / out
                 if len(toks) != 3:
@@ -408,7 +439,9 @@ def parse(text: str | bytes) -> Circuit:
                 name, name_col = toks[1]
                 rng, rng_col = toks[2]
                 if ".." not in rng:
-                    raise ParseError(f"expected lo..hi, got {rng!r}", lineno, rng_col)
+                    raise ParseError(
+                        f"expected lo..hi, got {_shown(rng)!r}", lineno, rng_col
+                    )
                 lo_s, hi_s = rng.split("..", 1)
                 lo = _parse_int(lo_s, "register lo", lineno, rng_col)
                 hi = _parse_int(hi_s, "register hi", lineno, rng_col)
@@ -433,7 +466,7 @@ def parse(text: str | bytes) -> Circuit:
             cb = _parse_cref(cpart, lineno, ccol)
             if eq and vpart not in ("0", "1"):
                 raise ParseError(
-                    f"condition value must be 0 or 1, got {vpart!r}", lineno, ccol
+                    f"condition value must be 0 or 1, got {_shown(vpart)!r}", lineno, ccol
                 )
             condition = (cb, int(vpart) if eq else 1)
             idx = 2
@@ -441,7 +474,7 @@ def parse(text: str | bytes) -> Circuit:
                 raise ParseError("IF prefix without a gate", lineno, ccol)
         opcode, op_col = toks[idx]
         if opcode not in GATE_KINDS:
-            raise ParseError(f"unknown opcode {opcode!r}", lineno, op_col)
+            raise ParseError(f"unknown opcode {_shown(opcode)!r}", lineno, op_col)
         rest = toks[idx + 1 :]
         dest: int | None = None
         if len(rest) >= 2 and rest[-2][0] == "->":
@@ -451,9 +484,11 @@ def parse(text: str | bytes) -> Circuit:
             raise ParseError("usage: MX q -> c<k>", lineno, op_col)
         qubits = [_parse_int(tok, "qubit index", lineno, col) for tok, col in rest]
         try:
-            gates.append(Gate(opcode, tuple(qubits), cbit=dest, condition=condition))
+            gate = Gate(opcode, tuple(qubits), cbit=dest, condition=condition)
         except CircuitError as exc:
             raise ParseError(str(exc), lineno, head_col) from None
+        line_gates[raw] = gate
+        gates.append(gate)
 
     if qubit_count is None:
         raise ParseError("missing qubits line", 1, 1)
@@ -471,8 +506,8 @@ def parse(text: str | bytes) -> Circuit:
             raise ParseError(str(exc), 1, 1) from None
         gate_lines = (
             (lineno, toks[0][1])
-            for lineno, _, toks in _content_lines(text)
-            if toks[0][0] not in _HEADERS
+            for lineno, toks in enumerate(map(_tokens, text.splitlines()), start=1)
+            if toks and toks[0][0] not in _HEADERS
         )
         lineno, col = next(itertools.islice(gate_lines, exc.gate, None))
         raise ParseError(str(exc), lineno, col) from None

@@ -179,6 +179,25 @@ def test_four_gate_example_counts() -> None:
         ("qubits 65537\n", 1, 1, "65537 qubits exceed the ceiling 65536"),
         ("qubits 1\ncbits 1048577\n", 1, 1, "classical bits exceed the ceiling"),
         (b"qubits 1\nX 0\n# \xc3\n", 3, 3, "invalid UTF-8"),
+        # Integers are ASCII digit strings only.
+        ("qubits 1_0\n", 1, 8, "expected qubit count, got '1_0'"),
+        ("qubits 4\nX \u0663\n", 2, 3, "expected qubit index, got '\u0663'"),
+        ("qubits 4\nX +2\n", 2, 3, "expected qubit index, got '+2'"),
+        ("qubits 2\nin a 0..+1\n", 2, 6, "expected register hi, got '+1'"),
+        pytest.param(
+            "qubits 1\nX " + "1" * 5000 + "\n",
+            2,
+            3,
+            "expected qubit index, got '" + "1" * 20 + "\u2026'",
+            id="qubit-of-5000-digits",
+        ),
+        # A repeated line that breaks a rule only at its later copy.
+        (
+            "qubits 1\ncbits 1\nX 0\nMX 0 -> c0\n\nX 0\nMX 0 -> c0\n",
+            7,
+            1,
+            "gate 3 (MX): classical bit c0 written twice",
+        ),
     ],
 )
 def test_parse_errors_carry_position_and_message(

@@ -168,6 +168,9 @@ def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
     [
         (b"qubits 2\nX 0\n\xff\xfe\n", "line 3, column 1: invalid UTF-8"),
         ("qubits 1\ncbits 1\nIF c\u00b2 Z 0\n".encode(), "line 3, column 4: "),
+        (b"qubits 1_0\n", "line 1, column 8: expected qubit count"),
+        (b"qubits 4\nX +2\n", "line 2, column 3: expected qubit index"),
+        (b"qubits 1\nX " + b"7" * 5000 + b"\n", "line 2, column 3: expected qubit index"),
     ],
 )
 def test_malformed_circuit_bytes_exit_1_with_one_line(
