@@ -32,8 +32,8 @@ Header lines, then one gate per line::
 * A gate line is ``[IF c<k>[=0|=1] ] OPCODE q ...``; a bare ``IF c<k>`` means
   ``=1``.  MX lines end with ``-> c<k>`` naming the destination bit.
 * Every integer is a string of ASCII digits (no sign, ``_``, or non-ASCII
-  digit).  A syntax error quotes at most the first 20 characters of the
-  offending token.
+  digit).  An error message quotes at most the first 20 characters of the
+  offending token, register name or metadata key or value.
 * Blank lines and full-line ``#`` comments are accepted by the parser.
 
 The canonical form produced by :func:`serialize` is byte-exact: header order
@@ -105,6 +105,11 @@ MAX_QUBITS = 1 << 16
 MAX_CBITS = 1 << 20
 
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
+
+
+def _shown(tok: str) -> str:
+    """A token, name or value as echoed in an error message, cut to a bounded length."""
+    return tok if len(tok) <= 20 else tok[:20] + "\u2026"
 
 
 class CircuitError(ValueError):
@@ -179,7 +184,7 @@ class Register:
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
-            raise CircuitError(f"bad register name {self.name!r}")
+            raise CircuitError(f"bad register name {_shown(self.name)!r}")
         if self.lo < 0 or self.hi < self.lo:
             raise CircuitError(f"bad register range {self.lo}..{self.hi}")
 
@@ -242,17 +247,17 @@ class Circuit:
             used: set[int] = set()
             for reg in regs:
                 if reg.name in seen_names:
-                    raise CircuitError(f"duplicate {spec_name} register {reg.name!r}")
+                    raise CircuitError(f"duplicate {spec_name} register {_shown(reg.name)!r}")
                 seen_names.add(reg.name)
                 if reg.hi >= self.qubit_count:
                     raise CircuitError(
-                        f"{spec_name} register {reg.name!r} range {reg.lo}..{reg.hi} "
+                        f"{spec_name} register {_shown(reg.name)!r} range {reg.lo}..{reg.hi} "
                         f"exceeds qubit count {self.qubit_count}"
                     )
                 overlap = used.intersection(reg.qubits)
                 if overlap:
                     raise CircuitError(
-                        f"{spec_name} register {reg.name!r} overlaps qubit "
+                        f"{spec_name} register {_shown(reg.name)!r} overlaps qubit "
                         f"{min(overlap)} already covered by another {spec_name} register"
                     )
                 used.update(reg.qubits)
@@ -287,13 +292,15 @@ class Circuit:
                 written.add(cb)
         for key, value in self.metadata.items():
             if not key or any(ch.isspace() for ch in key):
-                raise CircuitError(f"bad metadata key {key!r}")
+                raise CircuitError(f"bad metadata key {_shown(key)!r}")
             if value != value.strip() or "\n" in value or value == "":
-                raise CircuitError(f"bad metadata value for {key!r}: {value!r}")
+                raise CircuitError(
+                    f"bad metadata value for {_shown(key)!r}: {_shown(value)!r}"
+                )
         policy = self.metadata.get("exceptional")
         if policy is not None and policy not in EXCEPTIONAL_POLICIES:
             raise CircuitError(
-                f"exceptional policy {policy!r} not in {EXCEPTIONAL_POLICIES}"
+                f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}"
             )
 
     def input_register(self, name: str) -> Register:
@@ -334,11 +341,6 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
     ``#`` comment."""
     toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw)]
     return toks if toks and not toks[0][0].startswith("#") else []
-
-
-def _shown(tok: str) -> str:
-    """A token as echoed in an error message, cut to a bounded length."""
-    return tok if len(tok) <= 20 else tok[:20] + "\u2026"
 
 
 def _is_digits(tok: str) -> bool:

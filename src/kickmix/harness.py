@@ -38,13 +38,13 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .circuit import Circuit, parse, static_resources
 from .curve import CurveParams, CurvePoint, INFINITY, named_curve, point_add, point_neg, scalar_mul
-from .builders import decode_point, encode_point
+from .builders import encode_point
 # run and check_phase_all_branches stay importable from here: the benchmark
 # in perfbench/ times the simulator layer by wrapping these names.
 from .sim import check_phase_all_branches, run, run_lanes  # noqa: F401
@@ -63,9 +63,16 @@ __all__ = [
     "achieved_security_bits",
     "spec_for_circuit",
     "ROLES",
+    "MAX_POWER_BITS",
 ]
 
 ROLES = ("accumulator_x", "accumulator_y", "window", "addend_x", "addend_y")
+
+# Ceiling on the size of the exact powers (1 - eps)^n that required_test_count
+# compares: about n times the bit length of eps's denominator.  Every plan in
+# the tests and the README stays below it (the largest, eps 0.01 at 1024
+# bits, is about 494k bits); eps 0.0001 at 1024 bits would need 10^8.
+MAX_POWER_BITS = 1 << 21
 
 # Self-description embedded in every report so a reader can re-derive the
 # transcript without consulting anything else.  Measurement bits come from
@@ -135,9 +142,18 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
     lam = int(security_bits)
     if lam != security_bits or lam < 1:
         raise ValueError(f"security_bits must be a positive integer, got {security_bits}")
+    rate = -math.log1p(-float(eps))  # -ln(1 - eps), accurate for small eps
+    estimate = lam * math.log(2) / rate if rate > 0 else math.inf
+    power_bits = estimate * eps.denominator.bit_length()
+    if power_bits > MAX_POWER_BITS:
+        raise ValueError(
+            f"tolerated fraction {tolerated_fraction} at {security_bits} security bits "
+            f"needs exact powers of about {power_bits:.3g} bits, over the ceiling of "
+            f"{MAX_POWER_BITS}; raise the fraction or lower the security bits"
+        )
     survive = 1 - eps
     bound = Fraction(1, 1 << lam)
-    n = max(1, math.ceil(lam / -math.log2(float(survive))))
+    n = max(1, math.ceil(estimate))
     while survive**n > bound:
         n += 1
     while n > 1 and survive ** (n - 1) <= bound:
@@ -196,18 +212,7 @@ class VerificationSpec:
             raise HarnessError("tolerated_failure_fraction must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "test_count": self.test_count,
-            "registers": dict(self.registers),
-            "base_source": self.base_source,
-            "tolerated_failure_fraction": self.tolerated_failure_fraction,
-            "security_bits": self.security_bits,
-            "max_avg_non_clifford": self.max_avg_non_clifford,
-            "max_qubits": self.max_qubits,
-            "max_total_ops": self.max_total_ops,
-            "allow_failures": self.allow_failures,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VerificationSpec":
@@ -313,27 +318,14 @@ def derive_tests(circuit_bytes: bytes, spec: VerificationSpec) -> Transcript:
     point is needed, then applies the byte-exact draw rules from the module
     docstring."""
     plan = _resolve(parse(circuit_bytes), spec)
-    return _derive(
-        circuit_bytes,
-        plan.curve,
-        spec.test_count,
-        window_bits=plan.window_bits,
-        with_addend=plan.addend_x is not None,
-    )
+    return _derive(circuit_bytes, plan, spec.test_count)
 
 
-def _derive(
-    circuit_bytes: bytes,
-    curve: CurveParams,
-    test_count: int,
-    window_bits: int | None = None,
-    with_addend: bool = False,
-) -> Transcript:
-    if test_count < 0:
-        raise ValueError("test_count must be >= 0")
+def _derive(circuit_bytes: bytes, plan: _Plan, test_count: int) -> Transcript:
+    curve, window_bits = plan.curve, plan.window_bits
     scalar_bytes = (curve.order.bit_length() + 7) // 8
     window_bytes = 0 if window_bits is None else (window_bits + 7) // 8
-    addend_bytes = scalar_bytes if with_addend else 0
+    addend_bytes = scalar_bytes if plan.addend_x is not None else 0
     # The whole draw length is known up front: take it in one digest.
     master = hashlib.shake_256(circuit_bytes).digest(
         test_count * (scalar_bytes + window_bytes + addend_bytes)
@@ -354,7 +346,7 @@ def _derive(
     if window_bits is not None:
         windows = draw(window_bytes, 1 << window_bits)
     addends = [None] * test_count
-    if with_addend:
+    if addend_bytes:
         addends = draw(scalar_bytes, curve.order)
     tests = tuple(
         TestCase(index=i, scalar=scalars[i], window=windows[i], addend_scalar=addends[i])
@@ -389,21 +381,18 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     in_names = {r.name: r for r in circuit.inputs}
     out_names = {r.name: r for r in circuit.outputs}
 
-    def reg_for(role: str, required: bool) -> str | None:
+    def reg_for(role: str) -> str | None:
         name = spec.registers.get(role)
-        if name is None:
-            if required:
-                raise HarnessError(f"register mapping lacks role {role!r}")
-            return None
-        if name not in in_names or name not in out_names:
+        if name is not None and (name not in in_names or name not in out_names):
             raise HarnessError(
                 f"register mapping mismatch: {role} -> {name!r} is not an "
                 "input+output register of the circuit"
             )
         return name
 
-    acc_x = reg_for("accumulator_x", required=True)
-    acc_y = reg_for("accumulator_y", required=True)
+    # VerificationSpec requires both accumulator roles.
+    acc_x = reg_for("accumulator_x")
+    acc_y = reg_for("accumulator_y")
     nb = curve.coordinate_bits
     for name in (acc_x, acc_y):
         if in_names[name].width != nb:
@@ -411,10 +400,10 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
                 f"register mapping mismatch: {name!r} is {in_names[name].width} "
                 f"bit(s) but curve {curve.name} coordinates need {nb}"
             )
-    window_reg = reg_for("window", required=False)
+    window_reg = reg_for("window")
     window_bits = in_names[window_reg].width if window_reg else None
-    addend_x = reg_for("addend_x", required=False)
-    addend_y = reg_for("addend_y", required=False)
+    addend_x = reg_for("addend_x")
+    addend_y = reg_for("addend_y")
 
     base: CurvePoint | None = None
     if addend_x is None:
@@ -453,9 +442,7 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
 
 def _is_exceptional(plan: _Plan, accumulator: CurvePoint, addend: CurvePoint) -> bool:
     """Inputs where the generic chord rule does not apply."""
-    if accumulator.is_infinity or addend.is_infinity:
-        return True
-    if accumulator == addend:
+    if accumulator.is_infinity or addend.is_infinity or accumulator == addend:
         return True
     return accumulator == point_neg(addend, plan.curve)
 
@@ -464,31 +451,6 @@ def _split_point(point: CurvePoint, nb: int) -> tuple[int, int]:
     packed = encode_point(point, nb)
     ones = (1 << nb) - 1
     return packed & ones, (packed >> nb) & ones
-
-
-def _case_inputs(plan: _Plan, accumulator: CurvePoint, window: int | None,
-                 addend: CurvePoint) -> dict[str, int]:
-    x_val, y_val = _split_point(accumulator, plan.coordinate_bits)
-    inputs = {plan.acc_x: x_val, plan.acc_y: y_val}
-    if plan.window_reg is not None:
-        inputs[plan.window_reg] = window
-    if plan.addend_x is not None:
-        ax, ay = _split_point(addend, plan.coordinate_bits)
-        inputs[plan.addend_x] = ax
-        inputs[plan.addend_y] = ay
-    return inputs
-
-
-def _expected_outputs(plan: _Plan, inputs: dict[str, int],
-                      expected_sum: CurvePoint) -> dict[str, int]:
-    """Every mapped role register must come back with its expected value;
-    the accumulator carries the sum, everything else is preserved."""
-    expected = dict(inputs)
-    ex, ey = _split_point(expected_sum, plan.coordinate_bits)
-    expected[plan.acc_x] = ex
-    expected[plan.acc_y] = ey
-    out_names = {r.name for r in plan.circuit.outputs}
-    return {name: value for name, value in expected.items() if name in out_names}
 
 
 def _addend_for(plan: _Plan, window: int | None, addend_scalar: int | None) -> CurvePoint:
@@ -502,12 +464,22 @@ def _addend_for(plan: _Plan, window: int | None, addend_scalar: int | None) -> C
 def _oracle_case(plan: _Plan, accumulator: CurvePoint, window: int | None,
                  addend: CurvePoint):
     """(inputs, expected outputs) for one test, or None for an input the
-    circuit's undefined-input policy skips."""
+    circuit's undefined-input policy skips.  Every mapped register (each is
+    an input and an output) must come back unchanged, except that the
+    accumulator carries the sum."""
     if plan.policy == "undefined" and _is_exceptional(plan, accumulator, addend):
         return None
-    inputs = _case_inputs(plan, accumulator, window, addend)
+    nb = plan.coordinate_bits
+    accumulator_regs = (plan.acc_x, plan.acc_y)
+    inputs = dict(zip(accumulator_regs, _split_point(accumulator, nb)))
+    if plan.window_reg is not None:
+        inputs[plan.window_reg] = window
+    if plan.addend_x is not None:
+        inputs.update(zip((plan.addend_x, plan.addend_y), _split_point(addend, nb)))
+    expected = dict(inputs)
     expected_sum = point_add(accumulator, addend, plan.curve)
-    return inputs, _expected_outputs(plan, inputs, expected_sum)
+    expected.update(zip(accumulator_regs, _split_point(expected_sum, nb)))
+    return inputs, expected
 
 
 def _transcript_cases(plan: _Plan, transcript: Transcript):
@@ -634,20 +606,14 @@ def _round_fraction(value: Fraction, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-def _finish_report(data: dict) -> VerificationReport:
-    body = dict(data)
-    body.pop("report_digest", None)
-    digest = hashlib.sha256(_canonical_json(body)).hexdigest()
-    body["report_digest"] = digest
-    return VerificationReport(data=body)
-
-
-def _aggregate(
-    data: dict,
-    spec: VerificationSpec,
-    entries: list[dict],
-    resources,
-) -> VerificationReport:
+def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
+            transcript: Transcript | None, fail_fast: bool,
+            warnings: list[str]) -> VerificationReport:
+    """Run the cases, judge them against the spec's bounds, and seal the
+    report with its digest: the one place a report is assembled.  transcript
+    is None in exhaustive mode."""
+    resources = static_resources(plan.circuit)
+    entries = _run_cases(plan.circuit, cases, transcript, fail_fast)
     executed = [e for e in entries if not e["skipped"]]
     failures = [e["index"] for e in executed if _failing(e)]
     nc_sum = sum(e["executed_non_clifford"] for e in executed)
@@ -662,48 +628,47 @@ def _aggregate(
             f"{spec.max_avg_non_clifford}"
         )
     if spec.max_qubits is not None and resources.qubit_count > spec.max_qubits:
-        violations.append(
-            f"qubit count {resources.qubit_count} exceeds {spec.max_qubits}"
-        )
+        violations.append(f"qubit count {resources.qubit_count} exceeds {spec.max_qubits}")
     if spec.max_total_ops is not None and resources.total_gate_count > spec.max_total_ops:
         violations.append(
             f"total gate count {resources.total_gate_count} exceeds {spec.max_total_ops}"
         )
 
-    warnings = list(data.get("warnings", ()))
     if not executed and entries:
-        warnings.append("every test hit the exceptional-input policy; nothing ran")
+        warnings = [*warnings, "every test hit the exceptional-input policy; nothing ran"]
 
     tolerated = 0
     if spec.allow_failures:
-        tolerated = math.floor(
-            Fraction(str(spec.tolerated_failure_fraction)) * len(entries)
-        )
+        tolerated = math.floor(Fraction(str(spec.tolerated_failure_fraction)) * len(entries))
     verdict = "pass" if len(failures) <= tolerated and not violations else "fail"
 
-    data.update(
-        {
-            "spec": spec.to_dict(),
-            "test_count": len(entries),
-            "executed_tests": len(executed),
-            "skipped_exceptional": len(entries) - len(executed),
-            "failures": len(failures),
-            "failure_indices": failures,
-            "tolerated_failures": tolerated,
-            "tests": entries,
-            "avg_executed_non_clifford": {
-                "numerator": avg_nc.numerator,
-                "denominator": avg_nc.denominator,
-                "rounded": _round_fraction(avg_nc),
-            },
-            "static_resources": resources.as_dict(),
-            "peak_qubits": resources.qubit_count,
-            "bound_violations": violations,
-            "warnings": warnings,
-            "verdict": verdict,
-        }
-    )
-    return _finish_report(data)
+    data = {
+        "circuit_commitment": commit(circuit_bytes),
+        "curve": plan.curve.name,
+        "mode": "exhaustive" if transcript is None else "transcript",
+        "fail_fast": fail_fast,
+        "protocol": _PROTOCOL_HEADER,
+        "spec": spec.to_dict(),
+        "test_count": len(entries),
+        "executed_tests": len(executed),
+        "skipped_exceptional": len(entries) - len(executed),
+        "failures": len(failures),
+        "failure_indices": failures,
+        "tolerated_failures": tolerated,
+        "tests": entries,
+        "avg_executed_non_clifford": {
+            "numerator": avg_nc.numerator,
+            "denominator": avg_nc.denominator,
+            "rounded": _round_fraction(avg_nc),
+        },
+        "static_resources": resources.as_dict(),
+        "peak_qubits": resources.qubit_count,
+        "bound_violations": violations,
+        "warnings": warnings,
+        "verdict": verdict,
+    }
+    data["report_digest"] = hashlib.sha256(_canonical_json(data)).hexdigest()
+    return VerificationReport(data=data)
 
 
 def verify(
@@ -728,16 +693,8 @@ def verify(
         raise HarnessError(f"jobs must be at least 1, got {jobs}")
     if spec.tolerated_failure_fraction == 0:
         return verify_exhaustive(circuit_bytes, spec)
-    circuit = parse(circuit_bytes)
-    plan = _resolve(circuit, spec)
-    transcript = _derive(
-        circuit_bytes,
-        plan.curve,
-        spec.test_count,
-        window_bits=plan.window_bits,
-        with_addend=plan.addend_x is not None,
-    )
-    resources = static_resources(circuit)
+    plan = _resolve(parse(circuit_bytes), spec)
+    transcript = _derive(circuit_bytes, plan, spec.test_count)
 
     warnings: list[str] = []
     needed = required_test_count(spec.tolerated_failure_fraction, spec.security_bits)
@@ -747,18 +704,8 @@ def verify(
             f"2^-{spec.security_bits} at tolerated fraction "
             f"{spec.tolerated_failure_fraction}"
         )
-
-    entries = _run_cases(circuit, _transcript_cases(plan, transcript), transcript, fail_fast)
-
-    data = {
-        "circuit_commitment": transcript.commitment,
-        "curve": plan.curve.name,
-        "mode": "transcript",
-        "fail_fast": fail_fast,
-        "protocol": _PROTOCOL_HEADER,
-        "warnings": warnings,
-    }
-    return _aggregate(data, spec, entries, resources)
+    cases = _transcript_cases(plan, transcript)
+    return _report(circuit_bytes, plan, spec, cases, transcript, fail_fast, warnings)
 
 
 def verify_exhaustive(circuit_bytes: bytes, spec: VerificationSpec) -> VerificationReport:
@@ -770,24 +717,10 @@ def verify_exhaustive(circuit_bytes: bytes, spec: VerificationSpec) -> Verificat
     branch.  spec.test_count is ignored; eps-style sampling does not apply."""
     from .curve import enumerate_points
 
-    circuit = parse(circuit_bytes)
-    plan = _resolve(circuit, spec)
+    plan = _resolve(parse(circuit_bytes), spec)
     if plan.addend_x is not None:
-        raise HarnessError(
-            "exhaustive mode supports fixed-base and windowed circuits only"
-        )
-    resources = static_resources(circuit)
+        raise HarnessError("exhaustive mode supports fixed-base and windowed circuits only")
     points = enumerate_points(plan.curve)
     window_values = range(1 << plan.window_bits) if plan.window_reg else (None,)
-
-    entries = _run_cases(circuit, _exhaustive_cases(plan, points, window_values), None)
-
-    data = {
-        "circuit_commitment": commit(circuit_bytes),
-        "curve": plan.curve.name,
-        "mode": "exhaustive",
-        "fail_fast": False,
-        "protocol": _PROTOCOL_HEADER,
-        "warnings": [],
-    }
-    return _aggregate(data, spec, entries, resources)
+    cases = _exhaustive_cases(plan, points, window_values)
+    return _report(circuit_bytes, plan, spec, cases, None, False, [])

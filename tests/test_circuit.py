@@ -198,6 +198,35 @@ def test_four_gate_example_counts() -> None:
             1,
             "gate 3 (MX): classical bit c0 written twice",
         ),
+        # Register names and metadata values are cut like tokens.
+        pytest.param(
+            "qubits 1\nin a-" + "b" * 5000 + " 0..0\n",
+            2,
+            4,
+            "bad register name 'a-" + "b" * 18 + "\u2026'",
+            id="register-name-of-5002-characters",
+        ),
+        pytest.param(
+            "qubits 1\n" + ("in " + "a" * 5000 + " 0..0\n") * 2,
+            1,
+            1,
+            "duplicate in register '" + "a" * 20 + "\u2026'",
+            id="duplicate-register-of-5000-characters",
+        ),
+        pytest.param(
+            "qubits 1\nmeta exceptional " + "x" * 5000 + "\n",
+            1,
+            1,
+            "exceptional policy '" + "x" * 20 + "\u2026' not in",
+            id="policy-of-5000-characters",
+        ),
+        pytest.param(
+            "qubits 1\nout " + "a" * 5000 + " 0..3\n",
+            1,
+            1,
+            "out register '" + "a" * 20 + "\u2026' range 0..3 exceeds qubit count 1",
+            id="register-of-5000-characters-out-of-range",
+        ),
     ],
 )
 def test_parse_errors_carry_position_and_message(

@@ -154,6 +154,23 @@ def test_verify_usage_errors(tmp_path, capsys) -> None:
     assert "bad spec: unknown spec field(s): shiny" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_plan_too_costly_to_size(tmp_path, capsys) -> None:
+    """eps 0.0001 at 1024 bits would need exact powers of about 10^8 bits."""
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(
+        tmp_path,
+        curve="toy-p11-b7",
+        test_count=5,
+        tolerated_failure_fraction=0.0001,
+        security_bits=1024,
+    )
+    capsys.readouterr()
+    assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerated fraction 0.0001 at 1024 security bits")
+    assert err.count("\n") == 1
+
+
 def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
     mangled = tmp_path / "mangled.kmx"
     mangled.write_text("qubits 2\nBOGUS 0 1\n")
@@ -171,6 +188,16 @@ def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
         (b"qubits 1_0\n", "line 1, column 8: expected qubit count"),
         (b"qubits 4\nX +2\n", "line 2, column 3: expected qubit index"),
         (b"qubits 1\nX " + b"7" * 5000 + b"\n", "line 2, column 3: expected qubit index"),
+        pytest.param(
+            b"qubits 1\nin a-" + b"b" * 5000 + b" 0..0\n",
+            "line 2, column 4: bad register name 'a-" + "b" * 18 + "\u2026'\n",
+            id="register-name-of-5002-characters",
+        ),
+        pytest.param(
+            b"qubits 1\nmeta exceptional " + b"x" * 5000 + b"\n",
+            "line 1, column 1: exceptional policy '" + "x" * 20 + "\u2026' not in",
+            id="policy-of-5000-characters",
+        ),
     ],
 )
 def test_malformed_circuit_bytes_exit_1_with_one_line(

@@ -13,9 +13,12 @@ from dataclasses import replace
 import pytest
 
 from kickmix import (
+    INFINITY,
     Gate,
     VerificationSpec,
+    build_windowed_pointadd,
     mutate,
+    named_curve,
     parse,
     serialize,
     spec_for_circuit,
@@ -70,6 +73,9 @@ def _cases(pointadd11, pointadd61, windowed11_w2):
         },
     )
     mutant5 = mutate(p11, 5)
+    # Window value 0 and 1 both add the identity, so every input is exceptional.
+    identity_w1 = build_windowed_pointadd(named_curve(p11.metadata["curve"]), INFINITY, 1).circuit
+    identity_w1 = replace(identity_w1, metadata={**identity_w1.metadata, "exceptional": "undefined"})
     return {
         "p11-transcript": (p11, spec_for_circuit(p11), "verify"),
         "p61-exhaustive": (pointadd61.circuit, _exhaustive_spec(pointadd61.circuit), "exhaustive"),
@@ -89,6 +95,23 @@ def _cases(pointadd11, pointadd61, windowed11_w2):
         "p11-conditioned-cx": (
             conditioned_cx_circuit(p11), spec_for_circuit(p11, test_count=300), "verify"
         ),
+        "p11-bound-violations": (
+            p11,
+            spec_for_circuit(
+                p11, test_count=100, max_qubits=1, max_total_ops=1, max_avg_non_clifford=0
+            ),
+            "verify",
+        ),
+        "p11-mutant5-tolerated": (
+            mutant5,
+            spec_for_circuit(
+                mutant5, test_count=200, allow_failures=True, tolerated_failure_fraction=0.5
+            ),
+            "verify",
+        ),
+        "w1-identity-all-skipped": (
+            identity_w1, spec_for_circuit(identity_w1, test_count=10), "verify"
+        ),
     }
 
 
@@ -103,6 +126,9 @@ GOLDEN = {
     "p11-undefined-policy": "f9494fcb446ab8b02572d7c6100c9cde273dc6e5a1282c5ddadf5992f91ab282",
     "two-point-adder": "35ea7234289b9e80885c69b9d8d1ede8eda43fb1ad66afc5c5eca4075139164a",
     "p11-conditioned-cx": "89877bbb3a904515aa1e9aba063f2c137e6da1ffb98506bcd9d9602d266a83d7",
+    "p11-bound-violations": "53086f38d6fcdd977d63e015a6ef3e55a1aaa997f7bdb2368ca76e7570421dd3",
+    "p11-mutant5-tolerated": "8a7dc4f75c876f0acef6d307208abc8cd2a06b271cfa00793b45593c6613aafc",
+    "w1-identity-all-skipped": "0636c0032d9c01bf2bbe8bece1492818d080d56c2d75af2ad90f637f2ee634a3",
 }
 
 
@@ -134,3 +160,18 @@ def test_the_pinned_cases_cover_the_paths_they_name(pointadd11, pointadd61, wind
     assert data["p11-conditioned-cx"]["verdict"] == "pass"
     fallback = cases["p11-conditioned-cx"][0]
     assert any(g.condition is not None and not g.is_diagonal for g in fallback.gates)
+
+
+def test_the_report_assembly_cases_cover_the_paths_they_name(
+    pointadd11, pointadd61, windowed11_w2
+) -> None:
+    cases = _cases(pointadd11, pointadd61, windowed11_w2)
+    bounds, tolerated, skipped = (
+        _report(*cases[name]).data
+        for name in ("p11-bound-violations", "p11-mutant5-tolerated", "w1-identity-all-skipped")
+    )
+    assert len(bounds["bound_violations"]) == 3 and bounds["verdict"] == "fail"
+    assert 0 < tolerated["failures"] <= tolerated["tolerated_failures"]
+    assert tolerated["verdict"] == "pass"
+    assert skipped["executed_tests"] == 0 and skipped["skipped_exceptional"] == 10
+    assert skipped["warnings"][-1] == "every test hit the exceptional-input policy; nothing ran"

@@ -156,6 +156,13 @@ def test_required_test_count_frozen_values() -> None:
     assert required_test_count(0.5, 10) == 10
 
 
+def test_required_test_count_ceiling_keeps_documented_plans_exact() -> None:
+    for eps, bits in ((0.01, 1024), (0.001, 128)):
+        n = required_test_count(eps, bits)
+        survive = 1 - Fraction(str(eps))
+        assert survive**n <= Fraction(1, 1 << bits) < survive ** (n - 1)
+
+
 def test_required_test_count_domain_errors() -> None:
     with pytest.raises(ValueError, match="enumerate the domain"):
         required_test_count(0, 40)
@@ -167,6 +174,17 @@ def test_required_test_count_domain_errors() -> None:
         required_test_count(0.01, 0)
     with pytest.raises(ValueError, match="security_bits must be a positive integer"):
         required_test_count(0.01, 2.5)
+    # The exact powers would run to millions of bits: refused before the search.
+    with pytest.raises(ValueError, match="over the ceiling"):
+        required_test_count(0.0001, 1024)
+    with pytest.raises(ValueError, match="over the ceiling"):
+        required_test_count(0.001, 1024)
+    with pytest.raises(ValueError, match="over the ceiling"):
+        required_test_count(0.0001, 128)
+    with pytest.raises(ValueError, match="over the ceiling"):
+        required_test_count(5e-324, 40)
+    with pytest.raises(ValueError, match="over the ceiling"):
+        required_test_count(Fraction(1, 10**400), 40)
 
 
 def test_achieved_security_bits() -> None:
