@@ -31,9 +31,10 @@ Header lines, then one gate per line::
   ``lo..hi``; the qubit at ``lo`` is the least significant bit.
 * A gate line is ``[IF c<k>[=0|=1] ] OPCODE q ...``; a bare ``IF c<k>`` means
   ``=1``.  MX lines end with ``-> c<k>`` naming the destination bit.
-* Every integer is a string of ASCII digits (no sign, ``_``, or non-ASCII
-  digit).  An error message quotes at most the first 20 characters of the
-  offending token, register name or metadata key or value.
+* Every integer is a string of at most 7 ASCII digits (no sign, ``_``, or
+  non-ASCII digit), enough for ``MAX_CBITS``.  An error message quotes at
+  most the first 20 characters of the offending token, register name or
+  metadata key or value.
 * Blank lines and full-line ``#`` comments are accepted by the parser.
 
 The canonical form produced by :func:`serialize` is byte-exact: header order
@@ -103,13 +104,15 @@ NON_CLIFFORD_KINDS = ("CCX", "CCZ")
 EXCEPTIONAL_POLICIES = ("undefined", "correct", "wraps")
 MAX_QUBITS = 1 << 16
 MAX_CBITS = 1 << 20
+_MAX_DIGITS = len(str(MAX_CBITS))  # no integer in a circuit file may exceed MAX_CBITS
 
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
 
 
-def _shown(tok: str) -> str:
+def _shown(value) -> str:
     """A token, name or value as echoed in an error message, cut to a bounded length."""
-    return tok if len(tok) <= 20 else tok[:20] + "\u2026"
+    text = str(value)
+    return text if len(text) <= 20 else text[:20] + "\u2026"
 
 
 class CircuitError(ValueError):
@@ -303,18 +306,6 @@ class Circuit:
                 f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}"
             )
 
-    def input_register(self, name: str) -> Register:
-        for reg in self.inputs:
-            if reg.name == name:
-                return reg
-        raise KeyError(f"no input register {name!r}")
-
-    def output_register(self, name: str) -> Register:
-        for reg in self.outputs:
-            if reg.name == name:
-                return reg
-        raise KeyError(f"no output register {name!r}")
-
 
 def static_resources(circuit: Circuit) -> StaticResources:
     """Count peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements."""
@@ -348,13 +339,10 @@ def _is_digits(tok: str) -> bool:
 
 
 def _parse_int(tok: str, what: str, line: int, col: int) -> int:
-    """A non-negative integer spelled in ASCII digits only."""
-    if _is_digits(tok):
-        try:
-            return int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
-    elif tok.startswith("-") and _is_digits(tok[1:]):
+    """A non-negative integer spelled in at most _MAX_DIGITS ASCII digits."""
+    if _is_digits(tok) and len(tok) <= _MAX_DIGITS:
+        return int(tok)
+    if tok.startswith("-") and _is_digits(tok[1:]):
         raise ParseError(f"{what} must be non-negative, got {_shown(tok)}", line, col)
     raise ParseError(f"expected {what}, got {_shown(tok)!r}", line, col)
 

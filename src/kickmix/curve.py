@@ -20,6 +20,8 @@ import math
 import os
 from dataclasses import dataclass
 
+from .circuit import _shown
+
 __all__ = [
     "FieldElement",
     "CurvePoint",
@@ -350,6 +352,6 @@ def named_curve(name: str) -> CurveParams:
     table.update(_external_registry())
     if canonical not in table:
         raise ValueError(
-            f"unknown curve {name!r}; known: {', '.join(sorted(table))}"
+            f"unknown curve {_shown(name)!r}; known: {', '.join(sorted(table))}"
         )
     return CurveParams(name=canonical, **table[canonical])

@@ -26,23 +26,24 @@ random tests with probability at most (1 - eps)^N;
 :func:`required_test_count` returns the smallest N pushing that below
 2^-security_bits (computed exactly, no floating point at the boundary).
 
-Reports serialize to canonical JSON — sorted keys, two-space indent, fixed
-decimal formatting for averages, trailing newline — and carry a SHA-256
-digest over everything but the digest field itself, so two runs agree iff
-their report bytes agree.
+Reports are canonical JSON, the exact bytes of ``json.dumps(report,
+sort_keys=True, indent=2) + "\n"`` (ASCII-escaped, no non-finite float), and
+carry ``report_digest``: the SHA-256 of that encoding without the digest
+member, which anyone recomputes by dropping it.  Two runs agree iff their
+report bytes agree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Mapping
 
-from .circuit import Circuit, parse, static_resources
+from .circuit import Circuit, _shown, parse, static_resources
 from .curve import CurveParams, CurvePoint, INFINITY, named_curve, point_add, point_neg, scalar_mul
 from .builders import encode_point
 # run and check_phase_all_branches stay importable from here: the benchmark
@@ -198,11 +199,12 @@ class VerificationSpec:
             raise HarnessError(f"test_count must be >= 0, got {self.test_count}")
         if self.base_source not in ("metadata", "generator"):
             raise HarnessError(
-                f"base_source must be 'metadata' or 'generator', got {self.base_source!r}"
+                "base_source must be 'metadata' or 'generator', "
+                f"got {_shown(self.base_source)!r}"
             )
         unknown = sorted(set(self.registers) - set(ROLES))
         if unknown:
-            raise HarnessError(f"unknown register role(s): {', '.join(unknown)}")
+            raise HarnessError(f"unknown register role(s): {_shown(', '.join(unknown))}")
         for role in ("accumulator_x", "accumulator_y"):
             if role not in self.registers:
                 raise HarnessError(f"register mapping must include {role}")
@@ -210,6 +212,9 @@ class VerificationSpec:
             raise HarnessError("addend_x and addend_y must be mapped together")
         if not 0 <= self.tolerated_failure_fraction < 1:
             raise HarnessError("tolerated_failure_fraction must be in [0, 1)")
+        bound = self.max_avg_non_clifford
+        if bound is not None and not math.isfinite(bound):
+            raise HarnessError(f"max_avg_non_clifford must be finite, got {bound}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,7 +224,7 @@ class VerificationSpec:
         """Build a spec from decoded JSON, checking every field's type."""
         unknown = sorted(set(data) - set(_SPEC_FIELDS))
         if unknown:
-            raise HarnessError(f"unknown spec field(s): {', '.join(unknown)}")
+            raise HarnessError(f"unknown spec field(s): {_shown(', '.join(unknown))}")
         if "curve" not in data or "test_count" not in data:
             raise HarnessError("spec requires at least curve and test_count")
         for name, value in data.items():
@@ -385,7 +390,7 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
         name = spec.registers.get(role)
         if name is not None and (name not in in_names or name not in out_names):
             raise HarnessError(
-                f"register mapping mismatch: {role} -> {name!r} is not an "
+                f"register mapping mismatch: {role} -> {_shown(name)!r} is not an "
                 "input+output register of the circuit"
             )
         return name
@@ -397,7 +402,7 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     for name in (acc_x, acc_y):
         if in_names[name].width != nb:
             raise HarnessError(
-                f"register mapping mismatch: {name!r} is {in_names[name].width} "
+                f"register mapping mismatch: {_shown(name)!r} is {in_names[name].width} "
                 f"bit(s) but curve {curve.name} coordinates need {nb}"
             )
     window_reg = reg_for("window")
@@ -422,7 +427,7 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
                     xs, ys = raw.split(",")
                     base = CurvePoint(int(xs), int(ys))
                 except Exception:
-                    raise HarnessError(f"unparseable base metadata {raw!r}") from None
+                    raise HarnessError(f"unparseable base metadata {_shown(raw)!r}") from None
 
     policy = circuit.metadata.get("exceptional", "correct")
     return _Plan(
@@ -573,9 +578,10 @@ def _run_cases(circuit: Circuit, cases, transcript: Transcript | None,
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything verify() decided, as a canonically serializable record."""
+    """Everything verify() decided, and its canonical bytes, sealed once."""
 
     data: dict
+    sealed: bytes = field(repr=False)
 
     @property
     def verdict(self) -> str:
@@ -590,11 +596,49 @@ class VerificationReport:
         return self.data["report_digest"]
 
     def to_json_bytes(self) -> bytes:
-        return _canonical_json(self.data)
+        return self.sealed
 
 
-def _canonical_json(data: dict) -> bytes:
-    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def _canonical_json(value) -> bytes:
+    """json.dumps(value, sort_keys=True, indent=2) + "\n", byte for byte, on
+    dict with str keys, list, str, int, finite float, bool and None by exact
+    type; anything else raises TypeError or ValueError."""
+    parts: list[str] = []
+    _encode(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts).encode("ascii")
+
+
+def _encode(value, newline: str, out) -> None:
+    kind = type(value)
+    if kind is str:
+        out(encode_basestring_ascii(value))
+    elif kind is int:
+        out(int.__repr__(value))
+    elif kind is bool:
+        out("true" if value else "false")
+    elif kind is dict:
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            out(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _encode(value[key], inner, out)
+            sep = ","
+        out(newline + "}" if value else "{}")
+    elif kind is list:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out(sep + inner)
+            _encode(item, inner, out)
+            sep = ","
+        out(newline + "]" if value else "[]")
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"JSON has no form for the float {value!r}")
+        out(float.__repr__(value))
+    elif value is None:
+        out("null")
+    else:
+        raise TypeError(f"{kind.__name__} has no canonical JSON form")
 
 
 def _round_fraction(value: Fraction, places: int = 6) -> str:
@@ -667,8 +711,13 @@ def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
         "warnings": warnings,
         "verdict": verdict,
     }
-    data["report_digest"] = hashlib.sha256(_canonical_json(data)).hexdigest()
-    return VerificationReport(data=data)
+    # Encode once and splice the digest in at its sorted place.  Strings are
+    # escaped, so a key after a newline and two spaces is a top-level one.
+    body = _canonical_json(data)
+    data["report_digest"] = digest = hashlib.sha256(body).hexdigest()
+    at = body.index(b'\n  "skipped_exceptional": ')
+    sealed = b"".join((body[:at], b'\n  "report_digest": "%s",' % digest.encode(), body[at:]))
+    return VerificationReport(data=data, sealed=sealed)
 
 
 def verify(

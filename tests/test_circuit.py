@@ -227,6 +227,23 @@ def test_four_gate_example_counts() -> None:
             "out register '" + "a" * 20 + "\u2026' range 0..3 exceeds qubit count 1",
             id="register-of-5000-characters-out-of-range",
         ),
+        # Integers have at most 7 digits, zero padding included.
+        pytest.param(
+            "qubits 1\nin a 0.." + "9" * 4000 + "\n",
+            2,
+            6,
+            "expected register hi, got '" + "9" * 20 + "\u2026'",
+            id="register-hi-of-4000-digits",
+        ),
+        pytest.param(
+            "qubits 1\nX " + "9" * 4000 + "\n",
+            2,
+            3,
+            "expected qubit index, got '" + "9" * 20 + "\u2026'",
+            id="qubit-of-4000-digits",
+        ),
+        ("qubits 00000001\n", 1, 8, "expected qubit count, got '00000001'"),
+        ("qubits 2\ncbits 1\nMX 0 -> c00000000\n", 3, 9, "expected classical bit index"),
     ],
 )
 def test_parse_errors_carry_position_and_message(

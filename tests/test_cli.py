@@ -417,3 +417,28 @@ def test_verify_rejects_mistyped_spec_fields_in_one_line(tmp_path, capsys) -> No
         err = capsys.readouterr().err
         assert err.startswith("error: bad spec: spec field ") and message in err
         assert err.count("\n") == 1
+
+
+def test_spec_side_errors_print_one_short_line(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    long = "a" * 5000
+    specs = [
+        {"curve": "toy-p11-b7", "test_count": 1, long: 1},
+        {"curve": "toy-p11-b7", "test_count": 1, "registers": {long: "qx"}},
+        {"curve": "toy-p11-b7", "test_count": 1,
+         "registers": {"accumulator_x": long, "accumulator_y": "qy"}},
+        {"curve": "toy-p11-b7", "test_count": 1, "base_source": long},
+        {"curve": long, "test_count": 1},
+    ]
+    capsys.readouterr()
+    for fields in specs:
+        spec = _write_spec(tmp_path, **fields)
+        assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
+        assert "a" * 20 + "…" in err
+    assert main(["build", "pointadd", "-o", str(tmp_path / "x.kmx"),
+                 "--curve", long, "--point", "G"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
+    assert "a" * 20 + "…" in err

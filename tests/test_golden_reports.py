@@ -8,6 +8,8 @@ a deliberate change to the report format re-records them in the same change.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -175,3 +177,15 @@ def test_the_report_assembly_cases_cover_the_paths_they_name(
     assert tolerated["verdict"] == "pass"
     assert skipped["executed_tests"] == 0 and skipped["skipped_exceptional"] == 10
     assert skipped["warnings"][-1] == "every test hit the exceptional-input policy; nothing ran"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sealed_bytes_are_json_dumps_and_the_digest_covers_the_body(
+    name, pointadd11, pointadd61, windowed11_w2
+) -> None:
+    report = _report(*_cases(pointadd11, pointadd61, windowed11_w2)[name])
+    raw = report.to_json_bytes()
+    assert raw == (json.dumps(report.data, sort_keys=True, indent=2) + "\n").encode()
+    body = {key: value for key, value in report.data.items() if key != "report_digest"}
+    body_bytes = (json.dumps(body, sort_keys=True, indent=2) + "\n").encode()
+    assert hashlib.sha256(body_bytes).hexdigest() == report.digest == GOLDEN[name]

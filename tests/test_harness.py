@@ -17,6 +17,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickmix import harness
 from kickmix import (
@@ -639,3 +641,81 @@ def test_verify_rejects_non_positive_jobs(pointadd11, pointadd11_bytes) -> None:
     for jobs in (0, -1):
         with pytest.raises(HarnessError, match=f"jobs must be at least 1, got {jobs}"):
             verify(pointadd11_bytes, spec, jobs=jobs)
+
+
+@pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+def test_spec_rejects_a_non_finite_average_bound(bound) -> None:
+    with pytest.raises(HarnessError, match="max_avg_non_clifford must be finite"):
+        VerificationSpec(curve="toy-p11-b7", test_count=5, max_avg_non_clifford=bound)
+
+
+def test_spec_side_errors_cut_long_strings(pointadd11_bytes) -> None:
+    long = "a" * 5000
+    attempts = [
+        lambda: VerificationSpec(curve="toy-p11-b7", test_count=1, base_source=long),
+        lambda: VerificationSpec(curve="toy-p11-b7", test_count=1, registers={long: "qx"}),
+        lambda: VerificationSpec.from_dict({"curve": "toy-p11-b7", "test_count": 1, long: 1}),
+        lambda: verify(
+            pointadd11_bytes,
+            VerificationSpec(
+                curve="toy-p11-b7",
+                test_count=1,
+                registers={"accumulator_x": long, "accumulator_y": "qy"},
+            ),
+        ),
+        lambda: verify(pointadd11_bytes, VerificationSpec(curve=long, test_count=1)),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError) as excinfo:
+            attempt()
+        message = str(excinfo.value)
+        assert len(message.splitlines()) == 1 and len(message) < 200, message[:300]
+        assert "a" * 20 + "…" in message
+
+
+# JSON trees as a report can hold them, with the awkward corners of each type.
+_JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800", 'a"b\\c\nd']
+)
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2**64), 2**200, -(10**300)])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e300, -1e-300])
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_JSON_TREES)
+def test_canonical_json_matches_json_dumps(value) -> None:
+    expected = (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+    assert harness._canonical_json(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (float("inf"), ValueError),
+        (float("-inf"), ValueError),
+        ({"a": [float("nan")]}, ValueError),
+        ({1: "a"}, TypeError),
+        ({True: "a"}, TypeError),
+        ({None: "a"}, TypeError),
+        ({"a": 1, 2: 3}, TypeError),
+        ((1, 2), TypeError),
+        ({"a": (1,)}, TypeError),
+        (Fraction(1, 2), TypeError),
+        (b"bytes", TypeError),
+        ({1}, TypeError),
+        (object(), TypeError),
+    ],
+)
+def test_canonical_json_refuses_what_it_cannot_encode(value, error) -> None:
+    with pytest.raises(error):
+        harness._canonical_json(value)
