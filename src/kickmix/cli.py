@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import builders, costmodel
@@ -28,6 +29,7 @@ from .curve import CURVE_REGISTRY_ENV, CurvePoint, INFINITY, named_curve, regist
 from .harness import (
     HarnessError,
     VerificationSpec,
+    _unknown,
     verify,
     verify_exhaustive,
 )
@@ -61,6 +63,8 @@ def _read_json(path: str, what: str) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise _UsageError(f"{what} {path!r} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise _UsageError(f"{what} {path!r} must hold a JSON object")
     return data
@@ -215,7 +219,7 @@ _SCENARIO_SECTIONS = {
 def _scenario_machine(data: dict) -> costmodel.MachineProfile:
     unknown = sorted(set(data) - _MACHINE_FIELDS)
     if unknown:
-        raise _UsageError(f"unknown machine field(s): {', '.join(unknown)}")
+        raise _UsageError(_unknown("machine field(s)", unknown))
     if "reaction_time" not in data or "round_time" not in data:
         raise _UsageError("machine section needs reaction_time and round_time")
     try:
@@ -228,7 +232,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     scenario = _read_json(args.scenario, "scenario file")
     unknown = sorted(set(scenario) - _SCENARIO_SECTIONS)
     if unknown:
-        raise _UsageError(f"unknown scenario section(s): {', '.join(unknown)}")
+        raise _UsageError(_unknown("scenario section(s)", unknown))
 
     results: dict = {}
     toffoli = None
@@ -329,7 +333,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]:
     unknown = sorted(set(sweep) - {"from", "to", "steps"})
     if unknown:
-        raise _UsageError(f"unknown success_sweep field(s): {', '.join(unknown)}")
+        raise _UsageError(_unknown("success_sweep field(s)", unknown))
     lo = float(sweep.get("from", attack.attack_time / 10))
     hi = float(sweep.get("to", attack.mean_block_interval * 3))
     steps = int(sweep.get("steps", 100))
@@ -393,10 +397,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _histogram(circuit: Circuit) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for gate in circuit.gates:
-        counts[gate.kind] = counts.get(gate.kind, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(gate.kind for gate in circuit.gates).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ __all__ = [
     "spec_for_circuit",
     "ROLES",
     "MAX_POWER_BITS",
+    "MAX_TEST_COUNT",
 ]
 
 ROLES = ("accumulator_x", "accumulator_y", "window", "addend_x", "addend_y")
@@ -74,6 +75,10 @@ ROLES = ("accumulator_x", "accumulator_y", "window", "addend_x", "addend_y")
 # the tests and the README stays below it (the largest, eps 0.01 at 1024
 # bits, is about 494k bits); eps 0.0001 at 1024 bits would need 10^8.
 MAX_POWER_BITS = 1 << 21
+
+# Ceiling on a spec's test_count, above every documented plan (the largest is
+# required_test_count(0.001, 128) = 88,679); 2^16 p11 tests take 2 s, 143 MB.
+MAX_TEST_COUNT = 1 << 17
 
 # Self-description embedded in every report so a reader can re-derive the
 # transcript without consulting anything else.  Measurement bits come from
@@ -90,6 +95,13 @@ _PROTOCOL_HEADER = {
 
 class HarnessError(ValueError):
     """Verification could not be set up (bad mapping, metadata, or spec)."""
+
+
+def _unknown(what: str, names: list[str]) -> str:
+    """'unknown <what>: <names>' on one short line: the names are cut like any
+    echoed string, and characters that do not print are escaped."""
+    shown = _shown(", ".join(names))
+    return f"unknown {what}: " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in shown)
 
 
 def commit(data: bytes) -> str:
@@ -195,8 +207,11 @@ class VerificationSpec:
     allow_failures: bool = False
 
     def __post_init__(self) -> None:
-        if self.test_count < 0:
-            raise HarnessError(f"test_count must be >= 0, got {self.test_count}")
+        if not 0 <= self.test_count <= MAX_TEST_COUNT:
+            raise HarnessError(
+                f"test_count must be >= 0 and at most {MAX_TEST_COUNT}, "
+                f"got {_shown(self.test_count)}"
+            )
         if self.base_source not in ("metadata", "generator"):
             raise HarnessError(
                 "base_source must be 'metadata' or 'generator', "
@@ -204,7 +219,7 @@ class VerificationSpec:
             )
         unknown = sorted(set(self.registers) - set(ROLES))
         if unknown:
-            raise HarnessError(f"unknown register role(s): {_shown(', '.join(unknown))}")
+            raise HarnessError(_unknown("register role(s)", unknown))
         for role in ("accumulator_x", "accumulator_y"):
             if role not in self.registers:
                 raise HarnessError(f"register mapping must include {role}")
@@ -224,7 +239,7 @@ class VerificationSpec:
         """Build a spec from decoded JSON, checking every field's type."""
         unknown = sorted(set(data) - set(_SPEC_FIELDS))
         if unknown:
-            raise HarnessError(f"unknown spec field(s): {_shown(', '.join(unknown))}")
+            raise HarnessError(_unknown("spec field(s)", unknown))
         if "curve" not in data or "test_count" not in data:
             raise HarnessError("spec requires at least curve and test_count")
         for name, value in data.items():
@@ -539,16 +554,15 @@ def _failing(entry: dict) -> bool:
     return not entry["skipped"] and not (entry["output_ok"] and entry["phase_ok"])
 
 
-def _run_cases(circuit: Circuit, cases, transcript: Transcript | None,
-               fail_fast: bool = False) -> list[dict]:
+def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
+               fail_fast: bool) -> list[dict]:
     """Fill in each (entry, oracle case) pair from lane-engine passes over
-    fixed-size chunks.
+    fixed-size chunks; m is the circuit's measurement count.
 
     With a transcript, each test is judged on its own sampled measurement
     branch; without one (exhaustive mode), on every branch at once, with the
     executed counts of the all-zeros branch.  fail_fast truncates after the
     first failing entry."""
-    m = sum(1 for g in circuit.gates if g.kind == "MX")
     entries: list[dict] = []
     cases = iter(cases)
     while chunk := list(itertools.islice(cases, LANE_CHUNK)):
@@ -657,7 +671,7 @@ def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
     report with its digest: the one place a report is assembled.  transcript
     is None in exhaustive mode."""
     resources = static_resources(plan.circuit)
-    entries = _run_cases(plan.circuit, cases, transcript, fail_fast)
+    entries = _run_cases(plan.circuit, resources.measurement_count, cases, transcript, fail_fast)
     executed = [e for e in entries if not e["skipped"]]
     failures = [e["index"] for e in executed if _failing(e)]
     nc_sum = sum(e["executed_non_clifford"] for e in executed)

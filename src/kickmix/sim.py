@@ -20,7 +20,8 @@ factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
 :func:`run_lanes` makes that pass for many inputs at once, one bit per input
 in each qubit's int, and also gives each lane's exact sign and executed
-counts on its own sampled branch.  :func:`run` stays the reference.
+counts on its own sampled branch, which a conditioned X/CX/CCX follows lane
+by lane.  :func:`run` stays the reference.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ class LaneResult:
 
     outputs and final_bits hold on every measurement branch.
     phase_always_plus_one and phase_defects are the all-branch verdict of
-    :func:`check_phase_all_branches` (None and () on the scalar fallback).
+    :func:`check_phase_all_branches` (None and () for a circuit with a
+    conditioned X/CX/CCX, whose branch space does not factorize).
     phase is the sign on the lane's own branch (None without a stream word);
     the executed counts are taken on that branch, or on the all-zeros branch
     without a stream word.
@@ -265,10 +267,6 @@ def _executed_count(by_kind: Counter, position: Mapping[int, int], kinds: Sequen
     return constant, list(masks.items())
 
 
-def _word_bits(word: int, count: int) -> Iterator[int]:
-    return ((word >> shift) & 1 for shift in range(count - 1, -1, -1))
-
-
 def run_lanes(
     circuit: Circuit,
     lane_inputs: Sequence[Mapping[str, int]],
@@ -290,56 +288,41 @@ def run_lanes(
     words[j], when given, is lane j's measurement randomness: the first m
     bits of its stream read as one big-endian int, so measurement i (in gate
     order) is bit m-1-i.  The lane's phase and executed counts are exact on
-    that branch.  Circuits with a conditioned X/CX/CCX do not factorize;
-    they run lane by lane through :func:`run` when words are given and are
-    refused with ValueError otherwise.
+    that branch.  A conditioned X/CX/CCX then acts only on the lanes whose
+    own outcome matches its condition, so every lane follows its own branch
+    and the sign formula still holds on it; the all-branch verdict does not
+    (the branch space no longer factorizes), so it is None and ().  Without
+    words such a gate raises ValueError.
     """
-    m = sum(1 for g in circuit.gates if g.kind == "MX")
-    blocker = next(
-        (
-            (index, g.kind)
-            for index, g in enumerate(circuit.gates)
-            if g.condition is not None and not g.is_diagonal
-        ),
-        None,
-    )
-    if blocker is not None and words is not None:
-        return [
-            _scalar_lane(run(circuit, inputs, _word_bits(word, m)))
-            for inputs, word in zip(lane_inputs, words)
-        ]
+    by_kind = Counter((g.condition, g.kind) for g in circuit.gates)
+    m = sum(n for (_, kind), n in by_kind.items() if kind == "MX")
     q = _lane_planes(circuit, lane_inputs)
-    if blocker is not None:
-        raise ValueError(
-            f"gate {blocker[0]} is a conditioned {blocker[1]}: branch space does "
-            "not factorize; use run_all_measurement_branches instead"
-        )
-
     full = (1 << len(lane_inputs)) - 1
     base = 0
     measured: dict[int, int] = {}
+    position: dict[int, int] = {}
     corr: dict[tuple[int, int], int] = {}
-    for gate in circuit.gates:
+    # cbit -> lanes whose own outcome is 1; filled iff a conditioned X/CX/CCX ran
+    outcomes: dict[int, int] = {}
+    for index, gate in enumerate(circuit.gates):
         kind = gate.kind
         qs = gate.qubits
         if kind == "CCX":
-            a, b, t = qs
-            q[t] ^= q[a] & q[b]
+            flip = q[qs[0]] & q[qs[1]]
         elif kind == "CX":
-            a, t = qs
-            q[t] ^= q[a]
+            flip = q[qs[0]]
         elif kind == "X":
-            q[qs[0]] ^= full
+            flip = full
         elif kind == "MX":
+            position[gate.cbit] = m - 1 - len(measured)
             measured[gate.cbit] = q[qs[0]]
             q[qs[0]] = 0
+            continue
         else:
             if kind == "CCZ":
-                a, b, c = qs
-                parity = q[a] & q[b] & q[c]
+                parity = q[qs[0]] & q[qs[1]] & q[qs[2]]
             elif kind == "CZ":
-                a, b = qs
-                parity = q[a] & q[b]
+                parity = q[qs[0]] & q[qs[1]]
             else:
                 parity = q[qs[0]]
             cond = gate.condition
@@ -347,8 +330,20 @@ def run_lanes(
                 base ^= parity
             else:
                 corr[cond] = corr.get(cond, 0) ^ parity
+            continue
+        cond = gate.condition
+        if cond is not None:
+            cb, value = cond
+            if words is None:
+                raise ValueError(
+                    f"gate {index} is a conditioned {kind}: branch space does "
+                    "not factorize; use run_all_measurement_branches instead"
+                )
+            if cb not in outcomes:
+                outcomes[cb] = sum((w >> position[cb] & 1) << j for j, w in enumerate(words))
+            flip &= outcomes[cb] if value else outcomes[cb] ^ full
+        q[qs[-1]] ^= flip
 
-    position = {cb: m - 1 - i for i, cb in enumerate(measured)}
     zero = base
     defect_words: dict[int, int] = {}
     defects: dict[int, list[int]] = {}
@@ -363,7 +358,6 @@ def run_lanes(
             defect_words[j] = defect_words.get(j, 0) | bit
             defects.setdefault(j, []).append(cb)
             plane ^= low
-    by_kind = Counter((g.condition, g.kind) for g in circuit.gates)
     total0, total_steps = _executed_count(by_kind, position, GATE_KINDS)
     nc0, nc_steps = _executed_count(by_kind, position, NON_CLIFFORD_KINDS)
 
@@ -386,26 +380,14 @@ def run_lanes(
                     for reg in circuit.outputs
                 },
                 phase=phase,
-                phase_always_plus_one=not zero_j and not defect,
-                phase_defects=tuple(defects.get(j, ())),
+                phase_always_plus_one=None if outcomes else not zero_j and not defect,
+                phase_defects=() if outcomes else tuple(defects.get(j, ())),
                 executed_total=total,
                 executed_non_clifford=nc,
                 final_bits=bits,
             )
         )
     return results
-
-
-def _scalar_lane(result: RunResult) -> LaneResult:
-    return LaneResult(
-        outputs=result.outputs,
-        phase=result.phase,
-        phase_always_plus_one=None,
-        phase_defects=(),
-        executed_total=result.executed_total,
-        executed_non_clifford=result.executed_non_clifford,
-        final_bits=result.final_bits,
-    )
 
 
 def check_phase_all_branches(

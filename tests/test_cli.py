@@ -442,3 +442,66 @@ def test_spec_side_errors_print_one_short_line(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
     assert "a" * 20 + "…" in err
+
+
+def _one_short_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err) < 200, err[:300]
+
+
+def test_unknown_names_print_escaped_on_one_short_line(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    capsys.readouterr()
+    for fields, shown in (
+        ({"a\nb": 1}, "bad spec: unknown spec field(s): a\\nb\n"),
+        ({"registers": {"accumulator_x": "qx", "accumulator_y": "qy", "r\x1b\r": "x"}},
+         "bad spec: unknown register role(s): r\\x1b\\r\n"),
+        ({"a" * 5000 + "\n": 1, "b\n": 1}, "unknown spec field(s): " + "a" * 20 + "…\n"),
+    ):
+        spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=1, **fields)
+        assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(shown)
+
+    attack = {"attack_time": 100.0, "mean_block_interval": 600}
+    for scenario, shown in (
+        ({"x" * 5000: {}, "y\nz": {}}, "unknown scenario section(s): " + "x" * 20 + "…\n"),
+        ({"y\nz": {}}, "unknown scenario section(s): y\\nz\n"),
+        ({"machine": {"reaction_time": 1e-5, "round_time": 1e-6, "w\u2028": 1}},
+         "unknown machine field(s): w\\u2028\n"),
+        ({"attack": attack, "success_sweep": {"steps": 2, "t\no": 1}},
+         "unknown success_sweep field(s): t\\no\n"),
+    ):
+        path = _write_scenario(tmp_path, scenario)
+        argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+        assert main([*argv, "--success-csv", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(shown)
+
+
+def test_deeply_nested_json_is_a_one_line_usage_error(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["verify", str(circuit), "--spec", str(nested)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert "nests too deeply" in err
+    assert main(["estimate", str(nested)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert "nests too deeply" in err
+
+
+def test_verify_refuses_a_test_count_over_the_ceiling(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    capsys.readouterr()
+    for count in (2**17 + 1, 10**8, 10**15):
+        spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=count)
+        assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert "test_count must be >= 0 and at most 131072" in err

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import pytest
 
+import kickmix.harness as harness
+import kickmix.sim as sim
 from kickmix import (
     INFINITY,
     Gate,
@@ -189,3 +191,42 @@ def test_sealed_bytes_are_json_dumps_and_the_digest_covers_the_body(
     body = {key: value for key, value in report.data.items() if key != "report_digest"}
     body_bytes = (json.dumps(body, sort_keys=True, indent=2) + "\n").encode()
     assert hashlib.sha256(body_bytes).hexdigest() == report.digest == GOLDEN[name]
+
+
+def _refuse_scalar_runs(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called the scalar sim.run")
+
+    monkeypatch.setattr(sim, "run", refuse)
+    monkeypatch.setattr(harness, "run", refuse)
+
+
+def test_conditioned_cx_digest_holds_without_the_scalar_reference(
+    pointadd11, pointadd61, windowed11_w2, monkeypatch
+) -> None:
+    _refuse_scalar_runs(monkeypatch)
+    circuit, spec, mode = _cases(pointadd11, pointadd61, windowed11_w2)["p11-conditioned-cx"]
+    assert _report(circuit, spec, mode).digest == GOLDEN["p11-conditioned-cx"]
+
+
+def test_conditioned_cx_reports_do_not_depend_on_the_lane_chunk_size(
+    pointadd11, monkeypatch
+) -> None:
+    """Outcome planes are built per chunk; a chunk of two lanes must give the
+    same bytes, also where lanes take different branches and some fail."""
+    fixed = conditioned_cx_circuit(pointadd11.circuit)
+    cb = fixed.classical_bit_count - 1
+    # flips qx bit 0 on exactly the tests whose last outcome is 1
+    broken = replace(fixed, gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
+    spec = spec_for_circuit(pointadd11.circuit, test_count=300)
+    runs = [(serialize(c), fail_fast) for c in (fixed, broken) for fail_fast in (False, True)]
+    before = [verify(raw, spec, fail_fast=fail_fast).to_json_bytes() for raw, fail_fast in runs]
+    full = json.loads(before[2])
+    assert 0 < full["failures"] < full["executed_tests"]
+    assert all(t["output_ok"] is False for t in full["tests"] if t["index"] in full["failure_indices"])
+
+    _refuse_scalar_runs(monkeypatch)
+    monkeypatch.setattr(harness, "LANE_CHUNK", 2)
+    after = [verify(raw, spec, fail_fast=fail_fast).to_json_bytes() for raw, fail_fast in runs]
+    assert after == before
+    assert json.loads(before[0])["report_digest"] == GOLDEN["p11-conditioned-cx"]

@@ -614,6 +614,8 @@ def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> 
         ("max_total_ops", [1], "'max_total_ops' must be an integer or null, got list"),
         ("allow_failures", 1, "'allow_failures' must be true or false, got int"),
         ("curve", None, "'curve' must be a string, got NoneType"),
+        ("test_count", 2**17 + 1, "test_count must be >= 0 and at most 131072, got 131073"),
+        ("test_count", 10**15, "test_count must be >= 0 and at most 131072, got 1000000000000000"),
     ],
 )
 def test_spec_from_dict_checks_field_types(field, value, message) -> None:
@@ -719,3 +721,34 @@ def test_canonical_json_matches_json_dumps(value) -> None:
 def test_canonical_json_refuses_what_it_cannot_encode(value, error) -> None:
     with pytest.raises(error):
         harness._canonical_json(value)
+
+
+def test_unknown_names_are_cut_and_escaped_to_one_line() -> None:
+    roles = {"accumulator_x": "qx", "accumulator_y": "qy"}
+    attempts = [
+        (lambda: VerificationSpec.from_dict({"curve": "toy-p11-b7", "test_count": 1, "a\nb": 1}),
+         "unknown spec field(s): a\\nb"),
+        (lambda: VerificationSpec(curve="toy-p11-b7", test_count=1,
+                                  registers={**roles, "r\x00\u2028": "x"}),
+         "unknown register role(s): r\\x00\\u2028"),
+        (lambda: VerificationSpec.from_dict({"curve": "toy-p11-b7", "test_count": 1,
+                                             "\n" * 5000: 1, "shiny": 1}),
+         "unknown spec field(s): " + "\\n" * 20 + "…"),
+        (lambda: VerificationSpec.from_dict({"curve": "toy-p11-b7", "test_count": 1,
+                                             "shiny": 1, "dull": 2}),
+         "unknown spec field(s): dull, shiny"),
+    ]
+    for attempt, message in attempts:
+        with pytest.raises(HarnessError) as excinfo:
+            attempt()
+        assert str(excinfo.value) == message
+
+
+def test_test_count_ceiling_covers_every_documented_plan() -> None:
+    assert harness.MAX_TEST_COUNT == 1 << 17
+    for eps, bits in ((0.001, 128), (0.01, 1024), (0.01, 128), (0.01, 40)):
+        count = required_test_count(eps, bits)
+        assert VerificationSpec(curve="toy-p11-b7", test_count=count).test_count == count
+    VerificationSpec(curve="toy-p11-b7", test_count=harness.MAX_TEST_COUNT)
+    with pytest.raises(HarnessError, match="at most 131072, got 131073"):
+        VerificationSpec(curve="toy-p11-b7", test_count=harness.MAX_TEST_COUNT + 1)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kickmix import sim
 from kickmix import (
     Circuit,
     Gate,
@@ -188,3 +189,25 @@ def test_lane_inputs_are_validated_like_scalar_runs() -> None:
     with pytest.raises(ValueError, match="value 8 does not fit input register 'a'"):
         run_lanes(circuit, [{"a": 8}])
     assert run_lanes(circuit, [], []) == []
+
+
+def test_conditioned_permutations_never_run_the_scalar_reference(monkeypatch) -> None:
+    circuit = _conditioned_cx()
+    inputs = [{"a": v} for v in range(8)] * 2
+    words = [0] * 8 + [1] * 8
+    expected = [run(circuit, lane_inputs, [word]) for lane_inputs, word in zip(inputs, words)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_lanes called sim.run")
+
+    monkeypatch.setattr(sim, "run", refuse)
+    lanes = run_lanes(circuit, inputs, words)
+    assert [lane.outputs for lane in lanes] == [scalar.outputs for scalar in expected]
+    assert [lane.phase for lane in lanes] == [scalar.phase for scalar in expected]
+    assert [lane.final_bits for lane in lanes] == [scalar.final_bits for scalar in expected]
+    assert [(lane.executed_total, lane.executed_non_clifford) for lane in lanes] == [
+        (scalar.executed_total, scalar.executed_non_clifford) for scalar in expected
+    ]
+    # Lane a=1 with outcome 1 takes the conditioned CX: qubit 1 flips.
+    assert lanes[8 + 1].outputs == {"a": 0b011} and lanes[1].outputs == {"a": 0b001}
+    assert all(lane.phase_always_plus_one is None and lane.phase_defects == () for lane in lanes)
