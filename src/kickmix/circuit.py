@@ -60,7 +60,10 @@ These rules live in :class:`Gate`, :class:`Register` and
 :meth:`Circuit.validate` only; :func:`parse` checks syntax and header order.
 A :class:`ParseError` for a broken rule points at the gate's source line and
 the column of that line's first token; a rule that belongs to no one gate
-(counts, registers, metadata) points at line 1, column 1.
+(counts, registers, metadata) points at line 1, column 1.  :func:`parse`
+splits each line with ``str.split()`` and handles its tokens by index, so
+token positions are computed only when an error is raised, by re-scanning
+that one line.
 
 :func:`parse` builds one :class:`Gate` per distinct gate line: a line that
 repeats an earlier one byte for byte reuses that line's ``Gate``, so equal
@@ -133,7 +136,7 @@ class ParseError(CircuitError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: kind, qubit operands (controls first, target last for the
     permutation kinds), MX destination bit, and an optional classical
@@ -145,24 +148,24 @@ class Gate:
     condition: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
+        kind, qubits = self.kind, self.qubits
+        if kind not in GATE_KINDS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        if len(qubits) != _ARITY[kind]:
             raise CircuitError(
-                f"{self.kind} takes {_ARITY[self.kind]} qubit operand(s), "
-                f"got {len(self.qubits)}"
+                f"{kind} takes {_ARITY[kind]} qubit operand(s), got {len(qubits)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate operand in {self.kind} {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate operand in {kind} {qubits}")
+        if min(qubits) < 0:  # every kind takes at least one operand
             raise CircuitError("negative qubit index")
-        if self.kind == "MX":
+        if kind == "MX":
             if self.cbit is None:
                 raise CircuitError("MX requires a destination classical bit")
             if self.condition is not None:
                 raise CircuitError("measurements cannot be conditioned")
         elif self.cbit is not None:
-            raise CircuitError(f"{self.kind} does not write a classical bit")
+            raise CircuitError(f"{kind} does not write a classical bit")
         if self.condition is not None:
             cb, val = self.condition
             if cb < 0 or val not in (0, 1):
@@ -323,37 +326,44 @@ def static_resources(circuit: Circuit) -> StaticResources:
 # parsing
 
 
-_TOKEN = re.compile(r"\S+")
-_HEADERS = ("qubits", "cbits", "meta", "in", "out")
+_TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
+_HEADERS = frozenset(("qubits", "cbits", "meta", "in", "out"))
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    """Tokens of one line with 1-based columns; empty for a blank line or a
-    ``#`` comment."""
-    toks = [(m[0], m.start() + 1) for m in _TOKEN.finditer(raw)]
-    return toks if toks and not toks[0][0].startswith("#") else []
+class _TokenError(Exception):
+    """A syntax error at token ``index`` of the line being parsed; ``parse``
+    turns it into a :class:`ParseError` at that token's column."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _column(raw: str, index: int) -> int:
+    """1-based column of token ``index`` of ``raw``; only called while raising."""
+    return next(itertools.islice(_TOKEN.finditer(raw), index, None)).start() + 1
 
 
 def _is_digits(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-def _parse_int(tok: str, what: str, line: int, col: int) -> int:
+def _parse_int(tok: str, what: str, index: int) -> int:
     """A non-negative integer spelled in at most _MAX_DIGITS ASCII digits."""
     if _is_digits(tok) and len(tok) <= _MAX_DIGITS:
         return int(tok)
     if tok.startswith("-") and _is_digits(tok[1:]):
-        raise ParseError(f"{what} must be non-negative, got {_shown(tok)}", line, col)
-    raise ParseError(f"expected {what}, got {_shown(tok)!r}", line, col)
+        raise _TokenError(f"{what} must be non-negative, got {_shown(tok)}", index)
+    raise _TokenError(f"expected {what}, got {_shown(tok)!r}", index)
 
 
-def _parse_cref(tok: str, line: int, col: int) -> int:
+def _parse_cref(tok: str, index: int) -> int:
     digits = tok[1:]
-    if not tok.startswith("c") or not _is_digits(digits):
-        raise ParseError(
-            f"expected classical bit like c0, got {_shown(tok)!r}", line, col
-        )
-    return _parse_int(digits, "classical bit index", line, col)
+    if not (tok[:1] == "c" and digits.isascii() and digits.isdigit()):
+        raise _TokenError(f"expected classical bit like c0, got {_shown(tok)!r}", index)
+    if len(digits) > _MAX_DIGITS:
+        return _parse_int(digits, "classical bit index", index)  # raises
+    return int(digits)
 
 
 def parse(text: str | bytes) -> Circuit:
@@ -368,6 +378,7 @@ def parse(text: str | bytes) -> Circuit:
         except UnicodeDecodeError as exc:
             lines = (text[: exc.start].decode("utf-8") + "?").splitlines()
             raise ParseError("invalid UTF-8", len(lines), len(lines[-1])) from None
+    lines = text.splitlines()
     qubit_count: int | None = None
     classical_bit_count = 0
     saw_cbits = False
@@ -380,105 +391,108 @@ def parse(text: str | bytes) -> Circuit:
     # repeated lines share it and only the first copy is tokenized and built
     line_gates: dict[str, Gate] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        gate = line_gates.get(raw)
-        if gate is not None:
-            gates.append(gate)
-            continue
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        head, head_col = toks[0]
-
-        if head in _HEADERS:
-            if in_body:
-                raise ParseError(f"header line {head!r} after gates", lineno, head_col)
-            if head == "qubits":
-                if qubit_count is not None:
-                    raise ParseError("duplicate qubits line", lineno, head_col)
-                if len(toks) != 2:
-                    raise ParseError("usage: qubits N", lineno, head_col)
-                qubit_count = _parse_int(toks[1][0], "qubit count", lineno, toks[1][1])
+    # Every syntax error in the loop is a _TokenError naming a token by its
+    # index; the handler below re-scans that one line for the column.
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            gate = line_gates.get(raw)
+            if gate is not None:
+                gates.append(gate)
                 continue
-            if qubit_count is None:
-                raise ParseError(
-                    f"{head!r} before the qubits line", lineno, head_col
-                )
-            if head == "cbits":
-                if saw_cbits:
-                    raise ParseError("duplicate cbits line", lineno, head_col)
-                if len(toks) != 2:
-                    raise ParseError("usage: cbits M", lineno, head_col)
-                classical_bit_count = _parse_int(
-                    toks[1][0], "classical bit count", lineno, toks[1][1]
-                )
-                saw_cbits = True
-            elif head == "meta":
-                if len(toks) < 3:
-                    raise ParseError("usage: meta key value", lineno, head_col)
-                key = toks[1][0]
-                value = raw[toks[2][1] - 1 :].strip()
-                if key in metadata:
-                    raise ParseError(
-                        f"duplicate metadata key {_shown(key)!r}", lineno, toks[1][1]
-                    )
-                metadata[key] = value
-            else:  # in / out
-                if len(toks) != 3:
-                    raise ParseError(f"usage: {head} name lo..hi", lineno, head_col)
-                name, name_col = toks[1]
-                rng, rng_col = toks[2]
-                if ".." not in rng:
-                    raise ParseError(
-                        f"expected lo..hi, got {_shown(rng)!r}", lineno, rng_col
-                    )
-                lo_s, hi_s = rng.split("..", 1)
-                lo = _parse_int(lo_s, "register lo", lineno, rng_col)
-                hi = _parse_int(hi_s, "register hi", lineno, rng_col)
-                try:
-                    reg = Register(name, lo, hi)
-                except CircuitError as exc:
-                    raise ParseError(str(exc), lineno, name_col) from None
-                (inputs if head == "in" else outputs).append(reg)
-            continue
+            toks = raw.split()
+            if not toks or toks[0][0] == "#":
+                continue
+            head = toks[0]
 
-        # gate line
-        in_body = True
-        if qubit_count is None:
-            raise ParseError("gate before the qubits line", lineno, head_col)
-        condition = None
-        idx = 0
-        if head == "IF":
-            if len(toks) < 2:
-                raise ParseError("IF needs a classical bit", lineno, head_col)
-            ctok, ccol = toks[1]
-            cpart, eq, vpart = ctok.partition("=")
-            cb = _parse_cref(cpart, lineno, ccol)
-            if eq and vpart not in ("0", "1"):
-                raise ParseError(
-                    f"condition value must be 0 or 1, got {_shown(vpart)!r}", lineno, ccol
-                )
-            condition = (cb, int(vpart) if eq else 1)
-            idx = 2
-            if idx >= len(toks):
-                raise ParseError("IF prefix without a gate", lineno, ccol)
-        opcode, op_col = toks[idx]
-        if opcode not in GATE_KINDS:
-            raise ParseError(f"unknown opcode {_shown(opcode)!r}", lineno, op_col)
-        rest = toks[idx + 1 :]
-        dest: int | None = None
-        if len(rest) >= 2 and rest[-2][0] == "->":
-            dest = _parse_cref(rest[-1][0], lineno, rest[-1][1])
-            rest = rest[:-2]
-        elif opcode == "MX":
-            raise ParseError("usage: MX q -> c<k>", lineno, op_col)
-        qubits = [_parse_int(tok, "qubit index", lineno, col) for tok, col in rest]
-        try:
-            gate = Gate(opcode, tuple(qubits), cbit=dest, condition=condition)
-        except CircuitError as exc:
-            raise ParseError(str(exc), lineno, head_col) from None
-        line_gates[raw] = gate
-        gates.append(gate)
+            if head in _HEADERS:
+                if in_body:
+                    raise _TokenError(f"header line {head!r} after gates", 0)
+                if head == "qubits":
+                    if qubit_count is not None:
+                        raise _TokenError("duplicate qubits line", 0)
+                    if len(toks) != 2:
+                        raise _TokenError("usage: qubits N", 0)
+                    qubit_count = _parse_int(toks[1], "qubit count", 1)
+                    continue
+                if qubit_count is None:
+                    raise _TokenError(f"{head!r} before the qubits line", 0)
+                if head == "cbits":
+                    if saw_cbits:
+                        raise _TokenError("duplicate cbits line", 0)
+                    if len(toks) != 2:
+                        raise _TokenError("usage: cbits M", 0)
+                    classical_bit_count = _parse_int(toks[1], "classical bit count", 1)
+                    saw_cbits = True
+                elif head == "meta":
+                    if len(toks) < 3:
+                        raise _TokenError("usage: meta key value", 0)
+                    key = toks[1]
+                    if key in metadata:
+                        raise _TokenError(f"duplicate metadata key {_shown(key)!r}", 1)
+                    metadata[key] = raw.split(None, 2)[2].strip()
+                else:  # in / out
+                    if len(toks) != 3:
+                        raise _TokenError(f"usage: {head} name lo..hi", 0)
+                    name, rng = toks[1], toks[2]
+                    if ".." not in rng:
+                        raise _TokenError(f"expected lo..hi, got {_shown(rng)!r}", 2)
+                    lo_s, hi_s = rng.split("..", 1)
+                    lo = _parse_int(lo_s, "register lo", 2)
+                    hi = _parse_int(hi_s, "register hi", 2)
+                    try:
+                        reg = Register(name, lo, hi)
+                    except CircuitError as exc:
+                        raise _TokenError(str(exc), 1) from None
+                    (inputs if head == "in" else outputs).append(reg)
+                continue
+
+            # gate line
+            in_body = True
+            if qubit_count is None:
+                raise _TokenError("gate before the qubits line", 0)
+            condition = None
+            idx = 0
+            if head == "IF":
+                if len(toks) < 2:
+                    raise _TokenError("IF needs a classical bit", 0)
+                cpart, eq, vpart = toks[1].partition("=")
+                cb = _parse_cref(cpart, 1)
+                if eq and vpart not in ("0", "1"):
+                    raise _TokenError(
+                        f"condition value must be 0 or 1, got {_shown(vpart)!r}", 1
+                    )
+                condition = (cb, int(vpart) if eq else 1)
+                idx = 2
+                if idx >= len(toks):
+                    raise _TokenError("IF prefix without a gate", 1)
+            opcode = toks[idx]
+            if opcode not in _ARITY:
+                raise _TokenError(f"unknown opcode {_shown(opcode)!r}", idx)
+            end = len(toks)
+            dest: int | None = None
+            if end - idx >= 3 and toks[-2] == "->":
+                end -= 2
+                dest = _parse_cref(toks[-1], end + 1)
+            elif opcode == "MX":
+                raise _TokenError("usage: MX q -> c<k>", idx)
+            operands = toks[idx + 1 : end]
+            # one pass over all operand digits; per token only to name a bad one
+            joined = "".join(operands)
+            if not (
+                joined.isascii()
+                and joined.isdigit()
+                and max(map(len, operands)) <= _MAX_DIGITS
+            ):
+                for i, tok in enumerate(operands, start=idx + 1):
+                    _parse_int(tok, "qubit index", i)
+            try:
+                gate = Gate(opcode, tuple(map(int, operands)), dest, condition)
+            except CircuitError as exc:
+                raise _TokenError(str(exc), 0) from None
+            line_gates[raw] = gate
+            gates.append(gate)
+    except _TokenError as exc:
+        raise ParseError(str(exc), lineno, _column(raw, exc.index)) from None
 
     if qubit_count is None:
         raise ParseError("missing qubits line", 1, 1)
@@ -495,12 +509,12 @@ def parse(text: str | bytes) -> Circuit:
         if exc.gate is None:
             raise ParseError(str(exc), 1, 1) from None
         gate_lines = (
-            (lineno, toks[0][1])
-            for lineno, toks in enumerate(map(_tokens, text.splitlines()), start=1)
-            if toks and toks[0][0] not in _HEADERS
+            (lineno, raw)
+            for lineno, raw in enumerate(lines, start=1)
+            if (toks := raw.split()) and toks[0][0] != "#" and toks[0] not in _HEADERS
         )
-        lineno, col = next(itertools.islice(gate_lines, exc.gate, None))
-        raise ParseError(str(exc), lineno, col) from None
+        lineno, raw = next(itertools.islice(gate_lines, exc.gate, None))
+        raise ParseError(str(exc), lineno, _column(raw, 0)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     ParseError,
+    _shown,
     parse,
     serialize,
     static_resources,
@@ -206,14 +207,17 @@ _MACHINE_FIELDS = {
     "cultivation_qubits",
     "toffoli_to_t_factor",
 }
+# scenario section -> the JSON type it must have (None: costmodel checks it)
 _SCENARIO_SECTIONS = {
-    "ecdlp",
-    "machine",
-    "attack",
-    "wallets",
-    "t_rate",
-    "success_sweep",
+    "ecdlp": dict,
+    "machine": dict,
+    "attack": dict,
+    "wallets": list,
+    "t_rate": None,
+    "success_sweep": dict,
 }
+_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array"}
+MAX_SWEEP_STEPS = 10_000  # rows of --success-csv; the default is 100
 
 
 def _scenario_machine(data: dict) -> costmodel.MachineProfile:
@@ -230,9 +234,13 @@ def _scenario_machine(data: dict) -> costmodel.MachineProfile:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     scenario = _read_json(args.scenario, "scenario file")
-    unknown = sorted(set(scenario) - _SCENARIO_SECTIONS)
+    unknown = sorted(set(scenario) - _SCENARIO_SECTIONS.keys())
     if unknown:
         raise _UsageError(_unknown("scenario section(s)", unknown))
+    for name, value in scenario.items():
+        kind = _SCENARIO_SECTIONS[name]
+        if kind is not None and not isinstance(value, kind):
+            raise _UsageError(f"{name} section must be {_JSON_TYPE_NAMES[kind]}")
 
     results: dict = {}
     toffoli = None
@@ -334,11 +342,25 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
     unknown = sorted(set(sweep) - {"from", "to", "steps"})
     if unknown:
         raise _UsageError(_unknown("success_sweep field(s)", unknown))
-    lo = float(sweep.get("from", attack.attack_time / 10))
-    hi = float(sweep.get("to", attack.mean_block_interval * 3))
-    steps = int(sweep.get("steps", 100))
-    if not (0 < lo <= hi) or steps < 1:
-        raise _UsageError("success_sweep needs 0 < from <= to and steps >= 1")
+    try:
+        lo = float(sweep.get("from", attack.attack_time / 10))
+        hi = float(sweep.get("to", attack.mean_block_interval * 3))
+    except TypeError:
+        raise _UsageError("success_sweep from and to must be numbers") from None
+    steps = sweep.get("steps", 100)
+    if (
+        isinstance(steps, bool)
+        or not isinstance(steps, (int, float))
+        or not 1 <= steps <= MAX_SWEEP_STEPS
+        or steps != int(steps)
+    ):
+        raise _UsageError(
+            f"success_sweep steps must be a whole number from 1 to {MAX_SWEEP_STEPS}, "
+            f"got {_shown(repr(steps))}"
+        )
+    steps = int(steps)
+    if not 0 < lo <= hi:
+        raise _UsageError("success_sweep needs 0 < from <= to")
     points = []
     for i in range(steps + 1):
         t = lo + (hi - lo) * i / steps

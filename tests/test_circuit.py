@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -244,6 +245,19 @@ def test_four_gate_example_counts() -> None:
         ),
         ("qubits 00000001\n", 1, 8, "expected qubit count, got '00000001'"),
         ("qubits 2\ncbits 1\nMX 0 -> c00000000\n", 3, 9, "expected classical bit index"),
+        # Operand errors name the first bad operand, wherever it stands.
+        ("qubits 4\nCCX 0 1 \u0663\n", 2, 9, "expected qubit index, got '\u0663'"),
+        (
+            "qubits 2\ncbits 1\nMX 0 -> c0\nIF c0 CX 0 x\n",
+            4,
+            12,
+            "expected qubit index, got 'x'",
+        ),
+        ("qubits 2\ncbits 1\nMX -1 -> c0\n", 3, 4, "qubit index must be non-negative, got -1"),
+        ("qubits 2\nCX 0 11111111\n", 2, 6, "expected qubit index, got '11111111'"),
+        # Columns count characters, whatever whitespace separates the tokens.
+        ("qubits 4\nCX\t0\u3000\u3000x\n", 2, 7, "expected qubit index, got 'x'"),
+        ("qubits 2\n\u3000\tCX 0 5\n", 2, 3, "qubit 5 out of range"),
     ],
 )
 def test_parse_errors_carry_position_and_message(
@@ -300,6 +314,52 @@ def test_gate_validation() -> None:
         Gate("X", (0,), cbit=0)
     with pytest.raises(CircuitError, match=r"bad condition \(0, 2\)"):
         Gate("Z", (0,), condition=(0, 2))
+
+
+def test_direct_gate_construction_keeps_each_rule_message() -> None:
+    # the rule table of Gate, in the order its checks run
+    for args, kwargs, message in (
+        (("H", (0,)), {}, "unknown gate kind 'H'"),
+        (("H", ()), {}, "unknown gate kind 'H'"),
+        (("CX", (0,)), {}, "CX takes 2 qubit operand(s), got 1"),
+        (("CX", (0, 0, 1)), {}, "CX takes 2 qubit operand(s), got 3"),
+        (("CCX", (0, 1, 1)), {}, "duplicate operand in CCX (0, 1, 1)"),
+        (("CX", (-1, -1)), {}, "duplicate operand in CX (-1, -1)"),
+        (("X", (-1,)), {}, "negative qubit index"),
+        (("CCZ", (2, 0, -3)), {}, "negative qubit index"),
+        (("MX", (-1,)), {}, "negative qubit index"),
+        (("MX", (0,)), {}, "MX requires a destination classical bit"),
+        (("MX", (0,)), {"condition": (0, 1)}, "MX requires a destination classical bit"),
+        (("MX", (0,)), {"cbit": 0, "condition": (0, 1)}, "measurements cannot be conditioned"),
+        (("X", (0,)), {"cbit": 0}, "X does not write a classical bit"),
+        (("CZ", (0, 1)), {"cbit": 0, "condition": (0, 2)}, "CZ does not write a classical bit"),
+        (("Z", (0,)), {"condition": (0, 2)}, "bad condition (0, 2)"),
+        (("Z", (0,)), {"condition": (-1, 1)}, "bad condition (-1, 1)"),
+    ):
+        with pytest.raises(CircuitError) as excinfo:
+            Gate(*args, **kwargs)
+        assert type(excinfo.value) is CircuitError
+        assert str(excinfo.value) == message
+        assert excinfo.value.gate is None
+
+
+def test_replace_on_a_gate_revalidates() -> None:
+    gate = Gate("CX", (0, 1))
+    assert dataclasses.replace(gate, qubits=(1, 0)) == Gate("CX", (1, 0))
+    flipped = Gate("Z", (0,), condition=(0, 1))
+    assert dataclasses.replace(flipped, condition=(0, 0)).condition == (0, 0)
+    for changes, message in (
+        ({"qubits": (1, 1)}, "duplicate operand in CX (1, 1)"),
+        ({"kind": "MX"}, "MX takes 1 qubit operand(s), got 2"),
+        ({"cbit": 0}, "CX does not write a classical bit"),
+        ({"condition": (0, 2)}, "bad condition (0, 2)"),
+    ):
+        with pytest.raises(CircuitError) as excinfo:
+            dataclasses.replace(gate, **changes)
+        assert str(excinfo.value) == message
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.kind = "X"  # type: ignore[misc]
+    assert not hasattr(gate, "__dict__")
 
 
 def test_register_validation() -> None:
@@ -371,3 +431,17 @@ def test_random_circuits_round_trip_through_text() -> None:
         again = parse(raw)
         assert again == circuit, f"seed {seed}"
         assert serialize(again) == raw, f"seed {seed}"
+
+
+def test_unicode_whitespace_separators_parse_like_single_spaces() -> None:
+    plain = "qubits 3\ncbits 1\nin a 0..1\nCCX 0 1 2\nMX 2 -> c0\nIF c0=0 CZ 0 1\n"
+    spaced = (
+        "\u3000qubits\t3\n"
+        "cbits\u00a01\n"
+        "in\u2003a\u16800..1\n"
+        "CCX\u30000\t1\u20032\n"
+        "MX\u00a02\u202f->\u3000c0\u3000\n"
+        "IF\tc0=0\u2003\u2003CZ 0\u00a01\n"
+    )
+    assert parse(spaced) == parse(plain)
+    assert serialize(parse(spaced)) == plain.encode()

@@ -505,3 +505,63 @@ def test_verify_refuses_a_test_count_over_the_ceiling(tmp_path, capsys) -> None:
         err = capsys.readouterr().err
         _one_short_line(err)
         assert "test_count must be >= 0 and at most 131072" in err
+
+
+def test_estimate_refuses_a_section_of_the_wrong_json_type(tmp_path, capsys) -> None:
+    attack = {"attack_time": 100.0, "mean_block_interval": 600}
+    for scenario, shown in (
+        ({"machine": 5}, "machine section must be a JSON object\n"),
+        ({"ecdlp": 5}, "ecdlp section must be a JSON object\n"),
+        ({"attack": 5}, "attack section must be a JSON object\n"),
+        ({"attack": attack, "success_sweep": 5}, "success_sweep section must be a JSON object\n"),
+        ({"attack": attack, "wallets": {"balance": 1}}, "wallets section must be a JSON array\n"),
+    ):
+        path = _write_scenario(tmp_path, scenario)
+        argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+        assert main([*argv, "--success-csv", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(shown)
+
+
+def test_estimate_bounds_the_success_sweep_steps(tmp_path, capsys) -> None:
+    attack = {"attack_time": 100.0, "mean_block_interval": 600}
+    success_csv = tmp_path / "s.csv"
+    for steps, shown in (
+        (1e8, "100000000.0"),
+        (10**8, "100000000"),
+        (1e300, "1e+300"),
+        (10_001, "10001"),
+        (2.5, "2.5"),
+        (0, "0"),
+        (True, "True"),
+        ("7", "'7'"),
+        (None, "None"),
+    ):
+        path = _write_scenario(tmp_path, {"attack": attack, "success_sweep": {"steps": steps}})
+        argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+        assert main([*argv, "--success-csv", str(success_csv)]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(
+            f"success_sweep steps must be a whole number from 1 to 10000, got {shown}\n"
+        )
+        assert not success_csv.exists()
+
+    for steps, rows in ((4.0, 5), (10_000, 10_001)):
+        path = _write_scenario(tmp_path, {"attack": attack, "success_sweep": {"steps": steps}})
+        argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+        assert main([*argv, "--success-csv", str(success_csv)]) == 0
+        assert len(success_csv.read_text().splitlines()) == rows + 1  # header + rows
+
+
+def test_estimate_refuses_a_success_sweep_bound_that_is_not_a_number(
+    tmp_path, capsys
+) -> None:
+    attack = {"attack_time": 100.0, "mean_block_interval": 600}
+    path = _write_scenario(tmp_path, {"attack": attack, "success_sweep": {"from": None}})
+    argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+    assert main([*argv, "--success-csv", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert err.endswith("success_sweep from and to must be numbers\n")
