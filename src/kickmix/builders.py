@@ -227,6 +227,32 @@ class _Emitter:
             for i in range(len(cycle) - 2, -1, -1):
                 self.transpose(cycle[i], cycle[i + 1], data, extra_control)
 
+    def finish(
+        self,
+        construction: str,
+        registers: tuple[Register, ...],
+        metadata: Mapping[str, str],
+        predicted: StaticResources | None = None,
+        outputs: tuple[Register, ...] | None = None,
+        lookup_overhead_non_clifford: int | None = None,
+    ) -> BuildReport:
+        """The emitted gates as a circuit at watermark width, paired with the
+        prediction (a recount when the builder has no closed form)."""
+        circuit = Circuit(
+            qubit_count=self.watermark,
+            classical_bit_count=self.cbits,
+            inputs=registers,
+            outputs=registers if outputs is None else outputs,
+            gates=tuple(self.gates),
+            metadata={"construction": construction, **metadata},
+        )
+        return BuildReport(
+            circuit=circuit,
+            predicted=static_resources(circuit) if predicted is None else predicted,
+            construction=construction,
+            lookup_overhead_non_clifford=lookup_overhead_non_clifford,
+        )
+
 
 # ---------------------------------------------------------------------------
 # point encoding shared by the curve builders and the harness
@@ -252,12 +278,22 @@ def decode_point(value: int, coordinate_bits: int) -> CurvePoint:
     return CurvePoint(x, y)
 
 
-def _check_identity_encoding(curve: CurveParams) -> None:
+def _point_metadata(curve: CurveParams, base: CurvePoint) -> dict[str, str]:
+    """Checks shared by the curve builders, then their common metadata."""
+    if not is_on_curve(base, curve):
+        raise ValueError(f"base point {base} is not on curve {curve.name}")
     if curve.p == (1 << curve.coordinate_bits) - 1:
         raise CircuitError(
             f"p={curve.p} fills its bit width; no spare encoding remains "
             "for the identity point"
         )
+    return {
+        "curve": curve.name,
+        "coordinate_bits": str(curve.coordinate_bits),
+        "base": "inf" if base.is_infinity else f"{base.x},{base.y}",
+        "encoding": "xy-allones-identity",
+        "exceptional": "correct",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +308,11 @@ def build_temp_and() -> BuildReport:
     em = _Emitter(3)
     em.emit("CCX", 0, 1, 2)
     em.drop_temp_and(2, 0, 1)
-    regs = (Register("a", 0, 0), Register("b", 1, 1))
-    circuit = Circuit(
-        qubit_count=3,
-        classical_bit_count=em.cbits,
-        inputs=regs,
-        outputs=regs,
-        gates=tuple(em.gates),
-        metadata={"construction": "temp_and", "exceptional": "correct"},
-    )
-    return BuildReport(
-        circuit=circuit,
+    return em.finish(
+        "temp_and",
+        (Register("a", 0, 0), Register("b", 1, 1)),
+        {"exceptional": "correct"},
         predicted=StaticResources(3, 3, 1, 1),
-        construction="temp_and",
     )
 
 
@@ -324,20 +352,12 @@ def build_adder(width: int) -> BuildReport:
         em.emit("CZ", a[0], b[0], cond=(cb, 1))
         em.emit("CX", a[0], b[0])
         predicted = StaticResources(3 * m - 1, 9 * m - 12, m - 1, m - 1)
-    regs = (Register("a", 0, m - 1), Register("b", m, 2 * m - 1))
-    circuit = Circuit(
-        qubit_count=em.watermark,
-        classical_bit_count=em.cbits,
-        inputs=regs,
-        outputs=regs,
-        gates=tuple(em.gates),
-        metadata={
-            "construction": "adder",
-            "width": str(m),
-            "exceptional": "wraps",
-        },
+    return em.finish(
+        "adder",
+        (Register("a", 0, m - 1), Register("b", m, 2 * m - 1)),
+        {"width": str(m), "exceptional": "wraps"},
+        predicted=predicted,
     )
-    return BuildReport(circuit=circuit, predicted=predicted, construction="adder")
 
 
 def build_mod_add_const(width: int, constant: int, modulus: int) -> BuildReport:
@@ -354,29 +374,18 @@ def build_mod_add_const(width: int, constant: int, modulus: int) -> BuildReport:
         raise ValueError(f"modulus must be in 1..2^width-1, got {modulus}")
     if not 0 <= constant < modulus:
         raise ValueError(f"constant must be in 0..modulus-1, got {constant}")
-    data = list(range(width))
     em = _Emitter(width)
     perm = {x: (x + constant) % modulus for x in range(modulus)}
-    em.synth_permutation(perm, data)
-    regs = (Register("x", 0, width - 1),)
-    circuit = Circuit(
-        qubit_count=em.watermark,
-        classical_bit_count=em.cbits,
-        inputs=regs,
-        outputs=regs,
-        gates=tuple(em.gates),
-        metadata={
-            "construction": "mod_add_const",
+    em.synth_permutation(perm, list(range(width)))
+    return em.finish(
+        "mod_add_const",
+        (Register("x", 0, width - 1),),
+        {
             "width": str(width),
             "modulus": str(modulus),
             "constant": str(constant),
             "exceptional": "undefined",
         },
-    )
-    return BuildReport(
-        circuit=circuit,
-        predicted=static_resources(circuit),
-        construction="mod_add_const",
     )
 
 
@@ -450,38 +459,29 @@ def build_lookup(
                 em.emit("CX", ctrl, value[j])
 
     _iterate_addresses(em, address, leaf)
-    expected_nc = (1 << window) - 2 if window >= 2 else 0
-    circuit = Circuit(
-        qubit_count=em.watermark,
-        classical_bit_count=em.cbits,
-        inputs=(Register("k", 0, window - 1),),
-        outputs=(
-            Register("k", 0, window - 1),
-            Register("v", window, window + entry_bits - 1),
-        ),
-        gates=tuple(em.gates),
-        metadata={
-            "construction": "lookup",
+    k = Register("k", 0, window - 1)
+    report = em.finish(
+        "lookup",
+        (k,),
+        {
             "window": str(window),
             "entry_bits": str(entry_bits),
             "exceptional": "correct",
         },
+        outputs=(k, Register("v", window, window + entry_bits - 1)),
     )
-    predicted = static_resources(circuit)
-    if predicted.non_clifford_gate_count != expected_nc:
-        raise CircuitError(
-            f"lookup tree emitted {predicted.non_clifford_gate_count} CCX, "
-            f"expected {expected_nc}"
-        )
-    return BuildReport(circuit=circuit, predicted=predicted, construction="lookup")
+    emitted, expected = report.predicted.non_clifford_gate_count, (1 << window) - 2
+    if emitted != expected:
+        raise CircuitError(f"lookup tree emitted {emitted} CCX, expected {expected}")
+    return report
 
 
 def _pointadd_mapping(curve: CurveParams, base: CurvePoint) -> dict[int, int]:
     nb = curve.coordinate_bits
-    mapping: dict[int, int] = {}
-    for q in enumerate_points(curve):
-        mapping[encode_point(q, nb)] = encode_point(point_add(q, base, curve), nb)
-    return mapping
+    return {
+        encode_point(q, nb): encode_point(point_add(q, base, curve), nb)
+        for q in enumerate_points(curve)
+    }
 
 
 def build_pointadd_permutation(curve: CurveParams, base: CurvePoint) -> BuildReport:
@@ -491,34 +491,14 @@ def build_pointadd_permutation(curve: CurveParams, base: CurvePoint) -> BuildRep
     encoding), so identity, inverse and doubling inputs are all handled;
     off-curve encodings are fixed points.  Adding the identity yields an
     empty circuit.  Requires an enumerable curve."""
-    if not is_on_curve(base, curve):
-        raise ValueError(f"base point {base} is not on curve {curve.name}")
-    _check_identity_encoding(curve)
+    metadata = _point_metadata(curve, base)
     nb = curve.coordinate_bits
-    data = list(range(2 * nb))
     em = _Emitter(2 * nb)
-    em.synth_permutation(_pointadd_mapping(curve, base), data)
-    regs = (Register("qx", 0, nb - 1), Register("qy", nb, 2 * nb - 1))
-    metadata = {
-        "construction": "permutation_pointadd",
-        "curve": curve.name,
-        "coordinate_bits": str(nb),
-        "base": "inf" if base.is_infinity else f"{base.x},{base.y}",
-        "encoding": "xy-allones-identity",
-        "exceptional": "correct",
-    }
-    circuit = Circuit(
-        qubit_count=max(em.watermark, 2 * nb),
-        classical_bit_count=em.cbits,
-        inputs=regs,
-        outputs=regs,
-        gates=tuple(em.gates),
-        metadata=metadata,
-    )
-    return BuildReport(
-        circuit=circuit,
-        predicted=static_resources(circuit),
-        construction="permutation_pointadd",
+    em.synth_permutation(_pointadd_mapping(curve, base), list(range(2 * nb)))
+    return em.finish(
+        "permutation_pointadd",
+        (Register("qx", 0, nb - 1), Register("qy", nb, 2 * nb - 1)),
+        metadata,
     )
 
 
@@ -534,11 +514,8 @@ def build_windowed_pointadd(
     lookup overhead in the report."""
     if not 1 <= window <= MAX_POINT_WINDOW:
         raise ValueError(f"window must be in 1..{MAX_POINT_WINDOW}, got {window}")
-    if not is_on_curve(base, curve):
-        raise ValueError(f"base point {base} is not on curve {curve.name}")
-    _check_identity_encoding(curve)
+    metadata = _point_metadata(curve, base)
     nb = curve.coordinate_bits
-    address = list(range(window))
     data = list(range(window, window + 2 * nb))
     em = _Emitter(window + 2 * nb)
     tables = {
@@ -549,35 +526,16 @@ def build_windowed_pointadd(
     def leaf(ctrl: int, index: int) -> None:
         em.synth_permutation(tables[index], data, extra_control=ctrl)
 
-    _iterate_addresses(em, address, leaf)
-    overhead = (1 << window) - 2 if window >= 2 else 0
-    regs = (
-        Register("k", 0, window - 1),
-        Register("qx", window, window + nb - 1),
-        Register("qy", window + nb, window + 2 * nb - 1),
-    )
-    metadata = {
-        "construction": "windowed_pointadd",
-        "curve": curve.name,
-        "coordinate_bits": str(nb),
-        "window": str(window),
-        "base": "inf" if base.is_infinity else f"{base.x},{base.y}",
-        "encoding": "xy-allones-identity",
-        "exceptional": "correct",
-    }
-    circuit = Circuit(
-        qubit_count=max(em.watermark, window + 2 * nb),
-        classical_bit_count=em.cbits,
-        inputs=regs,
-        outputs=regs,
-        gates=tuple(em.gates),
-        metadata=metadata,
-    )
-    return BuildReport(
-        circuit=circuit,
-        predicted=static_resources(circuit),
-        construction="windowed_pointadd",
-        lookup_overhead_non_clifford=overhead,
+    _iterate_addresses(em, list(range(window)), leaf)
+    return em.finish(
+        "windowed_pointadd",
+        (
+            Register("k", 0, window - 1),
+            Register("qx", window, window + nb - 1),
+            Register("qy", window + nb, window + 2 * nb - 1),
+        ),
+        {**metadata, "window": str(window)},
+        lookup_overhead_non_clifford=(1 << window) - 2,
     )
 
 

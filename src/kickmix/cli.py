@@ -11,6 +11,7 @@ for plottable curves.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -199,14 +200,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # estimate
 
 
-_MACHINE_FIELDS = {
-    "reaction_time",
-    "round_time",
-    "toffoli_overhead_fraction",
-    "t_state_cost",
-    "cultivation_qubits",
-    "toffoli_to_t_factor",
-}
 # scenario section -> the JSON type it must have (None: costmodel checks it)
 _SCENARIO_SECTIONS = {
     "ecdlp": dict,
@@ -220,16 +213,18 @@ _JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array"}
 MAX_SWEEP_STEPS = 10_000  # rows of --success-csv; the default is 100
 
 
-def _scenario_machine(data: dict) -> costmodel.MachineProfile:
-    unknown = sorted(set(data) - _MACHINE_FIELDS)
+def _from_section(cls, data, what: str, part: str = "section"):
+    """cls(**data) for one scenario object; fields cls does not declare and
+    values it refuses are usage errors."""
+    if not isinstance(data, dict):
+        raise _UsageError(f"{what} {part} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise _UsageError(_unknown("machine field(s)", unknown))
-    if "reaction_time" not in data or "round_time" not in data:
-        raise _UsageError("machine section needs reaction_time and round_time")
+        raise _UsageError(_unknown(f"{what} field(s)", unknown))
     try:
-        return costmodel.MachineProfile(**data)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad machine section: {exc}") from exc
+        raise _UsageError(f"bad {what} {part}: {exc}") from exc
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -249,10 +244,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if "ecdlp" in scenario:
         section = dict(scenario["ecdlp"])
         optimize = section.pop("optimize_window", False)
-        try:
-            cost = costmodel.PointAddCost(**section)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad ecdlp section: {exc}") from exc
+        cost = _from_section(costmodel.PointAddCost, section, "ecdlp")
         if optimize:
             best = costmodel.optimal_window(cost.pa_toffoli, cost.n)
             results["optimal_window"] = best
@@ -263,7 +255,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         results["windowed_additions"] = costmodel.windowed_addition_count(cost.n, cost.w)
 
     if "machine" in scenario:
-        machine = _scenario_machine(scenario["machine"])
+        section = scenario["machine"]
+        if not {"reaction_time", "round_time"} <= section.keys():
+            raise _UsageError("machine section needs reaction_time and round_time")
+        machine = _from_section(costmodel.MachineProfile, section, "machine")
         results["t_production_rate"] = costmodel.t_production_rate(machine)
         if toffoli is not None:
             full = costmodel.runtime(toffoli, machine)
@@ -290,10 +285,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                     "to derive the primed time)"
                 )
             section["attack_time"] = results["primed_seconds"]
-        try:
-            attack = costmodel.AttackScenario(**section)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad attack section: {exc}") from exc
+        attack = _from_section(costmodel.AttackScenario, section, "attack")
         results["onspend_success"] = costmodel.onspend_success(attack)
         if attack.machines > 1 and toffoli is not None:
             results["multi_machine_speedup"] = costmodel.multi_machine_speedup(
@@ -304,10 +296,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if "wallets" in scenario:
         if attack is None:
             raise _UsageError("wallets need an attack section for the per-key time")
-        try:
-            wallets = [costmodel.WalletRecord(**w) for w in scenario["wallets"]]
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad wallet entry: {exc}") from exc
+        wallets = [
+            _from_section(costmodel.WalletRecord, w, "wallet", "entry")
+            for w in scenario["wallets"]
+        ]
         salvage_curve = costmodel.salvage_timeline(wallets, attack.attack_time)
         results["salvage"] = {
             "wallets": len(wallets),
@@ -315,26 +307,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "total_balance": salvage_curve[-1][1] if salvage_curve else 0.0,
         }
 
-    _write_json(args.output, results)
-
-    if args.salvage_csv is not None:
-        if salvage_curve is None:
-            raise _UsageError("--salvage-csv needs a wallets section")
-        _write_csv(
-            args.salvage_csv,
-            "time_seconds,cumulative_balance",
-            salvage_curve,
-        )
+    # every check runs before the first file is written
+    if args.salvage_csv is not None and salvage_curve is None:
+        raise _UsageError("--salvage-csv needs a wallets section")
     if args.success_csv is not None:
         if attack is None:
             raise _UsageError("--success-csv needs an attack section")
-        sweep = scenario.get("success_sweep", {})
-        points = _success_sweep(attack, sweep)
-        _write_csv(
-            args.success_csv,
-            "attack_time_seconds,success_probability",
-            points,
-        )
+        points = _success_sweep(attack, scenario.get("success_sweep", {}))
+
+    _write_json(args.output, results)
+    if args.salvage_csv is not None:
+        _write_csv(args.salvage_csv, "time_seconds,cumulative_balance", salvage_curve)
+    if args.success_csv is not None:
+        _write_csv(args.success_csv, "attack_time_seconds,success_probability", points)
     return 0
 
 
@@ -345,7 +330,7 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
     try:
         lo = float(sweep.get("from", attack.attack_time / 10))
         hi = float(sweep.get("to", attack.mean_block_interval * 3))
-    except TypeError:
+    except (TypeError, ValueError):
         raise _UsageError("success_sweep from and to must be numbers") from None
     steps = sweep.get("steps", 100)
     if (

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .circuit import _shown
+
 __all__ = [
     "PointAddCost",
     "MachineProfile",
@@ -55,11 +57,21 @@ def _exact(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ValueError:
+        raise ValueError(f"{_shown(value)!r} is not a number") from None
+
+
+def _float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a result is beyond the float range") from None
 
 
 def _as_number(value: Fraction):
-    return int(value) if value.denominator == 1 else float(value)
+    return int(value) if value.denominator == 1 else _float(value)
 
 
 @dataclass(frozen=True)
@@ -75,9 +87,9 @@ class PointAddCost:
         if self.pa_toffoli < 0 or self.pa_qubits < 0:
             raise ValueError("point-addition costs must be non-negative")
         if self.n < 1:
-            raise ValueError(f"bit length must be >= 1, got {self.n}")
+            raise ValueError(f"bit length must be >= 1, got {_shown(self.n)}")
         if self.w < 0:
-            raise ValueError(f"window must be >= 0, got {self.w}")
+            raise ValueError(f"window must be >= 0, got {_shown(self.w)}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +151,12 @@ class WalletRecord:
 def windowed_addition_count(n: int, w: int) -> int:
     """ceil(2n/w) - 4: how many windowed additions an n-bit run schedules."""
     if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
+        raise ValueError(f"window must be >= 1, got {_shown(w)}")
     count = -(-2 * n // w) - 4
     if count <= 0:
         raise ValueError(
-            f"window {w} leaves no windowed additions at n={n} (schedule {count})"
+            f"window {_shown(w)} leaves no windowed additions at n={_shown(n)} "
+            f"(schedule {count})"
         )
     return count
 
@@ -166,7 +179,8 @@ def optimal_window(pa_toffoli_of_w, n: int) -> int:
     pa_toffoli_of_w may be a callable w -> per-addition cost (designs whose
     core cost depends on the window) or a plain number for a constant cost.
     The sweep covers w in [1, 2n/5], the range on which the schedule is
-    guaranteed non-degenerate."""
+    guaranteed non-degenerate, and stops once the table overhead 3 * 2^w
+    alone reaches the best total: every larger window costs at least that."""
     if callable(pa_toffoli_of_w):
         cost_at = pa_toffoli_of_w
     else:
@@ -180,6 +194,8 @@ def optimal_window(pa_toffoli_of_w, n: int) -> int:
     best_w = None
     best = None
     for w in range(1, upper + 1):
+        if best is not None and 3 * (1 << w) >= best:
+            break
         total = ecdlp_toffoli(PointAddCost(int(cost_at(w)), 0, n, w))
         if best is None or total < best:
             best, best_w = total, w
@@ -241,10 +257,14 @@ def onspend_success(scenario: AttackScenario) -> float:
     Block arrival is memoryless, so a derivation taking time t succeeds with
     exp(-t/tau).  Multiple required signatures parallelize across machines;
     with fewer machines than keys the attack time stretches by
-    ceil(signatures_required / machines)."""
+    ceil(signatures_required / machines).  An exponent beyond the float range
+    gives 0.0, the nearest float to the exact probability."""
     rounds = -(-scenario.signatures_required // scenario.machines)
     exponent = _exact(scenario.attack_time) * rounds / _exact(scenario.mean_block_interval)
-    return math.exp(-float(exponent))
+    try:
+        return math.exp(-float(exponent))
+    except OverflowError:
+        return 0.0
 
 
 # The one published multi-machine data point: 11 machines bring a 208-addition
@@ -310,5 +330,5 @@ def salvage_timeline(
     for rec in records:
         elapsed += rec.keys_required * step
         total += _exact(rec.balance)
-        curve.append((float(elapsed), float(total)))
+        curve.append((_float(elapsed), _float(total)))
     return curve

@@ -9,6 +9,7 @@ the closed-form checker, which test_sim.py validates independently.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -32,6 +33,7 @@ from kickmix import (
     enumerate_points,
     is_on_curve,
     mutate,
+    named_curve,
     parse,
     point_add,
     run,
@@ -300,3 +302,249 @@ def test_mutate_is_deterministic_and_structurally_valid() -> None:
 def test_mutate_refuses_gateless_circuits() -> None:
     with pytest.raises(ValueError, match="no gates to mutate"):
         mutate(parse("qubits 1\n"), seed=0)
+
+
+# sha256 of serialize(circuit), construction, predicted counts (qubits, gates,
+# non-Clifford, measurements) and lookup overhead for every builder.  Recorded
+# before the builders shared one finishing step; the golden report digests pin
+# only the point-add circuits, so this table pins the rest.  Curve arguments
+# are registry names; G stands for the curve's generator.
+G = object()
+
+_BUILDER_PINS = [
+    (
+        (build_temp_and,),
+        "2e774c3fe3c41da673706f0a9a6898d70268efc4be69beaaefc775fb26ae174d",
+        "temp_and",
+        (3, 3, 1, 1),
+        None,
+    ),
+    (
+        (build_adder, 1),
+        "0f77f465048e25a47c5e3d9f4d863ce6119592017e29b26404770860558b13a7",
+        "adder",
+        (2, 1, 0, 0),
+        None,
+    ),
+    (
+        (build_adder, 2),
+        "108893b96de8c7119f2251c4386773010a64b013ac19974cc78b5b2d3ea8412f",
+        "adder",
+        (5, 6, 1, 1),
+        None,
+    ),
+    (
+        (build_adder, 3),
+        "a7b9a19c76ead16d4f4444f8c36c067339bdce0a97840fd5a905a9fe2f0e50f9",
+        "adder",
+        (8, 15, 2, 2),
+        None,
+    ),
+    (
+        (build_adder, 4),
+        "9cbf268f8248525c2df4826a50282d8eb2cc335d3249f115947692aaace2094b",
+        "adder",
+        (11, 24, 3, 3),
+        None,
+    ),
+    (
+        (build_adder, 5),
+        "4dff80c8fdf72bc9583c049003209ff556fe9adca506ae62eb0447010116cf94",
+        "adder",
+        (14, 33, 4, 4),
+        None,
+    ),
+    (
+        (build_adder, 6),
+        "43168a53cf55608464dc6100c11bc275e9e60524ec16d342da938cc969c3bee1",
+        "adder",
+        (17, 42, 5, 5),
+        None,
+    ),
+    (
+        (build_adder, 7),
+        "90d547fa7b6a2cd5dac408a12810e2feb35863cd66a3b9cb092c51f4b6c1e204",
+        "adder",
+        (20, 51, 6, 6),
+        None,
+    ),
+    (
+        (build_adder, 8),
+        "6812c751ab3b5abdea3e33452088bc79844302e75c1e2bbb9b45ca92b9ec108b",
+        "adder",
+        (23, 60, 7, 7),
+        None,
+    ),
+    (
+        (build_adder, 9),
+        "f28662a5dc32b34c5f82d0d809919b9c58886b4f45b1e6436e9ab02be98e22b0",
+        "adder",
+        (26, 69, 8, 8),
+        None,
+    ),
+    (
+        (build_adder, 10),
+        "3d6381e8e1d39efd13f0e5b065bfe622f8ec74fb6a5babb3aeb469b61189c9f4",
+        "adder",
+        (29, 78, 9, 9),
+        None,
+    ),
+    (
+        (build_adder, 11),
+        "407f0c78e38c208d998424d21ac52537d5faf1b9f15ac006724669a770f993bd",
+        "adder",
+        (32, 87, 10, 10),
+        None,
+    ),
+    (
+        (build_adder, 12),
+        "c024cac6b6fc5d227a6fc4fab58224ff26c42bd9fb4e2894985b1aa6b6a87b6c",
+        "adder",
+        (35, 96, 11, 11),
+        None,
+    ),
+    (
+        (build_adder, 13),
+        "0028a756be7ae0b4e07c07627a7d9bc73d65619d3d0fc0e4b655e72b3ede39ed",
+        "adder",
+        (38, 105, 12, 12),
+        None,
+    ),
+    (
+        (build_adder, 14),
+        "83de9895fd9a19da5519d339d821bf86a4ff6d12e556a713faeb81e8645c40c5",
+        "adder",
+        (41, 114, 13, 13),
+        None,
+    ),
+    (
+        (build_adder, 15),
+        "49e1bd7cdf3a1f0f3353f75bc2e20b9cf94ebfc80fedb3196dfdf4722cdbfa7a",
+        "adder",
+        (44, 123, 14, 14),
+        None,
+    ),
+    (
+        (build_adder, 16),
+        "40908a91b386a4edb05c96c3971b6708eccb996974e90d625a8e5b6e93a77f2f",
+        "adder",
+        (47, 132, 15, 15),
+        None,
+    ),
+    (
+        (build_mod_add_const, 4, 5, 13),
+        "5c841e3f44411c2567be315a55d9756d4021146aaab737e5c08ca9383a40a9bc",
+        "mod_add_const",
+        (6, 154, 24, 24),
+        None,
+    ),
+    (
+        (build_lookup, [2, 1]),
+        "e15bbad23631de5974106bb42f5141b289c3108abd3d2567cf5510f051f0ab9e",
+        "lookup",
+        (3, 4, 0, 0),
+        None,
+    ),
+    (
+        (build_lookup, [0, 3, 1, 2], None, 3),
+        "c6009f50ac1bf4dba3aa9c44628688f5d5c986da657a46a1ba2090aa191708d3",
+        "lookup",
+        (6, 18, 2, 2),
+        None,
+    ),
+    (
+        (build_lookup, [5, 0, 7, 1, 6, 2, 4, 3]),
+        "1f106ef7ff16517ba9ea4aa840d70526db2c2a158af59c406c5c3bebca3add21",
+        "lookup",
+        (8, 50, 6, 6),
+        None,
+    ),
+    (
+        (build_pointadd_permutation, "toy-p11-b7", G),
+        "ce7731fbe1858a7ffc985710d5e91c86df398145ba017da6af8c67c565234f5c",
+        "permutation_pointadd",
+        (14, 353, 66, 66),
+        None,
+    ),
+    (
+        (build_pointadd_permutation, "toy-p61-b7", G),
+        "2291eb22dd9930a2790f1d9de06c4048d8d0288b84802650836036021bc3f6f0",
+        "permutation_pointadd",
+        (22, 3124, 600, 600),
+        None,
+    ),
+    (
+        (build_pointadd_permutation, "toy-p1009-b7", G),
+        "dc41ba5e3c7e430fdd88cf95540be33446ab7e587bdacefcf9c1d2ee0011068b",
+        "permutation_pointadd",
+        (38, 94080, 18396, 18396),
+        None,
+    ),
+    (
+        (build_pointadd_permutation, "toy-p11-b7", INFINITY),
+        "dc6fef955684dc8607d0805fe58fe2420659f9f0456c9c4c8c5091e086d94805",
+        "permutation_pointadd",
+        (8, 0, 0, 0),
+        None,
+    ),
+    (
+        (build_windowed_pointadd, "toy-p11-b7", G, 1),
+        "2f047f1beeb7d5dcb52219690b735be614d1619e15279bde6bbbbb210d678349",
+        "windowed_pointadd",
+        (16, 388, 77, 77),
+        0,
+    ),
+    (
+        (build_windowed_pointadd, "toy-p11-b7", G, 2),
+        "a1e4dd37044a835233d2f54648da88b85330791c2cc00235f62f3df83979a740",
+        "windowed_pointadd",
+        (18, 1068, 212, 212),
+        2,
+    ),
+    (
+        (build_windowed_pointadd, "toy-p11-b7", G, 3),
+        "801dd86faf1ca6ce38abd9dca083fe94ad383063e33d029971ad7c7d682e95f3",
+        "windowed_pointadd",
+        (20, 2350, 468, 468),
+        6,
+    ),
+    (
+        (build_windowed_pointadd, "toy-p61-b7", G, 2),
+        "7537478ceba2159deec249558bdcbe59ca8b2711835c50703dc0cb21ce369555",
+        "windowed_pointadd",
+        (26, 9942, 1982, 1982),
+        2,
+    ),
+]
+
+
+def _pin_id(row) -> str:
+    builder, *args = row[0]
+    shown = ["G" if a is G else "inf" if a is INFINITY else str(a) for a in args]
+    return "-".join([builder.__name__.removeprefix("build_"), *shown]).replace(" ", "")
+
+
+@pytest.mark.parametrize(
+    "call, digest, construction, predicted, overhead",
+    _BUILDER_PINS,
+    ids=[_pin_id(row) for row in _BUILDER_PINS],
+)
+def test_builder_outputs_are_pinned(
+    call, digest, construction, predicted, overhead
+) -> None:
+    builder, *args = call
+    if args and isinstance(args[0], str):
+        curve = named_curve(args[0])
+        args = [curve] + [curve.generator if a is G else a for a in args[1:]]
+    report = builder(*args)
+    assert hashlib.sha256(serialize(report.circuit)).hexdigest() == digest
+    assert report.construction == construction
+    assert report.predicted == StaticResources(*predicted)
+    assert report.lookup_overhead_non_clifford == overhead
+    sidecar = {
+        "construction": construction,
+        "predicted": StaticResources(*predicted).as_dict(),
+    }
+    if overhead is not None:
+        sidecar["lookup_overhead_non_clifford"] = overhead
+    assert report.sidecar_dict() == sidecar

@@ -565,3 +565,71 @@ def test_estimate_refuses_a_success_sweep_bound_that_is_not_a_number(
     err = capsys.readouterr().err
     _one_short_line(err)
     assert err.endswith("success_sweep from and to must be numbers\n")
+
+
+def test_estimate_usage_errors_leave_no_results_file(tmp_path, capsys) -> None:
+    attack = {"attack_time": 1, "mean_block_interval": 600}
+    out = tmp_path / "out.json"
+    for scenario, flag, shown in (
+        ({"attack": attack, "success_sweep": {"steps": 1e300}}, "--success-csv",
+         "success_sweep steps must be a whole number from 1 to 10000, got 1e+300\n"),
+        ({"attack": attack}, "--salvage-csv", "--salvage-csv needs a wallets section\n"),
+        ({"machine": {"reaction_time": 1e-5, "round_time": 1e-6}}, "--success-csv",
+         "--success-csv needs an attack section\n"),
+    ):
+        path = _write_scenario(tmp_path, scenario)
+        argv = ["estimate", str(path), "-o", str(out), flag, str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(shown)
+        assert not out.exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_estimate_cuts_long_scenario_strings(tmp_path, capsys) -> None:
+    long = "x" * 5000
+    cut = "x" * 20 + "…"
+    attack = {"attack_time": 1, "mean_block_interval": 600}
+    machine = {"reaction_time": 1e-5, "round_time": 1e-6}
+    ecdlp = {"pa_toffoli": 1, "pa_qubits": 1, "n": 256, "w": 16}
+    for scenario, shown in (
+        ({"attack": attack, "success_sweep": {"from": long}},
+         "success_sweep from and to must be numbers\n"),
+        ({"machine": machine, "t_rate": long}, f"'{cut}' is not a number\n"),
+        ({"machine": {**machine, "reaction_time": long}},
+         f"bad machine section: '{cut}' is not a number\n"),
+        ({"ecdlp": {**ecdlp, long: 1}}, f"unknown ecdlp field(s): {cut}\n"),
+        ({"attack": {**attack, long: 1}}, f"unknown attack field(s): {cut}\n"),
+        ({"attack": attack, "wallets": [{"balance": 1, long: 1}]},
+         f"unknown wallet field(s): {cut}\n"),
+        ({"attack": attack, "wallets": [5]}, "wallet entry must be a JSON object\n"),
+        ({"ecdlp": {**ecdlp, "n": -(10**4000)}},
+         "bit length must be >= 1, got -1" + "0" * 18 + "…\n"),
+    ):
+        path = _write_scenario(tmp_path, scenario)
+        argv = ["estimate", str(path), "-o", str(tmp_path / "out.json")]
+        assert main([*argv, "--success-csv", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(shown)
+
+
+def test_estimate_beyond_the_float_range(tmp_path, capsys) -> None:
+    path = _write_scenario(
+        tmp_path, {"attack": {"attack_time": 1e308, "mean_block_interval": 1e-308}}
+    )
+    assert main(["estimate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"onspend_success": 0.0}
+    for scenario in (
+        {"wallets": [{"balance": 1e308, "keys_required": 10}],
+         "attack": {"attack_time": 1e308, "mean_block_interval": 1}},
+        {"machine": {"reaction_time": 1, "round_time": 1e-308,
+                     "cultivation_qubits": 1e308, "t_state_cost": 3}},
+    ):
+        path = _write_scenario(tmp_path, scenario)
+        assert main(["estimate", str(path), "-o", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith("a result is beyond the float range\n")
+        assert not (tmp_path / "out.json").exists()
+

@@ -328,3 +328,31 @@ def test_input_validation() -> None:
         WalletRecord(balance=-1)
     with pytest.raises(ValueError, match="keys_required must be >= 1"):
         WalletRecord(balance=1, keys_required=0)
+
+
+def test_optimal_window_stops_once_the_table_overhead_alone_loses() -> None:
+    calls: list[int] = []
+
+    def counted(w: int) -> int:
+        calls.append(w)
+        return 1
+
+    assert optimal_window(counted, 10**9) == 2
+    assert len(calls) < 64  # a full sweep would call it 4 * 10^8 times
+    for n in list(range(3, 200)) + [256, 384, 521, 1000, 4096]:
+        for cost_at in (lambda _w: 0, lambda _w: 1_000, lambda w: 100_000 * w, lambda w: 4**w):
+            assert optimal_window(cost_at, n) == _brute_best_window(cost_at, n)
+
+
+def test_onspend_success_below_the_smallest_float_is_zero() -> None:
+    for interval in (1e-308, 1):
+        scenario = AttackScenario(attack_time=1e308, mean_block_interval=interval)
+        assert onspend_success(scenario) == 0.0
+
+
+def test_salvage_beyond_the_float_range_is_a_value_error() -> None:
+    wallets = [WalletRecord(balance=1e308, keys_required=10)]
+    with pytest.raises(ValueError, match="beyond the float range"):
+        salvage_timeline(wallets, per_key_time=1e308)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        salvage_timeline([WalletRecord(balance=1e308)] * 2, per_key_time=1)
