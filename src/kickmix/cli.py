@@ -44,12 +44,12 @@ class _UsageError(Exception):
     pass
 
 
-def _write_json(path: str | None, data: dict) -> None:
+def _write_json(path: str | None, data: dict, what: str = "JSON file") -> None:
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_file(path, text.encode("utf-8"), what)
 
 
 def _read_file(path: str, what: str) -> bytes:
@@ -57,6 +57,13 @@ def _read_file(path: str, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+
+
+def _write_file(path: str, data: bytes, what: str) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {what} {path!r}: {exc.strerror}") from exc
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -121,9 +128,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
-    out = Path(args.output)
-    out.write_bytes(serialize(report.circuit))
-    _write_json(str(out) + ".json", report.sidecar_dict())
+    _write_file(args.output, serialize(report.circuit), "circuit file")
+    _write_json(args.output + ".json", report.sidecar_dict(), "sidecar file")
     for line, value in report.predicted.as_dict().items():
         print(f"{_LABELS[line]}: {value}")
     return 0
@@ -181,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.output is None:
         sys.stdout.write(report.to_json_bytes().decode("utf-8"))
     else:
-        Path(args.output).write_bytes(report.to_json_bytes())
+        _write_file(args.output, report.to_json_bytes(), "report file")
         print(f"verdict: {report.verdict}  (report {args.output})")
     if not report.passed:
         failures = report.data["failures"]
@@ -315,7 +321,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise _UsageError("--success-csv needs an attack section")
         points = _success_sweep(attack, scenario.get("success_sweep", {}))
 
-    _write_json(args.output, results)
+    _write_json(args.output, results, "results file")
     if args.salvage_csv is not None:
         _write_csv(args.salvage_csv, "time_seconds,cumulative_balance", salvage_curve)
     if args.success_csv is not None:
@@ -362,7 +368,7 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
 def _write_csv(path: str, header: str, rows) -> None:
     lines = [header]
     lines.extend(f"{a},{b}" for a, b in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"), "CSV file")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# Largest window a scenario may ask for: 3 * 2^w then prints in about 1234
+# digits, and 2^w is never built for a larger w.
+MAX_WINDOW = 4096
+
+
 def _exact(value) -> Fraction:
     """Decimal-faithful Fraction: 0.1 means exactly 1/10."""
     if isinstance(value, Fraction):
@@ -88,8 +93,12 @@ class PointAddCost:
             raise ValueError("point-addition costs must be non-negative")
         if self.n < 1:
             raise ValueError(f"bit length must be >= 1, got {_shown(self.n)}")
+        if not isinstance(self.w, int):
+            raise ValueError(f"window must be an integer, got {_shown(self.w)}")
         if self.w < 0:
             raise ValueError(f"window must be >= 0, got {_shown(self.w)}")
+        if self.w > MAX_WINDOW:
+            raise ValueError(f"window {_shown(self.w)} is above the ceiling of {MAX_WINDOW}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +188,9 @@ def optimal_window(pa_toffoli_of_w, n: int) -> int:
     pa_toffoli_of_w may be a callable w -> per-addition cost (designs whose
     core cost depends on the window) or a plain number for a constant cost.
     The sweep covers w in [1, 2n/5], the range on which the schedule is
-    guaranteed non-degenerate, and stops once the table overhead 3 * 2^w
-    alone reaches the best total: every larger window costs at least that."""
+    guaranteed non-degenerate, up to MAX_WINDOW, and stops once the table
+    overhead 3 * 2^w alone reaches the best total: every larger window costs
+    at least that."""
     if callable(pa_toffoli_of_w):
         cost_at = pa_toffoli_of_w
     else:
@@ -188,7 +198,7 @@ def optimal_window(pa_toffoli_of_w, n: int) -> int:
 
         def cost_at(_w: int) -> int:
             return fixed
-    upper = 2 * n // 5
+    upper = min(2 * n // 5, MAX_WINDOW)
     if upper < 1:
         raise ValueError(f"no feasible window at n={n}")
     best_w = None

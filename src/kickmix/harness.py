@@ -537,11 +537,11 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
             yield entry, _oracle_case(plan, accumulator, window, addend)
 
 
-# Lanes per engine pass.  A pass reads each lane's bits out with
-# (plane >> j) & 1, whose cost grows with the lane count, so one pass over L
-# lanes costs about L^2; fixed chunks keep the total linear in the test count
-# while the per-pass overhead stays negligible.  Peak memory is set by report
-# encoding, not by the chunk.
+# Lanes per engine pass.  A pass reads each slot (distinct input) out with
+# (plane >> s) & 1, whose cost grows with the slots in the pass, so one pass
+# over S slots costs about S^2; fixed chunks keep the total linear in the
+# number of distinct inputs while the per-pass overhead stays negligible.
+# Peak memory is set by report encoding, not by the chunk.
 LANE_CHUNK = 1024
 
 _SKIPPED = {

@@ -18,10 +18,10 @@ runs reproducible and lets callers enumerate outcome branches exhaustively.
 For circuits whose conditioned gates are all diagonal, the branch space
 factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
-:func:`run_lanes` makes that pass for many inputs at once, one bit per input
-in each qubit's int, and also gives each lane's exact sign and executed
-counts on its own sampled branch, which a conditioned X/CX/CCX follows lane
-by lane.  :func:`run` stays the reference.
+:func:`run_lanes` makes that pass for many inputs at once, one bit per
+distinct input (a slot) in each qubit's int, and gives each lane's exact sign
+and executed counts on its own sampled branch, which a conditioned X/CX/CCX
+follows lane by lane, one slot per lane.  :func:`run` stays the reference.
 """
 
 from __future__ import annotations
@@ -229,13 +229,13 @@ class LaneResult:
     final_bits: tuple[int, ...]
 
 
-def _lane_planes(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]]) -> list[int]:
-    """One int per qubit whose bit j is that qubit's initial value in lane j."""
+def _lane_planes(circuit: Circuit, slot_inputs: Sequence[Mapping[str, int]]) -> list[int]:
+    """One int per qubit whose bit s is that qubit's initial value in slot s."""
     planes = [0] * circuit.qubit_count
-    for j, inputs in enumerate(lane_inputs):
+    for s, inputs in enumerate(slot_inputs):
         for q, bit in enumerate(_initial_bits(circuit, inputs)):
             if bit:
-                planes[q] |= 1 << j
+                planes[q] |= 1 << s
     return planes
 
 
@@ -274,10 +274,17 @@ def run_lanes(
 ) -> list[LaneResult]:
     """Simulate many basis-state runs in one bitwise pass (bitslicing).
 
-    Each qubit is one int whose bit j holds lane j, so CCX is
-    ``q[t] ^= q[a] & q[b]`` for every lane at once.  MX records the measured
-    plane v_i and clears the qubit; diagonal gates XOR their parity into a
-    base plane, or into corr0_i / corr1_i when conditioned on c_i = 0 / 1.
+    Lanes map to slots, one per distinct input: equal values of equal types
+    (so ``{"a": 1}`` and ``{"a": 1.0}`` never share, and a lane whose inputs
+    are invalid raises what it raises alone).  Each qubit is one int whose
+    bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]`` for every slot at
+    once, and outputs, final bits and defects are read out once per slot.
+    Data bits and defect planes depend only on the inputs, so each lane's
+    sign and executed counts come from its own stream word (below).
+
+    MX records the measured plane v_i and clears the qubit; diagonal gates
+    XOR their parity into a base plane, or into corr0_i / corr1_i when
+    conditioned on c_i = 0 / 1.
     The sign on branch r is then (see :func:`check_phase_all_branches`)
 
         zero-branch parity  XOR  XOR_i r_i & (v_i ^ corr0_i ^ corr1_i),
@@ -290,14 +297,32 @@ def run_lanes(
     order) is bit m-1-i.  The lane's phase and executed counts are exact on
     that branch.  A conditioned X/CX/CCX then acts only on the lanes whose
     own outcome matches its condition, so every lane follows its own branch
-    and the sign formula still holds on it; the all-branch verdict does not
-    (the branch space no longer factorizes), so it is None and ().  Without
-    words such a gate raises ValueError.
+    in a slot of its own (the slot of lane j is j), and the sign formula
+    still holds on it; the all-branch verdict does not (the branch space no
+    longer factorizes), so it is None and ().  Without words such a gate
+    raises ValueError.
     """
     by_kind = Counter((g.condition, g.kind) for g in circuit.gates)
     m = sum(n for (_, kind), n in by_kind.items() if kind == "MX")
-    q = _lane_planes(circuit, lane_inputs)
-    full = (1 << len(lane_inputs)) - 1
+    # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
+    # otherwise they and the defect planes depend only on the inputs.
+    per_lane = words is not None and any(
+        cond is not None and kind in ("X", "CX", "CCX") for cond, kind in by_kind
+    )
+    slots: dict = {}  # slot key -> slot index, in order of first lane
+    slot_inputs = []
+    lane_slot = []
+    for j, inputs in enumerate(lane_inputs):
+        try:
+            key = j if per_lane else tuple((k, type(v), v) for k, v in inputs.items())
+            s = slots.setdefault(key, len(slots))
+        except (AttributeError, TypeError):  # no hashable key: a slot of its own
+            s = slots.setdefault(j, len(slots))
+        if s == len(slot_inputs):
+            slot_inputs.append(inputs)
+        lane_slot.append(s)
+    q = _lane_planes(circuit, slot_inputs)
+    full = (1 << len(slots)) - 1
     base = 0
     measured: dict[int, int] = {}
     position: dict[int, int] = {}
@@ -354,34 +379,36 @@ def run_lanes(
         bit = 1 << position[cb]
         while plane:
             low = plane & -plane
-            j = low.bit_length() - 1
-            defect_words[j] = defect_words.get(j, 0) | bit
-            defects.setdefault(j, []).append(cb)
+            s = low.bit_length() - 1
+            defect_words[s] = defect_words.get(s, 0) | bit
+            defects.setdefault(s, []).append(cb)
             plane ^= low
     total0, total_steps = _executed_count(by_kind, position, GATE_KINDS)
     nc0, nc_steps = _executed_count(by_kind, position, NON_CLIFFORD_KINDS)
 
+    read = []
+    for s in range(len(slots)):
+        bits = tuple((plane >> s) & 1 for plane in q)
+        outputs = {reg.name: _read_register(bits, reg.lo, reg.hi) for reg in circuit.outputs}
+        read.append((bits, outputs, (zero >> s) & 1, defect_words.get(s, 0),
+                     () if outcomes else tuple(defects.get(s, ()))))
+
     results = []
-    for j in range(len(lane_inputs)):
-        bits = tuple((plane >> j) & 1 for plane in q)
-        zero_j = (zero >> j) & 1
-        defect = defect_words.get(j, 0)
+    for j, s in enumerate(lane_slot):
+        bits, outputs, zero_s, defect, phase_defects = read[s]
         phase = None
         total, nc = total0, nc0
         if words is not None:
             word = words[j]
-            phase = -1 if zero_j ^ ((word & defect).bit_count() & 1) else 1
+            phase = -1 if zero_s ^ ((word & defect).bit_count() & 1) else 1
             total += sum(step * (word & mask).bit_count() for step, mask in total_steps)
             nc += sum(step * (word & mask).bit_count() for step, mask in nc_steps)
         results.append(
             LaneResult(
-                outputs={
-                    reg.name: _read_register(bits, reg.lo, reg.hi)
-                    for reg in circuit.outputs
-                },
+                outputs=dict(outputs),
                 phase=phase,
-                phase_always_plus_one=None if outcomes else not zero_j and not defect,
-                phase_defects=() if outcomes else tuple(defects.get(j, ())),
+                phase_always_plus_one=None if outcomes else not zero_s and not defect,
+                phase_defects=phase_defects,
                 executed_total=total,
                 executed_non_clifford=nc,
                 final_bits=bits,

@@ -633,3 +633,39 @@ def test_estimate_beyond_the_float_range(tmp_path, capsys) -> None:
         assert err.endswith("a result is beyond the float range\n")
         assert not (tmp_path / "out.json").exists()
 
+
+
+def test_writes_into_a_missing_directory_are_one_line_usage_errors(tmp_path, capsys) -> None:
+    missing = tmp_path / "nodir"
+    assert main(["build", "temp-and", "-o", str(missing / "t.kmx")]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err.replace(str(tmp_path), ""))
+    assert "cannot write circuit file" in err and err.endswith("No such file or directory\n")
+
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=10)
+    capsys.readouterr()
+    assert main(["verify", str(circuit), "--spec", str(spec), "-o", str(missing / "r.json")]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err.replace(str(tmp_path), ""))
+    assert "cannot write report file" in err
+
+    scenario = dict(_SCENARIO)
+    path = _write_scenario(tmp_path, scenario)
+    for flag, what in (("-o", "results file"), ("--salvage-csv", "CSV file"),
+                       ("--success-csv", "CSV file")):
+        assert main(["estimate", str(path), flag, str(missing / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()[-1] + "\n"
+        _one_short_line(err.replace(str(tmp_path), ""))
+        assert f"cannot write {what}" in err
+    assert not missing.exists()
+
+
+def test_estimate_refuses_a_huge_window_at_once(tmp_path, capsys) -> None:
+    path = _write_scenario(tmp_path, {"ecdlp": {"pa_toffoli": 0, "pa_qubits": 0,
+                                                "n": 1_000_000_000, "w": 400_000_000}})
+    assert main(["estimate", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert err.endswith("window 400000000 is above the ceiling of 4096\n")
+    assert not (tmp_path / "out.json").exists()

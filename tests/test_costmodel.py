@@ -356,3 +356,16 @@ def test_salvage_beyond_the_float_range_is_a_value_error() -> None:
         salvage_timeline(wallets, per_key_time=1e308)
     with pytest.raises(ValueError, match="beyond the float range"):
         salvage_timeline([WalletRecord(balance=1e308)] * 2, per_key_time=1)
+
+
+def test_windows_above_the_ceiling_are_refused_before_any_shift() -> None:
+    from kickmix.costmodel import MAX_WINDOW
+
+    assert MAX_WINDOW == 4096
+    assert ecdlp_qubits(PointAddCost(1, 0, 10**5, MAX_WINDOW)) == MAX_WINDOW
+    with pytest.raises(ValueError, match="window 4097 is above the ceiling of 4096"):
+        PointAddCost(1, 0, 10**5, MAX_WINDOW + 1)
+    with pytest.raises(ValueError, match="window must be an integer, got 2.5"):
+        PointAddCost(1, 0, 256, 2.5)
+    # The sweep never builds a cost above the ceiling, however large the core.
+    assert optimal_window(10**1300, 10**9) == MAX_WINDOW

@@ -211,3 +211,87 @@ def test_conditioned_permutations_never_run_the_scalar_reference(monkeypatch) ->
     # Lane a=1 with outcome 1 takes the conditioned CX: qubit 1 flips.
     assert lanes[8 + 1].outputs == {"a": 0b011} and lanes[1].outputs == {"a": 0b001}
     assert all(lane.phase_always_plus_one is None and lane.phase_defects == () for lane in lanes)
+
+
+def _conditions_a_permutation(circuit: Circuit) -> bool:
+    return any(g.condition is not None and g.kind in ("X", "CX", "CCX") for g in circuit.gates)
+
+
+@st.composite
+def pooled_lanes(draw):
+    """Lanes drawn with repeats from a pool of at most three inputs; words are
+    drawn whenever a conditioned X/CX/CCX needs them, and otherwise maybe."""
+    circuit = draw(circuits(conditioned_permutations=True))
+    m = _measurements(circuit)
+    pool = draw(st.lists(st.integers(0, (1 << circuit.qubit_count) - 1),
+                         min_size=1, max_size=3, unique=True))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    words = None
+    if _conditions_a_permutation(circuit) or draw(st.booleans()):
+        words = draw(st.lists(st.integers(0, (1 << m) - 1),
+                              min_size=len(values), max_size=len(values)))
+    order = draw(st.permutations(range(len(values))))
+    return circuit, [{"a": v} for v in values], words, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_lanes())
+def test_lanes_with_equal_inputs_match_their_own_runs(case) -> None:
+    circuit, inputs, words, order = case
+    m = _measurements(circuit)
+    lane_words = words if words is not None else [0] * len(inputs)
+    results = run_lanes(circuit, inputs, words)
+    for lane, lane_inputs, word in zip(results, inputs, lane_words):
+        scalar = run(circuit, lane_inputs, _bits(word, m))
+        assert lane.outputs == scalar.outputs
+        assert lane.phase == (None if words is None else scalar.phase)
+        assert lane.executed_total == scalar.executed_total
+        assert lane.executed_non_clifford == scalar.executed_non_clifford
+        assert lane.final_bits == scalar.final_bits
+        [alone] = run_lanes(circuit, [lane_inputs], None if words is None else [word])
+        assert lane.phase_always_plus_one == alone.phase_always_plus_one
+        assert lane.phase_defects == alone.phase_defects
+        assert lane == alone
+
+    shuffled = run_lanes(circuit, [inputs[i] for i in order],
+                         None if words is None else [words[i] for i in order])
+    assert shuffled == [results[i] for i in order]
+    assert run_lanes(circuit, inputs * 2, None if words is None else words * 2) == results * 2
+
+
+def test_equal_inputs_are_simulated_once(monkeypatch) -> None:
+    circuit = _conditioned_cx()
+    seen = []
+    initial_bits = sim._initial_bits
+
+    def counting(circuit, inputs):
+        seen.append(inputs["a"])
+        return initial_bits(circuit, inputs)
+
+    monkeypatch.setattr(sim, "_initial_bits", counting)
+    plain = Circuit(qubit_count=3, classical_bit_count=0, inputs=circuit.inputs,
+                    outputs=circuit.outputs, gates=(Gate("CX", (0, 2)),))
+    inputs = [{"a": v % 3} for v in range(30)]
+    lanes = run_lanes(plain, inputs, [0] * 30)
+    assert seen == [0, 1, 2]
+    assert [lane.outputs for lane in lanes] == [run(plain, i, []).outputs for i in inputs]
+    lanes[0].outputs["a"] = 99
+    assert lanes[3].outputs == {"a": 0}
+    # A conditioned CX follows each lane's own outcome, so every lane is its own slot.
+    seen.clear()
+    run_lanes(circuit, inputs, [v % 2 for v in range(30)])
+    assert len(seen) == 30
+
+
+def test_slots_are_keyed_on_exact_values_and_types() -> None:
+    circuit = Circuit(qubit_count=2, classical_bit_count=0, inputs=(Register("a", 0, 1),),
+                      outputs=(Register("a", 0, 1),), gates=(Gate("CX", (0, 1)),))
+    for bad in ({"a": 1.0}, {"a": [1]}, {"a": 1, "b": 0}, {"a": 4}):
+        with pytest.raises((TypeError, ValueError)) as alone:
+            run_lanes(circuit, [bad])
+        with pytest.raises(alone.type) as after:
+            run_lanes(circuit, [{"a": 1}, {"a": 0}, bad, {"a": 1}])
+        assert str(after.value) == str(alone.value)
+    # True == 1, but a bool lane keeps a slot of its own and runs like int 1.
+    flags = run_lanes(circuit, [{"a": 1}, {"a": True}], [0, 0])
+    assert flags[0] == flags[1] and flags[1].outputs == {"a": 3}
