@@ -60,15 +60,16 @@ These rules live in :class:`Gate`, :class:`Register` and
 :meth:`Circuit.validate` only; :func:`parse` checks syntax and header order.
 A :class:`ParseError` for a broken rule points at the gate's source line and
 the column of that line's first token; a rule that belongs to no one gate
-(counts, registers, metadata) points at line 1, column 1.  :func:`parse`
-splits each line with ``str.split()`` and handles its tokens by index, so
-token positions are computed only when an error is raised, by re-scanning
-that one line.
+(counts, registers, metadata) points at line 1, column 1.
 
-:func:`parse` builds one :class:`Gate` per distinct gate line: a line that
-repeats an earlier one byte for byte reuses that line's ``Gate``, so equal
-lines share one immutable object and callers must not rely on gate identity.
-``validate`` still checks every position, repeated lines included.
+:func:`parse` matches gate lines against one pattern of the canonical
+spelling.  Headers, the first line of each shape (opcode and operands, with
+or without ``-> c<k>`` and ``IF c<k>``) and every line the pattern refuses
+are split with ``str.split()`` and handled by token index; only that code
+raises on a line, and computes a column only then.  Later lines of a shape
+copy its first :class:`Gate` with their own classical bits, and a line that
+repeats an earlier one reuses its ``Gate``, so callers must not rely on
+gate identity.  ``validate`` still checks every position.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 __all__ = [
@@ -140,7 +141,9 @@ class ParseError(CircuitError):
 class Gate:
     """One gate: kind, qubit operands (controls first, target last for the
     permutation kinds), MX destination bit, and an optional classical
-    condition (cbit index, required value)."""
+    condition (cbit index, required value).  The rules read ``cbit`` and
+    ``condition`` only as "is None", ``cb >= 0`` and ``val in (0, 1)``:
+    :func:`parse` relies on that to copy a checked gate (``_reshaped``)."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -328,6 +331,28 @@ def static_resources(circuit: Circuit) -> StaticResources:
 
 _TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
 _HEADERS = frozenset(("qubits", "cbits", "meta", "in", "out"))
+# a gate line as serialize writes it; groups: IF bit, "=0"/"=1", core (opcode
+# and operands), MX bit; [0-9], not \d, as parse refuses non-ASCII digits
+_INT = f"[0-9]{{1,{_MAX_DIGITS}}}"
+_GATE_LINE = re.compile(
+    f"(?:IF c({_INT})(=[01])? )?([A-Z]{{1,3}}(?: {_INT}){{1,3}})(?: -> c({_INT}))?"
+).fullmatch
+
+# Gate's slot setters, which object.__setattr__ would look up on every call
+_SET_KIND, _SET_QUBITS, _SET_CBIT, _SET_CONDITION = (
+    getattr(Gate, f.name).__set__ for f in fields(Gate)
+)
+
+
+def _reshaped(template: Gate, cb: str | None, val: str | None, dest: str | None) -> Gate:
+    """``template`` with the classical bits of a _GATE_LINE of its shape,
+    unchecked: the shape fixes which are None, the pattern that the rest pass."""
+    gate = object.__new__(Gate)
+    _SET_KIND(gate, template.kind)
+    _SET_QUBITS(gate, template.qubits)
+    _SET_CBIT(gate, None if dest is None else int(dest))
+    _SET_CONDITION(gate, None if cb is None else (int(cb), 0 if val == "=0" else 1))
+    return gate
 
 
 class _TokenError(Exception):
@@ -361,9 +386,7 @@ def _parse_cref(tok: str, index: int) -> int:
     digits = tok[1:]
     if not (tok[:1] == "c" and digits.isascii() and digits.isdigit()):
         raise _TokenError(f"expected classical bit like c0, got {_shown(tok)!r}", index)
-    if len(digits) > _MAX_DIGITS:
-        return _parse_int(digits, "classical bit index", index)  # raises
-    return int(digits)
+    return _parse_int(digits, "classical bit index", index)
 
 
 def parse(text: str | bytes) -> Circuit:
@@ -388,8 +411,10 @@ def parse(text: str | bytes) -> Circuit:
     metadata: dict[str, str] = {}
     in_body = False
     # gate line text -> the Gate its first copy produced; Gate is frozen, so
-    # repeated lines share it and only the first copy is tokenized and built
+    # repeated lines share it and only the first copy is parsed and built
     line_gates: dict[str, Gate] = {}
+    # shape of a _GATE_LINE (core, no "->", no IF) -> its first line's Gate
+    shapes: dict[tuple[str, bool, bool], Gate] = {}
 
     # Every syntax error in the loop is a _TokenError naming a token by its
     # index; the handler below re-scans that one line for the column.
@@ -399,6 +424,15 @@ def parse(text: str | bytes) -> Circuit:
             if gate is not None:
                 gates.append(gate)
                 continue
+            match = _GATE_LINE(raw)
+            if match is not None:
+                cb, val, core, dest = match.groups()
+                shape = (core, dest is None, cb is None)
+                template = shapes.get(shape)
+                if template is not None:
+                    gate = line_gates[raw] = _reshaped(template, cb, val, dest)
+                    gates.append(gate)
+                    continue
             toks = raw.split()
             if not toks or toks[0][0] == "#":
                 continue
@@ -475,20 +509,16 @@ def parse(text: str | bytes) -> Circuit:
                 dest = _parse_cref(toks[-1], end + 1)
             elif opcode == "MX":
                 raise _TokenError("usage: MX q -> c<k>", idx)
-            operands = toks[idx + 1 : end]
-            # one pass over all operand digits; per token only to name a bad one
-            joined = "".join(operands)
-            if not (
-                joined.isascii()
-                and joined.isdigit()
-                and max(map(len, operands)) <= _MAX_DIGITS
-            ):
-                for i, tok in enumerate(operands, start=idx + 1):
-                    _parse_int(tok, "qubit index", i)
+            qubits = tuple(
+                _parse_int(tok, "qubit index", i)
+                for i, tok in enumerate(toks[idx + 1 : end], start=idx + 1)
+            )
             try:
-                gate = Gate(opcode, tuple(map(int, operands)), dest, condition)
+                gate = Gate(opcode, qubits, dest, condition)
             except CircuitError as exc:
                 raise _TokenError(str(exc), 0) from None
+            if match is not None:
+                shapes[shape] = gate
             line_gates[raw] = gate
             gates.append(gate)
     except _TokenError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,7 +21,6 @@ from pathlib import Path
 from . import builders, costmodel
 from .circuit import (
     Circuit,
-    CircuitError,
     ParseError,
     _shown,
     parse,
@@ -59,11 +59,22 @@ def _read_file(path: str, what: str) -> bytes:
         raise _UsageError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
 
 
-def _write_file(path: str, data: bytes, what: str) -> None:
+def _write_file(path: str, data: bytes, what: str, mode: str = "wb") -> None:
     try:
-        Path(path).write_bytes(data)
+        with open(path, mode) as out:
+            out.write(data)
     except OSError as exc:
         raise _UsageError(f"cannot write {what} {path!r}: {exc.strerror}") from exc
+
+
+def _check_writable(path: str | None, what: str) -> None:
+    """Fail as _write_file would, before any work or write depends on path;
+    a file that only the check created is removed again."""
+    if path is not None:
+        existed = os.path.lexists(path)
+        _write_file(path, b"", what, "ab")  # appends nothing, truncates nothing
+        if not existed:
+            os.unlink(path)
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -99,35 +110,33 @@ def _parse_point(curve_name: str, text: str) -> CurvePoint:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    try:
-        if args.builder == "temp-and":
-            report = builders.build_temp_and()
-        elif args.builder == "adder":
-            _require(args, "width")
-            report = builders.build_adder(args.width)
-        elif args.builder == "mod-add":
-            _require(args, "width", "constant", "modulus")
-            report = builders.build_mod_add_const(args.width, args.constant, args.modulus)
-        elif args.builder == "lookup":
-            _require(args, "table")
-            table = _parse_table(args.table)
-            report = builders.build_lookup(table, entry_bits=args.entry_bits)
-        elif args.builder == "pointadd":
-            _require(args, "curve", "point")
-            curve = named_curve(args.curve)
-            base = _parse_point(args.curve, args.point)
-            report = builders.build_pointadd_permutation(curve, base)
-        elif args.builder == "windowed-pointadd":
-            _require(args, "curve", "point", "window")
-            curve = named_curve(args.curve)
-            base = _parse_point(args.curve, args.point)
-            report = builders.build_windowed_pointadd(curve, base, args.window)
-        else:  # argparse choices make this unreachable
-            raise _UsageError(f"unknown builder {args.builder!r}")
-    except (CircuitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+    if args.builder == "temp-and":
+        report = builders.build_temp_and()
+    elif args.builder == "adder":
+        _require(args, "width")
+        report = builders.build_adder(args.width)
+    elif args.builder == "mod-add":
+        _require(args, "width", "constant", "modulus")
+        report = builders.build_mod_add_const(args.width, args.constant, args.modulus)
+    elif args.builder == "lookup":
+        _require(args, "table")
+        table = _parse_table(args.table)
+        report = builders.build_lookup(table, entry_bits=args.entry_bits)
+    elif args.builder == "pointadd":
+        _require(args, "curve", "point")
+        curve = named_curve(args.curve)
+        base = _parse_point(args.curve, args.point)
+        report = builders.build_pointadd_permutation(curve, base)
+    elif args.builder == "windowed-pointadd":
+        _require(args, "curve", "point", "window")
+        curve = named_curve(args.curve)
+        base = _parse_point(args.curve, args.point)
+        report = builders.build_windowed_pointadd(curve, base, args.window)
+    else:  # argparse choices make this unreachable
+        raise _UsageError(f"unknown builder {args.builder!r}")
 
+    _check_writable(args.output, "circuit file")
+    _check_writable(args.output + ".json", "sidecar file")
     _write_file(args.output, serialize(report.circuit), "circuit file")
     _write_json(args.output + ".json", report.sidecar_dict(), "sidecar file")
     for line, value in report.predicted.as_dict().items():
@@ -170,6 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         spec = VerificationSpec.from_dict(spec_data)
     except (HarnessError, TypeError) as exc:
         raise _UsageError(f"bad spec: {exc}") from exc
+    _check_writable(args.output, "report file")
 
     try:
         if args.exhaustive:
@@ -313,13 +323,16 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "total_balance": salvage_curve[-1][1] if salvage_curve else 0.0,
         }
 
-    # every check runs before the first file is written
+    # every check, writability included, runs before the first file is written
     if args.salvage_csv is not None and salvage_curve is None:
         raise _UsageError("--salvage-csv needs a wallets section")
     if args.success_csv is not None:
         if attack is None:
             raise _UsageError("--success-csv needs an attack section")
         points = _success_sweep(attack, scenario.get("success_sweep", {}))
+    _check_writable(args.output, "results file")
+    _check_writable(args.salvage_csv, "CSV file")
+    _check_writable(args.success_csv, "CSV file")
 
     _write_json(args.output, results, "results file")
     if args.salvage_csv is not None:
@@ -502,10 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # CircuitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

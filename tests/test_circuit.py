@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickmix import (
@@ -20,10 +21,12 @@ from kickmix import (
     build_lookup,
     build_mod_add_const,
     build_temp_and,
+    build_windowed_pointadd,
     parse,
     serialize,
     static_resources,
 )
+import kickmix.circuit as circuit_module
 from kickmix.circuit import replace_gates
 
 # The measured-uncompute AND gadget, serialized.  Frozen as the canonical
@@ -445,3 +448,135 @@ def test_unicode_whitespace_separators_parse_like_single_spaces() -> None:
     )
     assert parse(spaced) == parse(plain)
     assert serialize(parse(spaced)) == plain.encode()
+
+
+# ---------------------------------------------------------------------------
+# the canonical-line pattern against the token path
+
+
+def _token_path_parse(text: str) -> Circuit:
+    """parse with the canonical-line pattern switched off, so that every line
+    goes through the token code."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuit_module, "_GATE_LINE", lambda raw: None)
+        return parse(text)
+
+
+def _outcome(parse_text, text: str):
+    try:
+        circuit = parse_text(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "circuit", circuit, repr(circuit.gates), serialize(circuit)
+
+
+def _shape(line: str) -> tuple[str, bool, bool]:
+    """A canonical gate line's shape: opcode and operands, "->", IF."""
+    core = re.sub("^IF c[0-9]+(=[01])? ", "", line).split(" -> ")[0]
+    return core, " -> " in line, line.startswith("IF ")
+
+
+_ARITIES = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
+
+
+@st.composite
+def _canonical_gate_line(draw) -> str:
+    kind = draw(st.sampled_from(sorted(_ARITIES)))
+    qubits = draw(st.lists(st.integers(0, 5), min_size=_ARITIES[kind],
+                           max_size=_ARITIES[kind], unique=True))
+    line = " ".join([kind, *map(str, qubits)])
+    if kind == "MX":
+        return f"{line} -> c{draw(st.integers(2, 30))}"
+    if draw(st.booleans()):
+        cb = draw(st.integers(0, 2))  # c2 is written only if an MX line writes it
+        line = f"IF c{cb}{draw(st.sampled_from(['', '=0', '=1']))} {line}"
+    return line
+
+
+@st.composite
+def _gate_line(draw) -> str:
+    line = draw(_canonical_gate_line())
+    how = draw(st.sampled_from(["as is"] * 4 + ["space", "trailing", "digit", "long",
+                                                 "zero", "broken"]))
+    if how == "space":  # a tab, a double space or an ideographic space
+        at = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == " "]))
+        line = line[:at] + draw(st.sampled_from(["\t", "  ", "\u3000"])) + line[at + 1:]
+    elif how == "trailing":
+        line += " "
+    elif how in ("digit", "long", "zero"):  # one integer spelled another way
+        number = draw(st.sampled_from(list(re.finditer("[0-9]+", line))))
+        spelled = {"digit": "\u0661", "long": "12345678", "zero": "0" + number[0]}[how]
+        line = line[: number.start()] + spelled + line[number.end():]
+    elif how == "broken":
+        q = draw(st.integers(0, 5))
+        core = _shape(line)[0]
+        line = draw(st.sampled_from([
+            f"IF c0=2 {core}",
+            f"IF c0 MX {q} -> c{q + 2}",
+            f"MX {q}",
+            f"{core} -> c{q + 2}",
+            f"CX {q} {q}",
+            line.lower(),
+            f"CCCX 0 1 2 {q}",
+        ]))
+    return line
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.lists(_gate_line(), min_size=1, max_size=12))
+# a line of a known shape whose bits the pattern must refuse or keep apart
+@example(["MX 0 -> c12345678"])
+@example(["MX 0 -> c\u0661"])
+@example(["IF c0 CX 1 2", "IF c0=2 CX 1 2", "IF c\u0661 CX 1 2"])
+@example(["IF c0=0 CX 1 2", "IF c1 CX 1 2", "CX 1 2"])
+@example(["MX 2 -> c5", "IF c0 MX 2 -> c6"])
+@example(["CX 1 2", "CX 1 2 -> c3"])
+def test_pattern_and_token_path_parse_gate_lines_alike(lines: list[str]) -> None:
+    text = "\n".join(["qubits 6", "cbits 31", "MX 0 -> c0", "MX 1 -> c1", *lines]) + "\n"
+    assert _outcome(parse, text) == _outcome(_token_path_parse, text)
+
+
+def test_gate_rules_run_once_per_shape(toy61, monkeypatch) -> None:
+    raw = serialize(build_windowed_pointadd(toy61, toy61.generator, 2).circuit)
+    gate_lines = [line for line in raw.decode().splitlines()
+                  if line.split(" ", 1)[0] not in ("qubits", "cbits", "meta", "in", "out")]
+    shapes = {_shape(line) for line in gate_lines}
+    assert len(shapes) < len(set(gate_lines))  # most distinct lines are copies
+    calls = 0
+    checked = Gate.__post_init__
+
+    def counting(gate: Gate) -> None:
+        nonlocal calls
+        calls += 1
+        checked(gate)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    circuit = parse(raw)
+    monkeypatch.undo()
+    assert calls == len(shapes)
+    assert len(circuit.gates) == len(gate_lines)
+    for gate in circuit.gates:
+        again = Gate(gate.kind, gate.qubits, gate.cbit, gate.condition)
+        assert gate == again and repr(gate) == repr(again)
+    assert serialize(circuit) == raw
+
+
+def test_replace_on_a_copied_gate_revalidates() -> None:
+    circuit = parse("qubits 3\ncbits 2\nMX 0 -> c0\nMX 0 -> c1\n"
+                    "IF c0 CX 1 2\nIF c1=0 CX 1 2\n")
+    measure, conditioned = circuit.gates[1], circuit.gates[3]  # second of each shape
+    assert (measure.cbit, conditioned.condition) == (1, (1, 0))
+    assert measure.qubits is circuit.gates[0].qubits  # a copy of its shape's first gate
+    assert dataclasses.replace(measure, cbit=5) == Gate("MX", (0,), cbit=5)
+    for gate, changes, message in (
+        (measure, {"cbit": None}, "MX requires a destination classical bit"),
+        (measure, {"condition": (0, 1)}, "measurements cannot be conditioned"),
+        (conditioned, {"condition": (1, 2)}, "bad condition (1, 2)"),
+        (conditioned, {"cbit": 0}, "CX does not write a classical bit"),
+        (conditioned, {"qubits": (2, 2)}, "duplicate operand in CX (2, 2)"),
+    ):
+        with pytest.raises(CircuitError) as excinfo:
+            dataclasses.replace(gate, **changes)
+        assert str(excinfo.value) == message
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        measure.cbit = 3  # type: ignore[misc]

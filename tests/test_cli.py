@@ -669,3 +669,78 @@ def test_estimate_refuses_a_huge_window_at_once(tmp_path, capsys) -> None:
     _one_short_line(err)
     assert err.endswith("window 400000000 is above the ceiling of 4096\n")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_refuses_an_unwritable_report_before_verifying(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import kickmix.cli as cli
+
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=10)
+    before = sorted(tmp_path.iterdir())
+
+    def never(*args, **kwargs):
+        pytest.fail("verify ran although the report cannot be written")
+
+    monkeypatch.setattr(cli, "verify", never)
+    monkeypatch.setattr(cli, "verify_exhaustive", never)
+    capsys.readouterr()
+    for extra in ([], ["--exhaustive"]):
+        target = tmp_path / "nodir" / "r.json"
+        assert main(["verify", str(circuit), "--spec", str(spec), "-o", str(target),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err.replace(str(tmp_path), ""))
+        assert err == (f"error: cannot write report file {str(target)!r}: "
+                       "No such file or directory\n")
+    (tmp_path / "adir").mkdir()
+    assert main(["verify", str(circuit), "--spec", str(spec), "-o",
+                 str(tmp_path / "adir")]) == 2
+    assert capsys.readouterr().err.endswith(": Is a directory\n")
+    assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "adir"])
+    assert not list((tmp_path / "adir").iterdir())
+
+
+def test_verify_write_check_leaves_no_file_and_truncates_none(tmp_path, capsys) -> None:
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=10)
+    broken = tmp_path / "broken.kmx"
+    broken.write_text("qubits 2\nCX 0 7\n")
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    for out in (fresh, kept):  # parse fails after the check: exit 1
+        assert main(["verify", str(broken), "--spec", str(spec), "-o", str(out)]) == 1
+        assert "qubit 7 out of range" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier report\n"
+    circuit = _build_pointadd(tmp_path)
+    assert main(["verify", str(circuit), "--spec", str(spec), "-o", str(kept)]) == 0
+    assert json.loads(kept.read_text())["verdict"] == "pass"
+
+
+def test_estimate_writes_nothing_when_a_csv_cannot_be_written(tmp_path, capsys) -> None:
+    path = _write_scenario(tmp_path, _SCENARIO)
+    out = tmp_path / "o.json"
+    for flag in ("--success-csv", "--salvage-csv"):
+        assert main(["estimate", str(path), "-o", str(out), flag,
+                     str(tmp_path / "nodir" / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err.replace(str(tmp_path), ""))
+        assert "cannot write CSV file" in err
+        assert not out.exists()
+    csv = tmp_path / "s.csv"
+    assert main(["estimate", str(path), "-o", str(tmp_path / "nodir" / "o.json"),
+                 "--success-csv", str(csv)]) == 2
+    assert "cannot write results file" in capsys.readouterr().err
+    assert not csv.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_build_writes_nothing_when_the_sidecar_cannot_be_written(tmp_path, capsys) -> None:
+    out = tmp_path / "t.kmx"
+    (tmp_path / "t.kmx.json").mkdir()
+    assert main(["build", "temp-and", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err.replace(str(tmp_path), ""))
+    assert "cannot write sidecar file" in err and err.endswith("Is a directory\n")
+    assert not out.exists()
