@@ -39,6 +39,7 @@ from .curve import (
     INFINITY,
     CurvePoint,
     CurveParams,
+    encode_point,
     enumerate_points,
     is_on_curve,
     point_add,
@@ -255,18 +256,7 @@ class _Emitter:
 
 
 # ---------------------------------------------------------------------------
-# point encoding shared by the curve builders and the harness
-
-
-def encode_point(point: CurvePoint, coordinate_bits: int) -> int:
-    """Pack a point into 2*coordinate_bits little-endian bits, x low.
-
-    The identity is the all-ones pair, which is never a field element as
-    long as p < 2^coordinate_bits - 1."""
-    ones = (1 << coordinate_bits) - 1
-    if point.is_infinity:
-        return ones | (ones << coordinate_bits)
-    return point.x | (point.y << coordinate_bits)
+# point decoding, the inverse of curve.encode_point (re-exported here)
 
 
 def decode_point(value: int, coordinate_bits: int) -> CurvePoint:

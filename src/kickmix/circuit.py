@@ -141,9 +141,13 @@ class ParseError(CircuitError):
 class Gate:
     """One gate: kind, qubit operands (controls first, target last for the
     permutation kinds), MX destination bit, and an optional classical
-    condition (cbit index, required value).  The rules read ``cbit`` and
-    ``condition`` only as "is None", ``cb >= 0`` and ``val in (0, 1)``:
-    :func:`parse` relies on that to copy a checked gate (``_reshaped``)."""
+    condition (cbit index, required value).  Operands are a tuple of exact
+    non-negative ints, the MX destination and the condition's bit are exact
+    non-negative ints and its value an exact 0 or 1, so that every gate
+    serializes to a line that parses back to an equal gate.  The rules read
+    ``cbit`` and ``condition`` only as "is None" and by those types and
+    ranges, which ``int`` of the pattern's digits always meets: :func:`parse`
+    relies on that to copy a checked gate (``_reshaped``)."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -151,28 +155,39 @@ class Gate:
     condition: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        kind, qubits = self.kind, self.qubits
+        kind, qubits, cbit, condition = self.kind, self.qubits, self.cbit, self.condition
         if kind not in GATE_KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
+        if type(qubits) is not tuple:
+            raise CircuitError(f"{kind} operands must be a tuple, not {type(qubits).__name__}")
         if len(qubits) != _ARITY[kind]:
             raise CircuitError(
                 f"{kind} takes {_ARITY[kind]} qubit operand(s), got {len(qubits)}"
             )
-        if len(set(qubits)) != len(qubits):
+        try:
+            duplicated = len(set(qubits)) != len(qubits)
+        except TypeError:  # an unhashable operand: not an int, refused below
+            duplicated = False
+        if duplicated:
             raise CircuitError(f"duplicate operand in {kind} {qubits}")
-        if min(qubits) < 0:  # every kind takes at least one operand
-            raise CircuitError("negative qubit index")
+        for q in qubits:
+            if type(q) is not int:
+                raise CircuitError(f"{kind} operand of type {type(q).__name__}, not int")
+            if q < 0:
+                raise CircuitError("negative qubit index")
         if kind == "MX":
-            if self.cbit is None:
+            if cbit is None:
                 raise CircuitError("MX requires a destination classical bit")
-            if self.condition is not None:
+            if type(cbit) is not int or cbit < 0:
+                raise CircuitError(f"bad MX destination {_shown(repr(cbit))}")
+            if condition is not None:
                 raise CircuitError("measurements cannot be conditioned")
-        elif self.cbit is not None:
+        elif cbit is not None:
             raise CircuitError(f"{kind} does not write a classical bit")
-        if self.condition is not None:
-            cb, val = self.condition
-            if cb < 0 or val not in (0, 1):
-                raise CircuitError(f"bad condition {self.condition}")
+        if condition is not None:
+            cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
+            if type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1):
+                raise CircuitError(f"bad condition {_shown(repr(condition))}")
 
     @property
     def is_diagonal(self) -> bool:

@@ -17,8 +17,8 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import builders, costmodel
 from .circuit import (
     Circuit,
     ParseError,
@@ -35,6 +35,9 @@ from .harness import (
     verify,
     verify_exhaustive,
 )
+
+if TYPE_CHECKING:
+    from . import costmodel
 
 _USAGE_ERROR = 2
 _FAILURE = 1
@@ -110,6 +113,8 @@ def _parse_point(curve_name: str, text: str) -> CurvePoint:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from . import builders  # here, not at the top: verify starts without it
+
     if args.builder == "temp-and":
         report = builders.build_temp_and()
     elif args.builder == "adder":
@@ -244,6 +249,8 @@ def _from_section(cls, data, what: str, part: str = "section"):
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from . import costmodel  # here, not at the top: verify starts without it
+
     scenario = _read_json(args.scenario, "scenario file")
     unknown = sorted(set(scenario) - _SCENARIO_SECTIONS.keys())
     if unknown:
@@ -343,6 +350,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]:
+    from . import costmodel
+
     unknown = sorted(set(sweep) - {"from", "to", "steps"})
     if unknown:
         raise _UsageError(_unknown("success_sweep field(s)", unknown))

@@ -33,6 +33,7 @@ __all__ = [
     "point_neg",
     "point_add",
     "scalar_mul",
+    "encode_point",
     "enumerate_points",
     "named_curve",
     "registry_names",
@@ -275,6 +276,17 @@ def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
         addend = point_add(addend, addend, curve)
         k >>= 1
     return result
+
+
+def encode_point(point: CurvePoint, coordinate_bits: int) -> int:
+    """Pack a point into 2*coordinate_bits little-endian bits, x low.
+
+    The identity is the all-ones pair, which is never a field element as
+    long as p < 2^coordinate_bits - 1."""
+    ones = (1 << coordinate_bits) - 1
+    if point.is_infinity:
+        return ones | (ones << coordinate_bits)
+    return point.x | (point.y << coordinate_bits)
 
 
 def enumerate_points(curve: CurveParams, limit: int = 1 << 16) -> list[CurvePoint]:

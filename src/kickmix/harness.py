@@ -41,11 +41,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .circuit import Circuit, _shown, parse, static_resources
-from .curve import CurveParams, CurvePoint, INFINITY, named_curve, point_add, point_neg, scalar_mul
-from .builders import encode_point
+from .curve import (
+    CurveParams, CurvePoint, INFINITY, encode_point, named_curve, point_add, point_neg, scalar_mul,
+)
 # run and check_phase_all_branches stay importable from here: the benchmark
 # in perfbench/ times the simulator layer by wrapping these names.
 from .sim import check_phase_all_branches, run, run_lanes  # noqa: F401
@@ -619,7 +621,11 @@ class VerificationReport:
 def _canonical_json(value) -> bytes:
     """json.dumps(value, sort_keys=True, indent=2) + "\n", byte for byte, on
     dict with str keys, list, str, int, finite float, bool and None by exact
-    type; anything else raises TypeError or ValueError."""
+    type; anything else raises TypeError or ValueError.
+
+    A list of two or more dicts with one key set (the report's ``tests``) or
+    of scalars of one exact type (``failure_indices``) is encoded a column
+    at a time (:func:`_columnar`); everything else value by value."""
     parts: list[str] = []
     _encode(value, "\n", parts.append)
     parts.append("\n")
@@ -642,7 +648,12 @@ def _encode(value, newline: str, out) -> None:
             sep = ","
         out(newline + "}" if value else "{}")
     elif kind is list:
-        inner, sep = newline + "  ", "["
+        inner = newline + "  "
+        items = _columnar(value, inner) if len(value) > 1 else None
+        if items is not None:
+            out("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
+        sep = "["
         for item in value:
             out(sep + inner)
             _encode(item, inner, out)
@@ -656,6 +667,62 @@ def _encode(value, newline: str, out) -> None:
         out("null")
     else:
         raise TypeError(f"{kind.__name__} has no canonical JSON form")
+
+
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALAR_FORM = {int: int.__repr__, str: encode_basestring_ascii, bool: _LITERAL, type(None): _LITERAL}
+
+
+def _scalar_form(kinds: set):
+    """The one function that encodes values of these exact types, if they
+    are all int, all str, or bool and None only; else None."""
+    if len(kinds) == 1:
+        return _SCALAR_FORM.get(next(iter(kinds)))
+    return _LITERAL if kinds <= {bool, type(None)} else None
+
+
+def _columnar(items: list, inner: str) -> list[str] | None:
+    """The encoded items of a list whose items sit at ``inner``, if they are
+    dicts of one key set or scalars of one _scalar_form; else None, and None
+    for anything _encode refuses, so the item-by-item path raises the error
+    it always raised, at the first bad value.
+
+    Rows fill one %-template of their sorted keys from one encoded column
+    per key.  Rows of the first row's size that all hold its keys (a
+    missing one is a KeyError) have its key set."""
+    kinds = set(map(type, items))
+    if kinds != {dict}:
+        form = _scalar_form(kinds)
+        return None if form is None else list(map(form, items))
+    keys = items[0].keys()
+    if set(map(len, items)) != {len(keys)}:
+        return None
+    if not keys:
+        return ["{}"] * len(items)
+    indent = inner + "  "
+    try:
+        names = sorted(keys)
+        template = "{" + ",".join(
+            f"{indent}{encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names
+        ) + inner + "}"
+        columns = [_column(list(map(itemgetter(name), items)), indent) for name in names]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _column(values: list, indent: str) -> list[str]:
+    """Each value encoded at ``indent``: one map over a column with a
+    _scalar_form, _encode value by value otherwise."""
+    form = _scalar_form(set(map(type, values)))
+    if form is not None:
+        return list(map(form, values))
+    encoded = []
+    for value in values:
+        parts: list[str] = []
+        _encode(value, indent, parts.append)
+        encoded.append("".join(parts))
+    return encoded
 
 
 def _round_fraction(value: Fraction, places: int = 6) -> str:

@@ -346,6 +346,34 @@ def test_direct_gate_construction_keeps_each_rule_message() -> None:
         assert excinfo.value.gate is None
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("MX", (0,)), {"cbit": -1}, "bad MX destination -1"),
+        (("MX", (0,)), {"cbit": True}, "bad MX destination True"),
+        (("MX", (0,)), {"cbit": 1.0}, "bad MX destination 1.0"),
+        (("MX", (0,)), {"cbit": "0"}, "bad MX destination '0'"),
+        (("X", (0,)), {"condition": (0.0, 1)}, "bad condition (0.0, 1)"),
+        (("X", (0,)), {"condition": (True, 1)}, "bad condition (True, 1)"),
+        (("X", (0,)), {"condition": (0, True)}, "bad condition (0, True)"),
+        (("X", (0,)), {"condition": [0, 1]}, "bad condition [0, 1]"),
+        (("X", (0,)), {"condition": (0, 1, 1)}, "bad condition (0, 1, 1)"),
+        (("X", (True,)), {}, "X operand of type bool, not int"),
+        (("CX", (0, 1.0)), {}, "CX operand of type float, not int"),
+        (("CX", (0, [1])), {}, "CX operand of type list, not int"),
+        (("X", [0]), {}, "X operands must be a tuple, not list"),
+        (("CX", range(2)), {}, "CX operands must be a tuple, not range"),
+    ],
+)
+def test_gate_refuses_what_would_not_round_trip(args, kwargs, message) -> None:
+    # Each would serialize to a line that parse refuses or reads back as a
+    # different gate.
+    with pytest.raises(CircuitError) as excinfo:
+        Gate(*args, **kwargs)
+    assert type(excinfo.value) is CircuitError
+    assert str(excinfo.value) == message
+
+
 def test_replace_on_a_gate_revalidates() -> None:
     gate = Gate("CX", (0, 1))
     assert dataclasses.replace(gate, qubits=(1, 0)) == Gate("CX", (1, 0))

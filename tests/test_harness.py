@@ -9,6 +9,7 @@ both sides at once.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
@@ -720,6 +721,94 @@ def test_canonical_json_matches_json_dumps(value) -> None:
 )
 def test_canonical_json_refuses_what_it_cannot_encode(value, error) -> None:
     with pytest.raises(error):
+        harness._canonical_json(value)
+
+
+# Lists of rows that share one key set, as the report's ``tests`` is, with
+# keys that a %-template or an escape could get wrong and columns of one
+# exact type (the mapped path) or of mixed ones (the value-by-value path).
+_ROW_KEYS = st.sampled_from(["%", "%s", "%%", "a%(b)s", '"', 'q"%d', "é", "\U0001f600", "index"])
+_COLUMNS = [
+    st.integers(),
+    _JSON_TEXT,
+    st.booleans(),
+    st.booleans() | st.none(),
+    st.integers() | st.booleans(),
+    st.integers() | st.booleans() | st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=3) | st.just("inf"),
+    _JSON_TREES,
+]
+
+
+@st.composite
+def _row_lists(draw) -> list:
+    keys = draw(st.lists(_ROW_KEYS | _JSON_TEXT, max_size=5, unique=True))
+    columns = {key: draw(st.sampled_from(_COLUMNS)) for key in keys}
+    count = draw(st.integers(1, 6))
+    return [{key: draw(column) for key, column in columns.items()} for _ in range(count)]
+
+
+@st.composite
+def _scalar_lists(draw) -> list:
+    """Scalars of one type, sometimes with one stray bool or str."""
+    values = draw(st.lists(draw(st.sampled_from(_COLUMNS[:4])), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(values)))
+        values.insert(at, draw(st.booleans() | _JSON_TEXT))
+    return values
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_row_lists(), _scalar_lists(), st.integers(0, 2))
+def test_canonical_json_encodes_rows_and_scalar_lists_like_json_dumps(rows, scalars, depth) -> None:
+    value = {"tests": rows, "failure_indices": scalars, "pair": [rows, scalars]}
+    for _ in range(depth):
+        value = [value, {"%": value}]
+    expected = (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+    assert harness._canonical_json(value) == expected
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+_ROWS = [{"index": i, "scalar": i * i, "ok": i % 2 == 0, "x": float(i)} for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "late, error, message",
+    [
+        ({"x": float("nan")}, ValueError, "JSON has no form for the float nan"),
+        ({"ok": (1,)}, TypeError, "tuple has no canonical JSON form"),
+        ({"scalar": _Colour.RED}, TypeError, "_Colour has no canonical JSON form"),
+        ({"index": 5, 5: 5}, TypeError, "not supported between instances"),
+    ],
+)
+def test_canonical_json_refuses_a_bad_value_in_a_late_row(late, error, message) -> None:
+    rows = [dict(row) for row in _ROWS]
+    rows[-1].update(late)
+    if len(rows[-1]) > len(rows[0]):
+        del rows[-1]["scalar"]  # one key swapped: same size, other key set
+    for value in (rows, {"tests": rows}):
+        with pytest.raises(error, match=message):
+            harness._canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ([1, 2, _Colour.RED], TypeError, "_Colour has no canonical JSON form"),
+        ([1.0, 2.0, float("nan")], ValueError, "float nan"),
+        ([{"a": 1}, {1: 1}], TypeError, "must be a string"),
+        ([{1: 1}, {1: 2}], TypeError, "must be a string"),
+        ([{"a": 1}, {"a": (1,)}], TypeError, "tuple has no canonical JSON form"),
+        # Row by row, row 0's NaN comes before row 1's tuple.
+        ([{"a": 1, "b": float("nan")}, {"a": (1,), "b": 2}], ValueError, "float nan"),
+    ],
+)
+def test_canonical_json_raises_the_first_error_in_row_order(value, error, message) -> None:
+    with pytest.raises(error, match=message):
         harness._canonical_json(value)
 
 
