@@ -543,7 +543,9 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
 # (plane >> s) & 1, whose cost grows with the slots in the pass, so one pass
 # over S slots costs about S^2; fixed chunks keep the total linear in the
 # number of distinct inputs while the per-pass overhead stays negligible.
-# Peak memory is set by report encoding, not by the chunk.
+# The chunk does not set peak memory (tracemalloc, Python 3.11): the passes
+# of a 9024-test p11 run peak at 4.7 MiB, its report encoding at 9.4 MiB,
+# and parsing a 94k-gate circuit at 14 MiB.
 LANE_CHUNK = 1024
 
 _SKIPPED = {
@@ -670,15 +672,15 @@ def _encode(value, newline: str, out) -> None:
 
 
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
-_SCALAR_FORM = {int: int.__repr__, str: encode_basestring_ascii, bool: _LITERAL, type(None): _LITERAL}
+_SCALAR_FORM = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 def _scalar_form(kinds: set):
     """The one function that encodes values of these exact types, if they
-    are all int, all str, or bool and None only; else None."""
-    if len(kinds) == 1:
-        return _SCALAR_FORM.get(next(iter(kinds)))
-    return _LITERAL if kinds <= {bool, type(None)} else None
+    are bool and None only, all int or all str; else None."""
+    if kinds <= {bool, type(None)}:
+        return _LITERAL
+    return _SCALAR_FORM.get(next(iter(kinds))) if len(kinds) == 1 else None
 
 
 def _columnar(items: list, inner: str) -> list[str] | None:
