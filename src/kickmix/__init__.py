@@ -17,9 +17,9 @@ _EXPORTS = {
         "parse", "serialize", "static_resources",
     ),
     "curve": (
-        "CurveParams", "CurvePoint", "FieldElement", "INFINITY", "enumerate_points",
-        "is_on_curve", "named_curve", "point_add", "point_neg", "registry_names",
-        "scalar_mul",
+        "CurveParams", "CurvePoint", "INFINITY", "decode_point", "encode_point",
+        "enumerate_points", "is_on_curve", "named_curve", "point_add", "point_neg",
+        "registry_names", "scalar_mul",
     ),
     "sim": (
         "BranchInvariant", "LaneResult", "RngExhausted", "RunResult",
@@ -27,8 +27,7 @@ _EXPORTS = {
     ),
     "builders": (
         "BuildReport", "build_adder", "build_lookup", "build_mod_add_const",
-        "build_pointadd_permutation", "build_temp_and", "build_windowed_pointadd",
-        "decode_point", "encode_point", "mutate",
+        "build_pointadd_permutation", "build_temp_and", "build_windowed_pointadd", "mutate",
     ),
     "harness": (
         "HarnessError", "Transcript", "VerificationReport", "VerificationSpec",

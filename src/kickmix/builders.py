@@ -33,10 +33,10 @@ from .circuit import (
     Gate,
     Register,
     StaticResources,
+    _shown,
     static_resources,
 )
 from .curve import (
-    INFINITY,
     CurvePoint,
     CurveParams,
     encode_point,
@@ -55,8 +55,6 @@ __all__ = [
     "build_pointadd_permutation",
     "build_windowed_pointadd",
     "mutate",
-    "encode_point",
-    "decode_point",
     "MAX_ADDER_WIDTH",
     "MAX_LOOKUP_WINDOW",
     "MAX_MOD_ADD_WIDTH",
@@ -255,23 +253,10 @@ class _Emitter:
         )
 
 
-# ---------------------------------------------------------------------------
-# point decoding, the inverse of curve.encode_point (re-exported here)
-
-
-def decode_point(value: int, coordinate_bits: int) -> CurvePoint:
-    ones = (1 << coordinate_bits) - 1
-    x = value & ones
-    y = (value >> coordinate_bits) & ones
-    if x == ones and y == ones:
-        return INFINITY
-    return CurvePoint(x, y)
-
-
 def _point_metadata(curve: CurveParams, base: CurvePoint) -> dict[str, str]:
     """Checks shared by the curve builders, then their common metadata."""
     if not is_on_curve(base, curve):
-        raise ValueError(f"base point {base} is not on curve {curve.name}")
+        raise ValueError(f"base point {_shown(base)} is not on curve {curve.name}")
     if curve.p == (1 << curve.coordinate_bits) - 1:
         raise CircuitError(
             f"p={curve.p} fills its bit width; no spare encoding remains "

@@ -104,7 +104,7 @@ def _parse_point(curve_name: str, text: str) -> CurvePoint:
         return CurvePoint(int(xs), int(ys))
     except ValueError:
         raise _UsageError(
-            f"point must be 'G', 'inf', or 'x,y' integers, got {text!r}"
+            f"point must be 'G', 'inf', or 'x,y' integers, got {_shown(text)!r}"
         ) from None
 
 
@@ -190,9 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.exhaustive:
             report = verify_exhaustive(circuit_bytes, spec)
         else:
-            report = verify(
-                circuit_bytes, spec, jobs=args.jobs, fail_fast=args.fail_fast
-            )
+            report = verify(circuit_bytes, spec, fail_fast=args.fail_fast)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE

@@ -2,9 +2,11 @@
 
 This module is the classical oracle the rest of the package checks circuits
 against.  It implements short Weierstrass curves y^2 = x^3 + a*x + b over F_p
-with the chord-and-tangent group law, double-and-add scalar multiplication,
-and exhaustive point enumeration for small fields.  Everything here is pure
-and immutable; there is no circuit or simulator dependency.
+with the chord-and-tangent group law on plain ints, double-and-add scalar
+multiplication, exhaustive point enumeration for small fields, and the
+"xy-allones-identity" packing of a point into a register (encode_point and
+decode_point).  Everything here is pure and immutable; there is no circuit
+or simulator dependency.
 
 A small registry of named curves ships with the package: three toy curves
 with b = 7 (primes 11, 61 and 1009) whose generators were fixed once by
@@ -23,17 +25,16 @@ from dataclasses import dataclass
 from .circuit import _shown
 
 __all__ = [
-    "FieldElement",
     "CurvePoint",
     "CurveParams",
     "INFINITY",
-    "mod_inverse",
     "is_probable_prime",
     "is_on_curve",
     "point_neg",
     "point_add",
     "scalar_mul",
     "encode_point",
+    "decode_point",
     "enumerate_points",
     "named_curve",
     "registry_names",
@@ -41,22 +42,6 @@ __all__ = [
 ]
 
 CURVE_REGISTRY_ENV = "KICKMIX_CURVE_REGISTRY"
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a modulo p via the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse modulo {p}")
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ZeroDivisionError(f"{a} is not invertible modulo {p} (gcd {old_r})")
-    return old_s % p
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -88,58 +73,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_p held as its canonical representative in [0, p).
-
-    Arithmetic operators accept another FieldElement over the same prime or a
-    plain int, and always return canonical elements.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"field modulus must be >= 2, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(other, self.p)
-        if other.p != self.p:
-            raise ValueError(f"field mismatch: {self.p} vs {other.p}")
-        return other
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other: "FieldElement | int") -> "FieldElement":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(mod_inverse(self.value, self.p), self.p)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return self * self._coerce(other).inverse()
 
 
 @dataclass(frozen=True)
@@ -244,24 +177,20 @@ def point_add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
     """Chord-and-tangent addition with explicit identity/inverse/doubling cases."""
     for pt in (p1, p2):
         if not is_on_curve(pt, curve):
-            raise ValueError(f"{pt} is not on curve {curve.name}")
+            raise ValueError(f"{_shown(pt)} is not on curve {curve.name}")
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
         return p1
-    x1 = FieldElement(p1.x, curve.p)
-    y1 = FieldElement(p1.y, curve.p)
-    x2 = FieldElement(p2.x, curve.p)
-    y2 = FieldElement(p2.y, curve.p)
-    if x1 == x2 and (y1 + y2).value == 0:
-        return INFINITY  # p2 is the inverse of p1 (covers the 2-torsion y = 0 case)
-    if p1 == p2:
-        lam = (3 * x1 * x1 + curve.a) / (2 * y1)
+    p, x1, y1, x2, y2 = curve.p, p1.x, p1.y, p2.x, p2.y
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return INFINITY  # p2 is the inverse of p1 (covers the 2-torsion y = 0 case)
+        lam = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p)  # on the curve, so p1 == p2
     else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return CurvePoint(x3.value, y3.value)
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (lam * lam - x1 - x2) % p
+    return CurvePoint(x3, (lam * (x1 - x3) - y1) % p)
 
 
 def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
@@ -279,7 +208,8 @@ def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
 
 
 def encode_point(point: CurvePoint, coordinate_bits: int) -> int:
-    """Pack a point into 2*coordinate_bits little-endian bits, x low.
+    """Pack a point into 2*coordinate_bits little-endian bits, x low: the
+    layout circuit metadata names "encoding xy-allones-identity".
 
     The identity is the all-ones pair, which is never a field element as
     long as p < 2^coordinate_bits - 1."""
@@ -287,6 +217,16 @@ def encode_point(point: CurvePoint, coordinate_bits: int) -> int:
     if point.is_infinity:
         return ones | (ones << coordinate_bits)
     return point.x | (point.y << coordinate_bits)
+
+
+def decode_point(value: int, coordinate_bits: int) -> CurvePoint:
+    """The inverse of encode_point."""
+    ones = (1 << coordinate_bits) - 1
+    x = value & ones
+    y = (value >> coordinate_bits) & ones
+    if x == ones and y == ones:
+        return INFINITY
+    return CurvePoint(x, y)
 
 
 def enumerate_points(curve: CurveParams, limit: int = 1 << 16) -> list[CurvePoint]:

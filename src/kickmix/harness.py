@@ -46,7 +46,8 @@ from typing import Iterator, Mapping
 
 from .circuit import Circuit, _shown, parse, static_resources
 from .curve import (
-    CurveParams, CurvePoint, INFINITY, encode_point, named_curve, point_add, point_neg, scalar_mul,
+    CurveParams, CurvePoint, INFINITY, encode_point, is_on_curve, named_curve, point_add,
+    point_neg, scalar_mul,
 )
 # run and check_phase_all_branches stay importable from here: the benchmark
 # in perfbench/ times the simulator layer by wrapping these names.
@@ -445,6 +446,10 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
                     base = CurvePoint(int(xs), int(ys))
                 except Exception:
                     raise HarnessError(f"unparseable base metadata {_shown(raw)!r}") from None
+                if not is_on_curve(base, curve):
+                    raise HarnessError(
+                        f"base metadata {_shown(raw)!r} is not on curve {curve.name}"
+                    )
 
     policy = circuit.metadata.get("exceptional", "correct")
     return _Plan(
@@ -809,23 +814,18 @@ def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
 def verify(
     circuit_bytes: bytes,
     spec: VerificationSpec,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> VerificationReport:
     """Run the transcript-derived test set against the curve oracle.
 
     Every test runs as one lane of a bit-sliced pass (sim.run_lanes) over
-    fixed-size chunks, in this process.  jobs must be >= 1 and is otherwise
-    ignored: every test's inputs and randomness are derived independently,
-    so reports are byte-identical for any job count.  fail_fast truncates
-    the report after the first failing test and is meant for mutation
-    screening, not for final reports.
+    fixed-size chunks, in this process.  fail_fast truncates the report
+    after the first failing test and is meant for mutation screening, not
+    for final reports.
 
     tolerated_failure_fraction = 0 means random sampling cannot reach the
     target, so the whole enumerable domain is checked instead (equivalent to
     verify_exhaustive; test_count is ignored)."""
-    if jobs < 1:
-        raise HarnessError(f"jobs must be at least 1, got {jobs}")
     if spec.tolerated_failure_fraction == 0:
         return verify_exhaustive(circuit_bytes, spec)
     plan = _resolve(parse(circuit_bytes), spec)

@@ -449,6 +449,30 @@ def _one_short_line(err: str) -> None:
     assert len(err) < 200, err[:300]
 
 
+def test_off_curve_points_print_one_short_line(tmp_path, capsys) -> None:
+    long = "9" * 3000
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
+    for raw, shown in (("1,1", "'1,1'"), (long + ",5", "'" + "9" * 20 + "…'")):
+        circuit = tmp_path / "off.kmx"
+        circuit.write_text(
+            f"qubits 8\nmeta base {raw}\nin qx 0..3\nin qy 4..7\nout qx 0..3\nout qy 4..7\n"
+        )
+        for extra in ([], ["--exhaustive"]):
+            assert main(["verify", str(circuit), "--spec", str(spec), *extra]) == 2
+            err = capsys.readouterr().err
+            _one_short_line(err)
+            assert err == f"error: base metadata {shown} is not on curve toy-p11-b7\n"
+    for point, ending in (("1,1", "is not on curve toy-p11-b7\n"),
+                          (long + ",5", "is not on curve toy-p11-b7\n"),
+                          (long + ";5", "got '" + "9" * 20 + "…'\n")):
+        assert main(["build", "pointadd", "-o", str(tmp_path / "x.kmx"),
+                     "--curve", "toy-p11-b7", "--point", point]) == 2
+        err = capsys.readouterr().err
+        _one_short_line(err)
+        assert err.endswith(ending)
+    assert not (tmp_path / "x.kmx").exists()
+
+
 def test_unknown_names_print_escaped_on_one_short_line(tmp_path, capsys) -> None:
     circuit = _build_pointadd(tmp_path)
     capsys.readouterr()

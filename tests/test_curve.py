@@ -16,7 +16,8 @@ from kickmix import (
     INFINITY,
     CurveParams,
     CurvePoint,
-    FieldElement,
+    decode_point,
+    encode_point,
     enumerate_points,
     is_on_curve,
     named_curve,
@@ -25,7 +26,7 @@ from kickmix import (
     registry_names,
     scalar_mul,
 )
-from kickmix.curve import CURVE_REGISTRY_ENV, is_probable_prime, mod_inverse
+from kickmix.curve import CURVE_REGISTRY_ENV, is_probable_prime
 
 # Multiples of G = (4, 4) on y^2 = x^3 + 7 over F_11, worked by hand:
 #   2G: lam = 3*16 / 8 = 48/8 = 4*8^-1 = 4*7 = 28 = 6; x = 36-8 = 28 = 6,
@@ -174,6 +175,40 @@ def test_secp256k1_structure(secp) -> None:
         enumerate_points(secp)
 
 
+# Published multiples of the secp256k1 generator.
+_SECP256K1_MULTIPLES = {
+    2: (
+        0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+        0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+    ),
+    3: (
+        0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+        0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+    ),
+}
+
+
+def test_secp256k1_known_multiples(secp) -> None:
+    g = secp.generator
+    doubled, tripled = (CurvePoint(*_SECP256K1_MULTIPLES[k]) for k in (2, 3))
+    assert point_add(g, g, secp) == doubled  # tangent
+    assert point_add(doubled, g, secp) == tripled  # chord
+    assert point_add(g, doubled, secp) == tripled
+    assert scalar_mul(2, g, secp) == doubled
+    assert scalar_mul(3, g, secp) == tripled
+    assert scalar_mul(-3, g, secp) == point_neg(tripled, secp)
+    assert point_add(tripled, point_neg(tripled, secp), secp) is INFINITY
+
+
+def test_point_encoding_packs_x_low_then_y(secp) -> None:
+    g = secp.generator
+    packed = encode_point(g, 256)
+    assert packed == g.x + g.y * 2**256
+    assert decode_point(packed, 256) == g
+    assert encode_point(INFINITY, 256) == 2**512 - 1
+    assert decode_point(2**512 - 1, 256) is INFINITY
+
+
 def test_named_curve_aliases_and_unknown_name() -> None:
     assert named_curve("toy-p11") == named_curve("toy-p11-b7")
     assert named_curve("toy-p61") == named_curve("toy-p61-b7")
@@ -208,23 +243,6 @@ def test_environment_registry_merges_extra_curves(tmp_path, monkeypatch) -> None
     assert "custom-11" in registry_names()
 
 
-def test_mod_inverse_agrees_with_fermat_for_prime_moduli() -> None:
-    for p in (2, 3, 11, 61, 1009):
-        for a in range(1, p):
-            inv = mod_inverse(a, p)
-            assert (a * inv) % p == 1
-            assert inv == pow(a, p - 2, p)
-
-
-def test_mod_inverse_rejects_zero_and_non_units() -> None:
-    with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
-        mod_inverse(0, 11)
-    with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
-        mod_inverse(22, 11)  # reduces to 0 mod 11
-    with pytest.raises(ZeroDivisionError, match="not invertible"):
-        mod_inverse(4, 12)
-
-
 def test_is_probable_prime_matches_trial_division_below_2000() -> None:
     def trial(n: int) -> bool:
         if n < 2:
@@ -242,32 +260,24 @@ def test_is_probable_prime_matches_trial_division_below_2000() -> None:
     assert not is_probable_prime(561)
 
 
-def test_field_element_arithmetic_matches_integer_arithmetic() -> None:
-    p = 11
-    for a in range(p):
-        for b in range(p):
-            fa, fb = FieldElement(a, p), FieldElement(b, p)
-            assert (fa + fb).value == (a + b) % p
-            assert (fa - fb).value == (a - b) % p
-            assert (fa * fb).value == (a * b) % p
-            assert (-fa).value == (-a) % p
-            if b:
-                assert (fa / fb).value == (a * pow(b, p - 2, p)) % p
-    assert (3 + FieldElement(10, p)).value == 2
-    assert (3 - FieldElement(10, p)).value == 4
-    assert (3 * FieldElement(10, p)).value == 8
-
-
-def test_field_element_rejects_mismatched_moduli() -> None:
-    with pytest.raises(ValueError, match="field mismatch"):
-        FieldElement(1, 11) + FieldElement(1, 13)
-    with pytest.raises(ValueError, match="field modulus must be >= 2"):
-        FieldElement(0, 1)
-
-
 def test_point_add_rejects_off_curve_arguments(toy11) -> None:
     with pytest.raises(ValueError, match="is not on curve"):
         point_add(CurvePoint(0, 1), toy11.generator, toy11)
+    huge = CurvePoint(10**3000, 5)
+    with pytest.raises(ValueError) as excinfo:
+        point_add(toy11.generator, huge, toy11)
+    assert str(excinfo.value) == "CurvePoint(100000000… is not on curve toy-p11-b7"
+
+
+def test_doubling_uses_the_linear_coefficient() -> None:
+    # P = (3, 6) on y^2 = x^3 + 2x + 3 over F_97, doubled by hand:
+    #   lam = (3*9 + 2) / 12 = 29 * 89 = 59 (12 * 89 = 1068 = 11*97 + 1);
+    #   x = 59^2 - 6 = 80, y = 59*(3 - 80) - 6 = 10   -> 2P = (80, 10)
+    # 2P + P = 3P = -2P makes P an element of order 5.
+    curve = CurveParams(name="a2", p=97, a=2, b=3, gx=3, gy=6, order=5)
+    doubled = CurvePoint(80, 10)
+    assert point_add(curve.generator, curve.generator, curve) == doubled
+    assert point_add(doubled, curve.generator, curve) == point_neg(doubled, curve)
 
 
 def test_curve_point_infinity_needs_both_coordinates_none() -> None:

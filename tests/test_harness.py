@@ -305,14 +305,6 @@ def test_report_serialization_is_canonical_and_digested(
     assert recomputed == report.digest
 
 
-def test_parallel_verification_is_byte_identical(pointadd11, pointadd11_bytes) -> None:
-    spec = spec_for_circuit(pointadd11.circuit, test_count=40)
-    serial = verify(pointadd11_bytes, spec, jobs=1)
-    parallel = verify(pointadd11_bytes, spec, jobs=8)
-    assert serial.to_json_bytes() == parallel.to_json_bytes()
-    assert serial.digest == parallel.digest
-
-
 def test_verify_catches_a_mutated_circuit(pointadd11, pointadd11_bytes) -> None:
     spec = spec_for_circuit(pointadd11.circuit, test_count=50)
     mutated = serialize(mutate(parse(pointadd11_bytes), 7))
@@ -454,6 +446,12 @@ def test_base_metadata_errors(toy11) -> None:
     bad = text.replace("meta curve toy-p11-b7\n", "meta base 4;4\n")
     with pytest.raises(HarnessError, match="unparseable base metadata '4;4'"):
         verify(bad.encode(), spec)
+    for raw, shown in (("1,1", "'1,1'"), ("9" * 3000 + ",5", "'" + "9" * 20 + "…'")):
+        off = text.replace("meta curve toy-p11-b7\n", f"meta base {raw}\n")
+        for run_mode in (verify, verify_exhaustive):
+            with pytest.raises(HarnessError) as excinfo:
+                run_mode(off.encode(), spec)
+            assert str(excinfo.value) == f"base metadata {shown} is not on curve toy-p11-b7"
 
 
 def test_identity_base_metadata_makes_a_gateless_circuit_correct() -> None:
@@ -637,13 +635,6 @@ def test_spec_from_dict_accepts_every_json_type_it_documents() -> None:
         }
     )
     assert spec.tolerated_failure_fraction == 0 and spec.max_avg_non_clifford == 66
-
-
-def test_verify_rejects_non_positive_jobs(pointadd11, pointadd11_bytes) -> None:
-    spec = spec_for_circuit(pointadd11.circuit, test_count=5)
-    for jobs in (0, -1):
-        with pytest.raises(HarnessError, match=f"jobs must be at least 1, got {jobs}"):
-            verify(pointadd11_bytes, spec, jobs=jobs)
 
 
 @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
