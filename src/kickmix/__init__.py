@@ -18,11 +18,11 @@ _EXPORTS = {
     ),
     "curve": (
         "CurveParams", "CurvePoint", "INFINITY", "decode_point", "encode_point",
-        "enumerate_points", "is_on_curve", "named_curve", "point_add", "point_neg",
-        "registry_names", "scalar_mul",
+        "enumerate_points", "format_point", "is_on_curve", "named_curve", "parse_point",
+        "point_add", "point_neg", "registry_names", "scalar_mul",
     ),
     "sim": (
-        "BranchInvariant", "LaneResult", "RngExhausted", "RunResult",
+        "LaneResult", "RngExhausted", "RunResult",
         "check_phase_all_branches", "run", "run_all_measurement_branches", "run_lanes",
     ),
     "builders": (

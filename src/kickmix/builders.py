@@ -41,6 +41,7 @@ from .curve import (
     CurveParams,
     encode_point,
     enumerate_points,
+    format_point,
     is_on_curve,
     point_add,
     scalar_mul,
@@ -265,7 +266,7 @@ def _point_metadata(curve: CurveParams, base: CurvePoint) -> dict[str, str]:
     return {
         "curve": curve.name,
         "coordinate_bits": str(curve.coordinate_bits),
-        "base": "inf" if base.is_infinity else f"{base.x},{base.y}",
+        "base": format_point(base),
         "encoding": "xy-allones-identity",
         "exceptional": "correct",
     }

@@ -79,8 +79,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "GATE_KINDS",
@@ -590,8 +589,3 @@ def serialize(circuit: Circuit) -> bytes:
     for gate in circuit.gates:
         lines.append(_gate_line(gate))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def replace_gates(circuit: Circuit, gates: Iterable[Gate]) -> Circuit:
-    """Copy of the circuit with a new gate list (re-validated)."""
-    return replace(circuit, gates=tuple(gates))

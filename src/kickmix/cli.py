@@ -4,8 +4,8 @@ and inspect circuit files.
 Exit codes are uniform across subcommands: 0 success, 1 verification or
 parse failure, 2 usage errors (bad flags, missing files, invalid builder
 parameters, malformed JSON).  Every machine-readable output is canonical
-JSON (sorted keys, two-space indent, trailing newline); CSV is used only
-for plottable curves.
+JSON from the report encoder, harness._canonical_json (sorted keys,
+two-space indent, trailing newline); CSV is used only for plottable curves.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .circuit import (
     serialize,
     static_resources,
 )
-from .curve import CURVE_REGISTRY_ENV, CurvePoint, INFINITY, named_curve, registry_names
+from .curve import _BUILTIN, CURVE_REGISTRY_ENV, CurveParams, CurvePoint, named_curve, parse_point
 from .harness import (
     HarnessError,
     VerificationSpec,
+    _canonical_json,
     _unknown,
     verify,
     verify_exhaustive,
@@ -47,14 +48,6 @@ class _UsageError(Exception):
     pass
 
 
-def _write_json(path: str | None, data: dict, what: str = "JSON file") -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(path, text.encode("utf-8"), what)
-
-
 def _read_file(path: str, what: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -62,7 +55,11 @@ def _read_file(path: str, what: str) -> bytes:
         raise _UsageError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
 
 
-def _write_file(path: str, data: bytes, what: str, mode: str = "wb") -> None:
+def _write_file(path: str | None, data: bytes, what: str, mode: str = "wb") -> None:
+    """Write data to the file at path, or as ASCII text to stdout without one."""
+    if path is None:
+        sys.stdout.write(data.decode("ascii"))
+        return
     try:
         with open(path, mode) as out:
             out.write(data)
@@ -93,15 +90,11 @@ def _read_json(path: str, what: str) -> dict:
     return data
 
 
-def _parse_point(curve_name: str, text: str) -> CurvePoint:
-    curve = named_curve(curve_name)
+def _parse_point(curve: CurveParams, text: str) -> CurvePoint:
     if text == "G":
         return curve.generator
-    if text == "inf":
-        return INFINITY
     try:
-        xs, ys = text.split(",")
-        return CurvePoint(int(xs), int(ys))
+        return parse_point(text)
     except ValueError:
         raise _UsageError(
             f"point must be 'G', 'inf', or 'x,y' integers, got {_shown(text)!r}"
@@ -130,12 +123,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
     elif args.builder == "pointadd":
         _require(args, "curve", "point")
         curve = named_curve(args.curve)
-        base = _parse_point(args.curve, args.point)
+        base = _parse_point(curve, args.point)
         report = builders.build_pointadd_permutation(curve, base)
     elif args.builder == "windowed-pointadd":
         _require(args, "curve", "point", "window")
         curve = named_curve(args.curve)
-        base = _parse_point(args.curve, args.point)
+        base = _parse_point(curve, args.point)
         report = builders.build_windowed_pointadd(curve, base, args.window)
     else:  # argparse choices make this unreachable
         raise _UsageError(f"unknown builder {args.builder!r}")
@@ -143,7 +136,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     _check_writable(args.output, "circuit file")
     _check_writable(args.output + ".json", "sidecar file")
     _write_file(args.output, serialize(report.circuit), "circuit file")
-    _write_json(args.output + ".json", report.sidecar_dict(), "sidecar file")
+    _write_file(args.output + ".json", _canonical_json(report.sidecar_dict()), "sidecar file")
     for line, value in report.predicted.as_dict().items():
         print(f"{_LABELS[line]}: {value}")
     return 0
@@ -194,13 +187,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE
-    except HarnessError as exc:
-        raise _UsageError(str(exc)) from exc
 
-    if args.output is None:
-        sys.stdout.write(report.to_json_bytes().decode("utf-8"))
-    else:
-        _write_file(args.output, report.to_json_bytes(), "report file")
+    _write_file(args.output, report.to_json_bytes(), "report file")
+    if args.output is not None:
         print(f"verdict: {report.verdict}  (report {args.output})")
     if not report.passed:
         failures = report.data["failures"]
@@ -339,7 +328,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _check_writable(args.salvage_csv, "CSV file")
     _check_writable(args.success_csv, "CSV file")
 
-    _write_json(args.output, results, "results file")
+    _write_file(args.output, _canonical_json(results), "results file")
     if args.salvage_csv is not None:
         _write_csv(args.salvage_csv, "time_seconds,cumulative_balance", salvage_curve)
     if args.success_csv is not None:
@@ -413,7 +402,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         }
         if args.histogram:
             data["histogram"] = _histogram(circuit)
-        _write_json(None, data)
+        sys.stdout.write(_canonical_json(data).decode("ascii"))
         return 0
     for key, value in resources.as_dict().items():
         print(f"{_LABELS[key]}: {value}")
@@ -469,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--table", help="comma-separated lookup entries")
     p_build.add_argument("--entry-bits", type=int, help="output bits per lookup entry")
     p_build.add_argument(
-        "--curve", help=f"named curve ({', '.join(registry_names())}, ...)"
+        "--curve", help=f"named curve ({', '.join(_BUILTIN)}, or one from {CURVE_REGISTRY_ENV})"
     )
     p_build.add_argument("--point", help="base point: G, inf, or x,y")
     p_build.add_argument("--window", type=int, help="window width in bits")

@@ -3,10 +3,11 @@
 This module is the classical oracle the rest of the package checks circuits
 against.  It implements short Weierstrass curves y^2 = x^3 + a*x + b over F_p
 with the chord-and-tangent group law on plain ints, double-and-add scalar
-multiplication, exhaustive point enumeration for small fields, and the
+multiplication, exhaustive point enumeration for small fields, the
 "xy-allones-identity" packing of a point into a register (encode_point and
-decode_point).  Everything here is pure and immutable; there is no circuit
-or simulator dependency.
+decode_point), and the one text spelling of a point, "inf" or "x,y"
+(format_point and parse_point).  Everything here is pure and immutable;
+there is no circuit or simulator dependency.
 
 A small registry of named curves ships with the package: three toy curves
 with b = 7 (primes 11, 61 and 1009) whose generators were fixed once by
@@ -35,6 +36,8 @@ __all__ = [
     "scalar_mul",
     "encode_point",
     "decode_point",
+    "format_point",
+    "parse_point",
     "enumerate_points",
     "named_curve",
     "registry_names",
@@ -229,6 +232,24 @@ def decode_point(value: int, coordinate_bits: int) -> CurvePoint:
     return CurvePoint(x, y)
 
 
+def format_point(point: CurvePoint) -> str:
+    """The text of a point: "inf", or "x,y" in decimal."""
+    return "inf" if point.is_infinity else f"{point.x},{point.y}"
+
+
+def parse_point(text: str) -> CurvePoint:
+    """The point whose format_point is exactly text; any other spelling
+    (a sign, a leading zero, a space, a non-ASCII digit) is a ValueError."""
+    if text == "inf":
+        return INFINITY
+    x, _, y = text.partition(",")
+    if x.isdecimal() and y.isdecimal():
+        point = CurvePoint(int(x), int(y))
+        if format_point(point) == text:
+            return point
+    raise ValueError(f"not a point: {_shown(text)!r}")
+
+
 def enumerate_points(curve: CurveParams, limit: int = 1 << 16) -> list[CurvePoint]:
     """All points on the curve, infinity first, then sorted by (x, y).
 
@@ -272,36 +293,47 @@ _BUILTIN = {
     ),
 }
 
-_ALIASES = {
-    "toy-p11": "toy-p11-b7",
-    "toy-p61": "toy-p61-b7",
-    "toy-p1009": "toy-p1009-b7",
-}
+# toy-pN names toy-pN-b7
+_ALIASES = {name.removesuffix("-b7"): name for name in _BUILTIN if name.startswith("toy-")}
+
+_CURVE_FIELDS = ["a", "b", "gx", "gy", "order", "p"]
 
 
 def _external_registry() -> dict[str, dict]:
+    """The curves of the KICKMIX_CURVE_REGISTRY file, if it is set; a file that does
+    not map names to objects of exactly the integers _CURVE_FIELDS is a ValueError."""
     path = os.environ.get(CURVE_REGISTRY_ENV)
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    out = {}
-    for name, fields in raw.items():
-        out[name] = {k: int(v) for k, v in fields.items()}
-    return out
+    where = f"{CURVE_REGISTRY_ENV} file {path!r}"
+    try:
+        with open(path, "rb") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{where} cannot be read: {exc.strerror}") from None
+    except (ValueError, RecursionError):  # not JSON
+        raw = None
+    if type(raw) is not dict or not all(
+        type(fields) is dict and sorted(fields) == _CURVE_FIELDS
+        and all(type(value) is int for value in fields.values())
+        for fields in raw.values()
+    ):
+        raise ValueError(
+            f"{where} must hold a JSON object mapping each curve name to an object "
+            f"of the integers {', '.join(_CURVE_FIELDS)}"
+        )
+    return raw
 
 
 def registry_names() -> list[str]:
     """Names of all known curves (built-in plus any external registry)."""
-    names = set(_BUILTIN) | set(_external_registry())
-    return sorted(names)
+    return sorted({**_BUILTIN, **_external_registry()})
 
 
 def named_curve(name: str) -> CurveParams:
     """Look up a curve by registry name (a few aliases are accepted)."""
     canonical = _ALIASES.get(name, name)
-    table = dict(_BUILTIN)
-    table.update(_external_registry())
+    table = {**_BUILTIN, **_external_registry()}
     if canonical not in table:
         raise ValueError(
             f"unknown curve {_shown(name)!r}; known: {', '.join(sorted(table))}"

@@ -46,7 +46,7 @@ from typing import Iterator, Mapping
 
 from .circuit import Circuit, _shown, parse, static_resources
 from .curve import (
-    CurveParams, CurvePoint, INFINITY, encode_point, is_on_curve, named_curve, point_add,
+    CurveParams, CurvePoint, encode_point, is_on_curve, named_curve, parse_point, point_add,
     point_neg, scalar_mul,
 )
 # run and check_phase_all_branches stay importable from here: the benchmark
@@ -388,7 +388,6 @@ class _Plan:
 
     circuit: Circuit
     curve: CurveParams
-    coordinate_bits: int
     acc_x: str
     acc_y: str
     window_reg: str | None
@@ -429,33 +428,23 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     addend_y = reg_for("addend_y")
 
     base: CurvePoint | None = None
-    if addend_x is None:
-        if spec.base_source == "generator":
-            base = curve.generator
-        else:
-            raw = circuit.metadata.get("base")
-            if raw is None:
-                raise HarnessError(
-                    "base_source is metadata but the circuit metadata has no 'base'"
-                )
-            if raw == "inf":
-                base = INFINITY
-            else:
-                try:
-                    xs, ys = raw.split(",")
-                    base = CurvePoint(int(xs), int(ys))
-                except Exception:
-                    raise HarnessError(f"unparseable base metadata {_shown(raw)!r}") from None
-                if not is_on_curve(base, curve):
-                    raise HarnessError(
-                        f"base metadata {_shown(raw)!r} is not on curve {curve.name}"
-                    )
+    if addend_x is None and spec.base_source == "generator":
+        base = curve.generator
+    elif addend_x is None:
+        raw = circuit.metadata.get("base")
+        if raw is None:
+            raise HarnessError("base_source is metadata but the circuit metadata has no 'base'")
+        try:
+            base = parse_point(raw)
+        except ValueError:
+            raise HarnessError(f"unparseable base metadata {_shown(raw)!r}") from None
+        if not is_on_curve(base, curve):
+            raise HarnessError(f"base metadata {_shown(raw)!r} is not on curve {curve.name}")
 
     policy = circuit.metadata.get("exceptional", "correct")
     return _Plan(
         circuit=circuit,
         curve=curve,
-        coordinate_bits=nb,
         acc_x=acc_x,
         acc_y=acc_y,
         window_reg=window_reg,
@@ -476,8 +465,7 @@ def _is_exceptional(plan: _Plan, accumulator: CurvePoint, addend: CurvePoint) ->
 
 def _split_point(point: CurvePoint, nb: int) -> tuple[int, int]:
     packed = encode_point(point, nb)
-    ones = (1 << nb) - 1
-    return packed & ones, (packed >> nb) & ones
+    return packed & ((1 << nb) - 1), packed >> nb
 
 
 def _addend_for(plan: _Plan, window: int | None, addend_scalar: int | None) -> CurvePoint:
@@ -496,7 +484,7 @@ def _oracle_case(plan: _Plan, accumulator: CurvePoint, window: int | None,
     accumulator carries the sum."""
     if plan.policy == "undefined" and _is_exceptional(plan, accumulator, addend):
         return None
-    nb = plan.coordinate_bits
+    nb = plan.curve.coordinate_bits
     accumulator_regs = (plan.acc_x, plan.acc_y)
     inputs = dict(zip(accumulator_regs, _split_point(accumulator, nb)))
     if plan.window_reg is not None:

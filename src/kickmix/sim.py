@@ -36,7 +36,6 @@ from .circuit import GATE_KINDS, NON_CLIFFORD_KINDS, Circuit, static_resources
 __all__ = [
     "RngExhausted",
     "RunResult",
-    "BranchInvariant",
     "LaneResult",
     "run",
     "run_lanes",
@@ -66,25 +65,6 @@ class RunResult:
     measurements: tuple[int | None, ...]
     executed_total: int
     executed_non_clifford: int
-    final_bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BranchInvariant:
-    """Exact summary over all 2^m measurement branches of one input.
-
-    Output bits are measurement-independent whenever every conditioned gate
-    is diagonal, so `outputs` applies to every branch.  The sign on a branch
-    with outcomes r is a product of one factor per measurement plus a fixed
-    contribution, so phase_always_plus_one is decided by comparing the two
-    halves of the branch space per measurement — checked in one pass.
-    phase_defects lists classical bits whose r=0 / r=1 halves disagree.
-    """
-
-    outputs: dict[str, int]
-    phase_always_plus_one: bool
-    measurement_count: int
-    phase_defects: tuple[int, ...]
     final_bits: tuple[int, ...]
 
 
@@ -212,7 +192,8 @@ class LaneResult:
     """One lane of :func:`run_lanes`.
 
     outputs and final_bits hold on every measurement branch.
-    phase_always_plus_one and phase_defects are the all-branch verdict of
+    phase_always_plus_one and phase_defects (the classical bits whose r=0 and
+    r=1 halves disagree) are the all-branch verdict of
     :func:`check_phase_all_branches` (None and () for a circuit with a
     conditioned X/CX/CCX, whose branch space does not factorize).
     phase is the sign on the lane's own branch (None without a stream word);
@@ -417,9 +398,7 @@ def run_lanes(
     return results
 
 
-def check_phase_all_branches(
-    circuit: Circuit, inputs: Mapping[str, int]
-) -> BranchInvariant:
+def check_phase_all_branches(circuit: Circuit, inputs: Mapping[str, int]) -> LaneResult:
     """Exact all-branch phase/output verdict from one instrumented pass.
 
     Requires every conditioned gate to be diagonal (Z/CZ/CCZ).  Then the data
@@ -433,15 +412,9 @@ def check_phase_all_branches(
     one of the 2^m branches iff each measurement's two halves agree
     (corr_i(0) == v_i + corr_i(1) mod 2) and the all-zeros branch is +1.
 
-    This is a one-lane :func:`run_lanes` call.  Cross-validated against
-    brute-force branch enumeration in the test suite; raises ValueError when
-    a conditioned permutation gate makes the factorization inapplicable.
+    This is a one-lane :func:`run_lanes` call; its LaneResult is the verdict.
+    Cross-validated against brute-force branch enumeration in the test suite;
+    raises ValueError when a conditioned permutation gate makes it inapplicable.
     """
     [lane] = run_lanes(circuit, [inputs])
-    return BranchInvariant(
-        outputs=lane.outputs,
-        phase_always_plus_one=lane.phase_always_plus_one,
-        measurement_count=sum(1 for g in circuit.gates if g.kind == "MX"),
-        phase_defects=lane.phase_defects,
-        final_bits=lane.final_bits,
-    )
+    return lane

@@ -27,7 +27,6 @@ from kickmix import (
     static_resources,
 )
 import kickmix.circuit as circuit_module
-from kickmix.circuit import replace_gates
 
 # The measured-uncompute AND gadget, serialized.  Frozen as the canonical
 # reference output: header lines in fixed order (qubits, cbits, sorted meta,
@@ -414,12 +413,12 @@ def test_circuit_validation() -> None:
 
 def test_replace_gates_revalidates_and_keeps_headers() -> None:
     circuit = build_temp_and().circuit
-    trimmed = replace_gates(circuit, circuit.gates[:1])
+    trimmed = dataclasses.replace(circuit, gates=circuit.gates[:1])
     assert trimmed.metadata == circuit.metadata
     assert trimmed.inputs == circuit.inputs
     assert len(trimmed.gates) == 1
     with pytest.raises(CircuitError):
-        replace_gates(circuit, (Gate("X", (99,)),))
+        dataclasses.replace(circuit, gates=(Gate("X", (99,)),))
 
 
 def _random_circuit(rng: random.Random) -> Circuit:

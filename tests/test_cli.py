@@ -49,9 +49,11 @@ def test_build_rejects_bad_parameters(tmp_path, capsys) -> None:
     assert "adder width must be in 1..16" in capsys.readouterr().err
     assert main(["build", "adder", "-o", out]) == 2
     assert "builder 'adder' requires --width" in capsys.readouterr().err
-    assert main(["build", "pointadd", "-o", out, "--curve", "toy-p11-b7",
-                 "--point", "4;4"]) == 2
-    assert "point must be 'G', 'inf', or 'x,y' integers" in capsys.readouterr().err
+    for point in ("4;4", "+4,0_4", "4 , 4", "\u0664,\u0664", "04,4", "4,4,4"):
+        assert main(["build", "pointadd", "-o", out, "--curve", "toy-p11-b7",
+                     "--point", point]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: point must be 'G', 'inf', or 'x,y' integers, got {point!r}\n"
     assert main(["build", "pointadd", "-o", out, "--curve", "nope",
                  "--point", "G"]) == 2
     assert "unknown curve 'nope'" in capsys.readouterr().err
@@ -768,3 +770,67 @@ def test_build_writes_nothing_when_the_sidecar_cannot_be_written(tmp_path, capsy
     _one_short_line(err.replace(str(tmp_path), ""))
     assert "cannot write sidecar file" in err and err.endswith("Is a directory\n")
     assert not out.exists()
+
+
+def test_build_reads_g_its_one_spelling_and_inf(tmp_path) -> None:
+    for name, point in (("g", "G"), ("xy", "4,4"), ("inf", "inf")):
+        assert main(["build", "pointadd", "-o", str(tmp_path / f"{name}.kmx"),
+                     "--curve", "toy-p11-b7", "--point", point]) == 0
+    assert (tmp_path / "g.kmx").read_bytes() == (tmp_path / "xy.kmx").read_bytes()
+    assert "meta base 4,4\n" in (tmp_path / "g.kmx").read_text()
+    assert "meta base inf\n" in (tmp_path / "inf.kmx").read_text()
+
+
+def test_json_outputs_are_the_canonical_encoding(tmp_path, capsys) -> None:
+    from kickmix.harness import _canonical_json
+
+    circuit = _build_pointadd(tmp_path)
+    wallets = [{"balance": 2000.5, "label": "börse ☃"}, {"balance": 0.25}]
+    scenario = _write_scenario(tmp_path, dict(_SCENARIO, wallets=wallets))
+    results = tmp_path / "results.json"
+    assert main(["estimate", str(scenario), "-o", str(results)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(circuit), "--json", "--histogram"]) == 0
+    inspected = capsys.readouterr().out.encode("ascii")
+    outputs = (tmp_path / "pa.kmx.json").read_bytes(), results.read_bytes(), inspected
+    assert isinstance(json.loads(outputs[1])["salvage"]["total_balance"], float)
+    for raw in outputs:
+        value = json.loads(raw)
+        assert raw == _canonical_json(value)
+        assert raw == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+
+_CURVE_FIELDS = {"p": 11, "a": 0, "b": 7, "gx": 4, "gy": 4, "order": 12}
+_BAD_REGISTRIES = {
+    "missing": None,
+    "not-json": "{",
+    "string-value": '{"x": {"p": "abc"}}',
+    "array": "[1, 2]",
+    "object-of-numbers": '{"x": 1}',
+    "float-value": json.dumps({"x": dict(_CURVE_FIELDS, p=11.0)}),
+    "missing-field": json.dumps({"x": {k: v for k, v in _CURVE_FIELDS.items() if k != "p"}}),
+    "extra-field": json.dumps({"x": dict(_CURVE_FIELDS, h=1)}),
+}
+
+
+@pytest.mark.parametrize("content", _BAD_REGISTRIES.values(), ids=_BAD_REGISTRIES.keys())
+def test_a_bad_curve_registry_is_one_usage_error(tmp_path, capsys, monkeypatch, content) -> None:
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
+    registry = tmp_path / "curves.json"
+    if content is not None:
+        registry.write_text(content)
+    monkeypatch.setenv("KICKMIX_CURVE_REGISTRY", str(registry))
+    capsys.readouterr()
+    assert main(["inspect", str(circuit)]) == 0  # reads no registry
+    with pytest.raises(SystemExit):
+        main(["build", "--help"])
+    assert "secp256k1" in capsys.readouterr().out
+    for argv in (["verify", str(circuit), "--spec", str(spec)],
+                 ["build", "pointadd", "-o", str(tmp_path / "x.kmx"),
+                  "--curve", "toy-p11-b7", "--point", "G"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: KICKMIX_CURVE_REGISTRY file {str(registry)!r} ")
+        assert err.count("\n") == 1 and err.count("error:") == 1, err
+    assert not (tmp_path / "x.kmx").exists()

@@ -19,8 +19,10 @@ from kickmix import (
     decode_point,
     encode_point,
     enumerate_points,
+    format_point,
     is_on_curve,
     named_curve,
+    parse_point,
     point_add,
     point_neg,
     registry_names,
@@ -208,6 +210,23 @@ def test_point_encoding_packs_x_low_then_y(secp) -> None:
     assert encode_point(INFINITY, 256) == 2**512 - 1
     assert decode_point(2**512 - 1, 256) is INFINITY
 
+
+def test_point_text_round_trips(secp) -> None:
+    points = [INFINITY, secp.generator, CurvePoint(*_SECP256K1_MULTIPLES[2])]
+    for name in ("toy-p11-b7", "toy-p61-b7"):
+        points += enumerate_points(named_curve(name))
+    for point in points:
+        assert parse_point(format_point(point)) == point
+    assert format_point(INFINITY) == "inf"
+    assert format_point(CurvePoint(4, 4)) == "4,4"
+
+
+def test_point_text_has_one_spelling() -> None:
+    # no spelling but the one format_point writes, though int() reads most of them
+    for text in ("+4,0_4", "4 , 4", "\u0664,\u0664", "04,4", "4,4,4", "4,4\n", "4;4",
+                 "-4,4", "4", "", "INF", "(4, 4)"):
+        with pytest.raises(ValueError):
+            parse_point(text)
 
 def test_named_curve_aliases_and_unknown_name() -> None:
     assert named_curve("toy-p11") == named_curve("toy-p11-b7")

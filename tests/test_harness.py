@@ -443,9 +443,13 @@ def test_base_metadata_errors(toy11) -> None:
     spec = VerificationSpec(curve="toy-p11-b7", test_count=5)
     with pytest.raises(HarnessError, match="metadata has no 'base'"):
         verify(text.encode(), spec)
-    bad = text.replace("meta curve toy-p11-b7\n", "meta base 4;4\n")
-    with pytest.raises(HarnessError, match="unparseable base metadata '4;4'"):
-        verify(bad.encode(), spec)
+    # (4, 4) is the generator; only its one spelling "4,4" names it
+    for raw in ("4;4", "+4,0_4", "4 , 4", "\u0664,\u0664", "04,4", "4,4,4"):
+        bad = text.replace("meta curve toy-p11-b7\n", f"meta base {raw}\n")
+        for run_mode in (verify, verify_exhaustive):
+            with pytest.raises(HarnessError) as excinfo:
+                run_mode(bad.encode(), spec)
+            assert str(excinfo.value) == f"unparseable base metadata {raw!r}"
     for raw, shown in (("1,1", "'1,1'"), ("9" * 3000 + ",5", "'" + "9" * 20 + "…'")):
         off = text.replace("meta curve toy-p11-b7\n", f"meta base {raw}\n")
         for run_mode in (verify, verify_exhaustive):

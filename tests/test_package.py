@@ -29,3 +29,17 @@ def test_the_point_encoding_lives_in_curve_only() -> None:
     assert not hasattr(builders, "decode_point")
     for gone in ("FieldElement", "mod_inverse"):
         assert gone not in kickmix.__all__ and not hasattr(curve, gone)
+
+
+def test_the_point_text_lives_in_curve_only_and_the_branch_verdict_is_a_lane() -> None:
+    import kickmix.cli as cli
+    import kickmix.harness as harness
+    import kickmix.sim as sim
+
+    assert kickmix._HOME["format_point"] == kickmix._HOME["parse_point"] == "curve"
+    assert not hasattr(cli, "format_point") and not hasattr(harness, "format_point")
+    assert "BranchInvariant" not in kickmix.__all__ and not hasattr(sim, "BranchInvariant")
+    adder = kickmix.build_adder(2).circuit
+    verdict = kickmix.check_phase_all_branches(adder, {"a": 3, "b": 1})
+    assert type(verdict) is kickmix.LaneResult
+    assert verdict.phase_always_plus_one and verdict.outputs["b"] == 0

@@ -22,6 +22,7 @@ from kickmix import (
     parse,
     run,
     run_all_measurement_branches,
+    static_resources,
 )
 
 
@@ -211,7 +212,7 @@ def test_closed_form_checker_agrees_with_brute_force_enumeration() -> None:
         value = rng.randrange(1 << circuit.qubit_count)
         invariant = check_phase_all_branches(circuit, {"a": value})
         branches = run_all_measurement_branches(circuit, {"a": value})
-        assert len(branches) == 1 << invariant.measurement_count
+        assert len(branches) == 1 << static_resources(circuit).measurement_count
         all_clean = all(branch.phase == 1 for branch in branches)
         assert invariant.phase_always_plus_one == all_clean, f"seed {seed}"
         for branch in branches:
