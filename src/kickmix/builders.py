@@ -28,11 +28,14 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .circuit import (
+    MAX_QUBITS,
     Circuit,
     CircuitError,
     Gate,
     Register,
     StaticResources,
+    _bad_condition,
+    _reshaped,
     _shown,
     static_resources,
 )
@@ -72,20 +75,23 @@ MAX_POINT_WINDOW = 4
 class BuildReport:
     """A built circuit plus the builder's own resource prediction.
 
-    The prediction must match a recount exactly.  For windowed point
+    The prediction must match a recount exactly; a builder with no closed
+    form passes None and records the recount.  For windowed point
     addition the non-Clifford cost of the address-decoding tree is surfaced
     separately in lookup_overhead_non_clifford, mirroring how per-window
     lookup overhead enters the whole-derivation cost formulas.
     """
 
     circuit: Circuit
-    predicted: StaticResources
+    predicted: StaticResources | None
     construction: str
     lookup_overhead_non_clifford: int | None = None
 
     def __post_init__(self) -> None:
         actual = static_resources(self.circuit)
-        if actual != self.predicted:
+        if self.predicted is None:  # no closed form: the recount is the record
+            object.__setattr__(self, "predicted", actual)
+        elif actual != self.predicted:
             raise CircuitError(
                 f"builder {self.construction!r} predicted {self.predicted}, "
                 f"emitted {actual}"
@@ -101,15 +107,33 @@ class BuildReport:
         return data
 
 
+def _copyable(qubits: tuple, cond) -> bool:
+    """Whether a gate with these operands and condition meets the rules of
+    Gate that its shape does not fix: int operands (1.0 and True compare
+    equal to 1) and a good condition.  A False sends the gate to Gate,
+    which names the fault."""
+    for q in qubits:
+        if type(q) is not int:
+            return False
+    return cond is None or not _bad_condition(cond)
+
+
 class _Emitter:
     """Accumulates gates; allocates ancilla qubits (LIFO reuse) and classical
-    bits.  qubit watermark == peak circuit width."""
+    bits.  qubit watermark == peak circuit width.
+
+    Each gate shape (kind, operands, cbit is None, condition is None) is
+    built and checked by Gate once.  A repeat of an unconditioned gate
+    reuses that Gate; an MX or a conditioned gate copies it with its own
+    classical bits (``_reshaped``) once ``_copyable`` has checked the rules
+    a shape does not fix."""
 
     def __init__(self, fixed_qubits: int):
         self.gates: list[Gate] = []
         self.cbits = 0
         self.watermark = fixed_qubits
         self._free: list[int] = []
+        self._shapes: dict[tuple, Gate] = {}
 
     def alloc(self) -> int:
         if self._free:
@@ -121,13 +145,24 @@ class _Emitter:
     def release(self, q: int) -> None:
         self._free.append(q)
 
+    def _add(
+        self, kind: str, qubits: tuple, cbit: int | None, cond: tuple[int, int] | None
+    ) -> None:
+        shape = (kind, qubits, cbit is None, cond is None)
+        gate = self._shapes.get(shape)
+        if gate is None or not _copyable(qubits, cond):
+            gate = self._shapes[shape] = Gate(kind, qubits, cbit, cond)
+        elif cbit is not None or cond is not None:
+            gate = _reshaped(gate, cbit, cond)
+        self.gates.append(gate)
+
     def emit(self, kind: str, *qubits: int, cond: tuple[int, int] | None = None) -> None:
-        self.gates.append(Gate(kind, tuple(qubits), condition=cond))
+        self._add(kind, qubits, None, cond)
 
     def measure(self, qubit: int) -> int:
         cb = self.cbits
         self.cbits += 1
-        self.gates.append(Gate("MX", (qubit,), cbit=cb))
+        self._add("MX", (qubit,), cb, None)
         return cb
 
     def temp_and(self, a: int, b: int) -> int:
@@ -248,7 +283,7 @@ class _Emitter:
         )
         return BuildReport(
             circuit=circuit,
-            predicted=static_resources(circuit) if predicted is None else predicted,
+            predicted=predicted,
             construction=construction,
             lookup_overhead_non_clifford=lookup_overhead_non_clifford,
         )
@@ -423,6 +458,8 @@ def build_lookup(
         raise ValueError("table entries must be non-negative")
     if entry_bits is None:
         entry_bits = max(1, max(table).bit_length())
+    if window + entry_bits > MAX_QUBITS:  # before any list is sized by entry_bits
+        raise ValueError(f"{window + entry_bits} qubits exceed the ceiling {MAX_QUBITS}")
     if max(table).bit_length() > entry_bits:
         raise ValueError(f"table entries do not fit in {entry_bits} bit(s)")
     address = list(range(window))

@@ -68,8 +68,10 @@ or without ``-> c<k>`` and ``IF c<k>``) and every line the pattern refuses
 are split with ``str.split()`` and handled by token index; only that code
 raises on a line, and computes a column only then.  Later lines of a shape
 copy its first :class:`Gate` with their own classical bits, and a line that
-repeats an earlier one reuses its ``Gate``, so callers must not rely on
-gate identity.  ``validate`` still checks every position.
+repeats an earlier one reuses its ``Gate``.  The builders share gates the
+same way, per shape of kind and operands, so callers must not rely on gate
+identity in a parsed or a built circuit.  ``validate`` still checks every
+position.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -136,6 +138,12 @@ class ParseError(CircuitError):
         self.column = column
 
 
+def _bad_condition(condition) -> bool:
+    """Whether a condition is not a pair of an int bit >= 0 and an int 0 or 1."""
+    cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
+    return type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1)
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: kind, qubit operands (controls first, target last for the
@@ -143,10 +151,15 @@ class Gate:
     condition (cbit index, required value).  Operands are a tuple of exact
     non-negative ints, the MX destination and the condition's bit are exact
     non-negative ints and its value an exact 0 or 1, so that every gate
-    serializes to a line that parses back to an equal gate.  The rules read
-    ``cbit`` and ``condition`` only as "is None" and by those types and
-    ranges, which ``int`` of the pattern's digits always meets: :func:`parse`
-    relies on that to copy a checked gate (``_reshaped``)."""
+    serializes to a line that parses back to an equal gate.
+
+    ``_reshaped`` copies a checked gate with other classical bits and runs
+    no rule.  The rules read ``cbit`` and ``condition`` only as "is None"
+    and by the types and ranges above, so the copy is a valid gate when
+    each is None exactly where the template's is and otherwise meets them.
+    Its two callers ensure that: :func:`parse` with ``int`` of its pattern's
+    digits, and the builders' emitter with its own classical-bit counter for
+    an MX and by re-checking every condition it is given."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -183,10 +196,8 @@ class Gate:
                 raise CircuitError("measurements cannot be conditioned")
         elif cbit is not None:
             raise CircuitError(f"{kind} does not write a classical bit")
-        if condition is not None:
-            cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
-            if type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1):
-                raise CircuitError(f"bad condition {_shown(repr(condition))}")
+        if condition is not None and _bad_condition(condition):
+            raise CircuitError(f"bad condition {_shown(repr(condition))}")
 
     @property
     def is_diagonal(self) -> bool:
@@ -329,13 +340,12 @@ class Circuit:
 
 def static_resources(circuit: Circuit) -> StaticResources:
     """Count peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements."""
-    non_clifford = sum(1 for g in circuit.gates if g.is_non_clifford)
-    measurements = sum(1 for g in circuit.gates if g.kind == "MX")
+    kinds = [g.kind for g in circuit.gates]
     return StaticResources(
         qubit_count=circuit.qubit_count,
-        total_gate_count=len(circuit.gates),
-        non_clifford_gate_count=non_clifford,
-        measurement_count=measurements,
+        total_gate_count=len(kinds),
+        non_clifford_gate_count=sum(map(kinds.count, NON_CLIFFORD_KINDS)),
+        measurement_count=kinds.count("MX"),
     )
 
 
@@ -358,14 +368,13 @@ _SET_KIND, _SET_QUBITS, _SET_CBIT, _SET_CONDITION = (
 )
 
 
-def _reshaped(template: Gate, cb: str | None, val: str | None, dest: str | None) -> Gate:
-    """``template`` with the classical bits of a _GATE_LINE of its shape,
-    unchecked: the shape fixes which are None, the pattern that the rest pass."""
+def _reshaped(template: Gate, cbit: int | None, condition: tuple[int, int] | None) -> Gate:
+    """``template`` with its own classical bits, unchecked; see :class:`Gate`."""
     gate = object.__new__(Gate)
     _SET_KIND(gate, template.kind)
     _SET_QUBITS(gate, template.qubits)
-    _SET_CBIT(gate, None if dest is None else int(dest))
-    _SET_CONDITION(gate, None if cb is None else (int(cb), 0 if val == "=0" else 1))
+    _SET_CBIT(gate, cbit)
+    _SET_CONDITION(gate, condition)
     return gate
 
 
@@ -444,7 +453,11 @@ def parse(text: str | bytes) -> Circuit:
                 shape = (core, dest is None, cb is None)
                 template = shapes.get(shape)
                 if template is not None:
-                    gate = line_gates[raw] = _reshaped(template, cb, val, dest)
+                    gate = line_gates[raw] = _reshaped(
+                        template,
+                        None if dest is None else int(dest),
+                        None if cb is None else (int(cb), 0 if val == "=0" else 1),
+                    )
                     gates.append(gate)
                     continue
             toks = raw.split()
@@ -565,18 +578,6 @@ def parse(text: str | bytes) -> Circuit:
 # serialization
 
 
-def _gate_line(gate: Gate) -> str:
-    parts = []
-    if gate.condition is not None:
-        cb, val = gate.condition
-        parts.append(f"IF c{cb}" if val == 1 else f"IF c{cb}=0")
-    parts.append(gate.kind)
-    parts.extend(str(q) for q in gate.qubits)
-    if gate.kind == "MX":
-        parts.append(f"-> c{gate.cbit}")
-    return " ".join(parts)
-
-
 def serialize(circuit: Circuit) -> bytes:
     """Canonical byte-exact `.kmx` form; see the module docstring for rules."""
     lines = [f"qubits {circuit.qubit_count}", f"cbits {circuit.classical_bit_count}"]
@@ -586,6 +587,18 @@ def serialize(circuit: Circuit) -> bytes:
         lines.append(f"in {reg.name} {reg.lo}..{reg.hi}")
     for reg in circuit.outputs:
         lines.append(f"out {reg.name} {reg.lo}..{reg.hi}")
+    # "KIND q q q" of each (kind, operands), written once; a line adds its
+    # own "IF c<k>[=0] " prefix or " -> c<k>" suffix (Gate: only MX has a cbit)
+    cores: dict[tuple[str, tuple[int, ...]], str] = {}
     for gate in circuit.gates:
-        lines.append(_gate_line(gate))
+        shape = (gate.kind, gate.qubits)
+        core = cores.get(shape)
+        if core is None:
+            core = cores[shape] = " ".join((gate.kind, *map(str, gate.qubits)))
+        if gate.condition is not None:
+            cb, val = gate.condition
+            core = f"IF c{cb} {core}" if val == 1 else f"IF c{cb}=0 {core}"
+        elif gate.cbit is not None:
+            core = f"{core} -> c{gate.cbit}"
+        lines.append(core)
     return ("\n".join(lines) + "\n").encode("utf-8")

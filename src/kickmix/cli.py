@@ -90,6 +90,21 @@ def _read_json(path: str, what: str) -> dict:
     return data
 
 
+def _integer(text: str) -> int:
+    """An integer option in its one spelling, the one str() gives it: ASCII
+    digits after an optional "-", no "+", "_", space or leading zero.  The
+    option's own range check then refuses a value out of range."""
+    try:
+        value = int(text)
+    except ValueError:  # not an integer, or over int()'s digit limit
+        value = None
+    if value is None or str(value) != text:
+        raise argparse.ArgumentTypeError(
+            f"expected a plain decimal integer, got {_shown(text)!r}"
+        )
+    return value
+
+
 def _parse_point(curve: CurveParams, text: str) -> CurvePoint:
     if text == "G":
         return curve.generator
@@ -151,9 +166,11 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _parse_table(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"table must be comma-separated integers, got {text!r}") from None
+        return [_integer(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise _UsageError(
+            f"table must be comma-separated integers, got {_shown(text)!r}"
+        ) from None
 
 
 _LABELS = {
@@ -452,16 +469,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     p_build.add_argument("-o", "--output", required=True, help="circuit file to write")
-    p_build.add_argument("--width", type=int, help="register width in bits")
-    p_build.add_argument("--constant", type=int, help="added constant (mod-add)")
-    p_build.add_argument("--modulus", type=int, help="modulus (mod-add)")
+    p_build.add_argument("--width", type=_integer, help="register width in bits")
+    p_build.add_argument("--constant", type=_integer, help="added constant (mod-add)")
+    p_build.add_argument("--modulus", type=_integer, help="modulus (mod-add)")
     p_build.add_argument("--table", help="comma-separated lookup entries")
-    p_build.add_argument("--entry-bits", type=int, help="output bits per lookup entry")
+    p_build.add_argument("--entry-bits", type=_integer, help="output bits per lookup entry")
     p_build.add_argument(
         "--curve", help=f"named curve ({', '.join(_BUILTIN)}, or one from {CURVE_REGISTRY_ENV})"
     )
     p_build.add_argument("--point", help="base point: G, inf, or x,y")
-    p_build.add_argument("--window", type=int, help="window width in bits")
+    p_build.add_argument("--window", type=_integer, help="window width in bits")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser(
@@ -472,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-o", "--output", help="write the report here")
     p_verify.add_argument(
         "--jobs",
-        type=int,
+        type=_integer,
         default=1,
         help="accepted for compatibility (>= 1); tests run as one bit-sliced "
         "pass and reports are identical for any value",

@@ -18,6 +18,7 @@ JSON file named by the KICKMIX_CURVE_REGISTRY environment variable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -338,4 +339,13 @@ def named_curve(name: str) -> CurveParams:
         raise ValueError(
             f"unknown curve {_shown(name)!r}; known: {', '.join(sorted(table))}"
         )
-    return CurveParams(name=canonical, **table[canonical])
+    return _checked_curve(canonical, *(table[canonical][f] for f in _CURVE_FIELDS))
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_curve(
+    name: str, a: int, b: int, gx: int, gy: int, order: int, p: int
+) -> CurveParams:
+    """CurveParams validated once per name and field values (a ValueError is
+    not cached, so a bad registry entry is refused on every lookup)."""
+    return CurveParams(name=name, p=p, a=a, b=b, gx=gx, gy=gy, order=order)

@@ -9,17 +9,20 @@ the closed-form checker, which test_sim.py validates independently.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
 import pytest
 
+import kickmix.builders as builders_module
 from kickmix import (
     INFINITY,
     BuildReport,
     CircuitError,
     CurveParams,
     CurvePoint,
+    Gate,
     StaticResources,
     build_adder,
     build_lookup,
@@ -40,6 +43,7 @@ from kickmix import (
     scalar_mul,
     serialize,
 )
+from kickmix.circuit import MAX_QUBITS
 
 _ZEROS = itertools.repeat(0)
 
@@ -171,6 +175,18 @@ def test_lookup_entry_bits_and_errors() -> None:
         build_lookup([-1, 0])
     with pytest.raises(ValueError, match="window must be in 1..8"):
         build_lookup(list(range(512)), window=9)
+
+
+def test_lookup_refuses_more_qubits_than_the_ceiling_before_building(monkeypatch) -> None:
+    assert build_lookup([1, 0], entry_bits=MAX_QUBITS - 1).circuit.qubit_count == MAX_QUBITS
+    # the refusal comes before any gate is emitted, so its cost is not sized
+    # by entry_bits
+    monkeypatch.setattr(builders_module, "_Emitter", None)
+    for entry_bits in (MAX_QUBITS, 10**6):
+        with pytest.raises(
+            ValueError, match=f"^{entry_bits + 1} qubits exceed the ceiling {MAX_QUBITS}$"
+        ):
+            build_lookup([1, 0], entry_bits=entry_bits)
 
 
 def test_point_encoding_round_trips_and_reserves_all_ones(toy11) -> None:
@@ -524,6 +540,14 @@ def _pin_id(row) -> str:
     return "-".join([builder.__name__.removeprefix("build_"), *shown]).replace(" ", "")
 
 
+def _build(call):
+    builder, *args = call
+    if args and isinstance(args[0], str):
+        curve = named_curve(args[0])
+        args = [curve] + [curve.generator if a is G else a for a in args[1:]]
+    return builder(*args)
+
+
 @pytest.mark.parametrize(
     "call, digest, construction, predicted, overhead",
     _BUILDER_PINS,
@@ -532,11 +556,7 @@ def _pin_id(row) -> str:
 def test_builder_outputs_are_pinned(
     call, digest, construction, predicted, overhead
 ) -> None:
-    builder, *args = call
-    if args and isinstance(args[0], str):
-        curve = named_curve(args[0])
-        args = [curve] + [curve.generator if a is G else a for a in args[1:]]
-    report = builder(*args)
+    report = _build(call)
     assert hashlib.sha256(serialize(report.circuit)).hexdigest() == digest
     assert report.construction == construction
     assert report.predicted == StaticResources(*predicted)
@@ -548,3 +568,136 @@ def test_builder_outputs_are_pinned(
     if overhead is not None:
         sidecar["lookup_overhead_non_clifford"] = overhead
     assert report.sidecar_dict() == sidecar
+
+
+# ---------------------------------------------------------------------------
+# shared gates: the emitter builds each gate shape once and serialize writes
+# each "KIND q q q" once; both must agree with the plain per-gate forms
+
+
+def _gate_line(gate: Gate) -> str:
+    """One gate's .kmx line, spelled out per gate as the format states it."""
+    parts = []
+    if gate.condition is not None:
+        cb, val = gate.condition
+        parts.append(f"IF c{cb}" if val == 1 else f"IF c{cb}=0")
+    parts.append(gate.kind)
+    parts.extend(str(q) for q in gate.qubits)
+    if gate.kind == "MX":
+        parts.append(f"-> c{gate.cbit}")
+    return " ".join(parts)
+
+
+def _plain_serialize(circuit) -> bytes:
+    header = serialize(dataclasses.replace(circuit, gates=()))
+    return header + "".join(_gate_line(g) + "\n" for g in circuit.gates).encode("ascii")
+
+
+class _FreshEmitter(builders_module._Emitter):
+    """The emitter with one fresh, fully checked Gate per call."""
+
+    def emit(self, kind, *qubits, cond=None):
+        self.gates.append(Gate(kind, tuple(qubits), condition=cond))
+
+    def measure(self, qubit):
+        cb = self.cbits
+        self.cbits += 1
+        self.gates.append(Gate("MX", (qubit,), cbit=cb))
+        return cb
+
+
+@pytest.mark.parametrize("call", [row[0] for row in _BUILDER_PINS],
+                         ids=[_pin_id(row) for row in _BUILDER_PINS])
+def test_shared_gates_match_fresh_gates_and_plain_lines(call, monkeypatch) -> None:
+    shared = _build(call).circuit
+    assert serialize(shared) == _plain_serialize(shared)
+    unconditioned: dict[Gate, Gate] = {}
+    for gate in shared.gates:
+        if gate.cbit is None and gate.condition is None:
+            assert unconditioned.setdefault(gate, gate) is gate  # one object per value
+    monkeypatch.setattr(builders_module, "_Emitter", _FreshEmitter)
+    fresh = _build(call).circuit
+    assert fresh.gates == shared.gates
+    assert fresh == shared
+
+
+def test_mutants_serialize_as_plain_lines(windowed11_w2) -> None:
+    for circuit in (build_adder(6).circuit, windowed11_w2.circuit):
+        toggled = 0
+        for seed in range(40):
+            mutant = mutate(circuit, seed)
+            assert serialize(mutant) == _plain_serialize(mutant)
+            toggled += any(g.condition is not None and g.condition[1] == 0 for g in mutant.gates)
+        assert toggled  # some mutants carry an "IF c<k>=0" line
+
+
+def test_emitter_keeps_conditioned_and_measured_shapes_apart() -> None:
+    def play(em):
+        for kind, qubits, cond in [
+            ("MX", (2,), None), ("CZ", (0, 1), (0, 1)), ("CZ", (0, 1), None),
+            ("CZ", (0, 1), (0, 0)), ("CZ", (0, 1), None), ("MX", (2,), None),
+            ("X", (2,), None), ("X", (2,), (1, 1)), ("X", (2,), None), ("MX", (2,), None),
+        ]:
+            if kind == "MX":
+                em.measure(*qubits)
+            else:
+                em.emit(kind, *qubits, cond=cond)
+        return em.gates
+
+    assert play(builders_module._Emitter(3)) == play(_FreshEmitter(3))
+
+
+# (kind, operands, condition) that Gate refuses; the emitter must refuse each
+# with Gate's message, also when a valid gate of an equal shape came first
+_BAD_GATES = [
+    ("Y", (0,), None),
+    ("CX", (0,), None),
+    ("CX", (1, 1), None),
+    ("CX", (0, -1), None),
+    ("X", (True,), None),
+    ("X", (1.0,), None),
+    ("CX", (0, True), None),
+    ("MX", (0,), None),
+    ("CZ", (0, 1), (-1, 1)),
+    ("CZ", (0, 1), (0, 2)),
+    ("CZ", (0, 1), (0, True)),
+    ("CZ", (0, 1), (0.0, 1)),
+    ("CZ", (0, 1), [0, 1]),
+    ("CZ", (0, 1), (0, 1, 1)),
+    ("CZ", (0, 1), (0,)),
+]
+
+
+@pytest.mark.parametrize("kind, qubits, cond", _BAD_GATES)
+def test_emitter_refuses_what_gate_refuses(kind, qubits, cond) -> None:
+    with pytest.raises(CircuitError) as refused:
+        Gate(kind, qubits, condition=cond)
+    em = builders_module._Emitter(4)
+    em.measure(0)  # a checked ("MX", (0,)) shape, with a classical bit
+    twin = (kind, tuple(int(q) for q in qubits), None if cond is None else (0, 1))
+    try:
+        Gate(*twin[:2], condition=twin[2])
+    except CircuitError:
+        pass
+    else:
+        em.emit(twin[0], *twin[1], cond=twin[2])
+        em.emit(twin[0], *twin[1], cond=twin[2])
+    before = list(em.gates)
+    for _ in range(2):
+        with pytest.raises(CircuitError) as emitted:
+            em.emit(kind, *qubits, cond=cond)
+        assert str(emitted.value) == str(refused.value)
+        assert emitted.value.gate is None
+    assert em.gates == before
+
+
+def test_emitter_measure_refuses_what_gate_refuses() -> None:
+    em = builders_module._Emitter(4)
+    em.measure(1)
+    for qubit in (True, 1.0, -1):
+        with pytest.raises(CircuitError) as refused:
+            Gate("MX", (qubit,), cbit=0)
+        with pytest.raises(CircuitError) as emitted:
+            em.measure(qubit)
+        assert str(emitted.value) == str(refused.value)
+    assert [g.qubits for g in em.gates] == [(1,)]

@@ -62,6 +62,53 @@ def test_build_rejects_bad_parameters(tmp_path, capsys) -> None:
     assert not list(tmp_path.iterdir())  # nothing half-written
 
 
+def test_integer_options_take_one_spelling(tmp_path, capsys) -> None:
+    out = str(tmp_path / "x.kmx")
+    for table in ("+5,0_0,\u0667,3", " 5,0,7,3", "05,0,7,3", "5,-0,7,3", "5,,7,3", "5,0,7,3 "):
+        assert main(["build", "lookup", "-o", out, "--table", table]) == 2
+        assert capsys.readouterr().err == (
+            f"error: table must be comma-separated integers, got {table!r}\n"
+        )
+    long_table = ",".join(["1"] * 500) + ",x"
+    assert main(["build", "lookup", "-o", out, "--table", long_table]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120
+    builds = {
+        "--width": ["adder"],
+        "--constant": ["mod-add", "--width", "4", "--modulus", "13"],
+        "--modulus": ["mod-add", "--width", "4", "--constant", "5"],
+        "--entry-bits": ["lookup", "--table", "1,0"],
+        "--window": ["windowed-pointadd", "--curve", "toy-p11", "--point", "G"],
+    }
+    for flag, argv in builds.items():
+        for value in ("+4", "0_4", " 4", "04", "\u0664", "4.0", "-0", "1" * 5000):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["build", *argv, "-o", out, flag, value])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            shown = value if len(value) <= 20 else value[:20] + "\u2026"
+            assert err.endswith(
+                f"error: argument {flag}: expected a plain decimal integer, got {shown!r}\n"
+            )
+            assert len(err.splitlines()[-1]) < 120
+    assert not list(tmp_path.iterdir())
+    # the one spelling still builds, and a range error keeps its message
+    assert main(["build", "lookup", "-o", out, "--table", "5,0,7,3"]) == 0
+    assert main(["build", "adder", "-o", out, "--width", "-3"]) == 2
+    assert capsys.readouterr().err.endswith("error: adder width must be in 1..16, got -3\n")
+
+
+def test_lookup_entry_bits_over_the_qubit_ceiling_is_one_line(tmp_path, capsys) -> None:
+    out = tmp_path / "x.kmx"
+    for bits in ("65536", "1000000", "1" + "0" * 30):
+        assert main(["build", "lookup", "-o", str(out), "--table", "1,0",
+                     "--entry-bits", bits]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {int(bits) + 1} qubits exceed the ceiling 65536\n"
+        )
+    assert not out.exists()
+
+
 def test_build_windowed_pointadd(tmp_path, capsys) -> None:
     out = tmp_path / "w.kmx"
     code = main([
@@ -403,6 +450,12 @@ def test_verify_rejects_non_positive_jobs_in_one_line(tmp_path, capsys) -> None:
             assert main(["verify", str(circuit), "--spec", str(spec), "--jobs", jobs, *extra]) == 2
             err = capsys.readouterr().err
             assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    for jobs in ("+1", "01", "1_0", "\u0661"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", str(circuit), "--spec", str(spec), "--jobs", jobs])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --jobs: expected a plain decimal integer, got {jobs!r}\n")
 
 
 def test_verify_rejects_mistyped_spec_fields_in_one_line(tmp_path, capsys) -> None:

@@ -28,6 +28,7 @@ from kickmix import (
     registry_names,
     scalar_mul,
 )
+import kickmix.curve as curve_module
 from kickmix.curve import CURVE_REGISTRY_ENV, is_probable_prime
 
 # Multiples of G = (4, 4) on y^2 = x^3 + 7 over F_11, worked by hand:
@@ -260,6 +261,42 @@ def test_environment_registry_merges_extra_curves(tmp_path, monkeypatch) -> None
     assert curve.p == 11
     assert curve.generator == CurvePoint(4, 4)
     assert "custom-11" in registry_names()
+
+
+def test_named_curve_validates_once_per_name_and_fields(tmp_path, monkeypatch) -> None:
+    checked = []
+    post_init = CurveParams.__post_init__
+
+    def counting_post_init(self):
+        checked.append((self.name, self.p))
+        post_init(self)
+
+    monkeypatch.setattr(CurveParams, "__post_init__", counting_post_init)
+    curve_module._checked_curve.cache_clear()
+    assert named_curve("toy-p61") is named_curve("toy-p61-b7")
+    assert checked == [("toy-p61-b7", 61)]
+    # the registry file is read on every call: a changed file takes effect,
+    # and a bad one is refused every time
+    path = tmp_path / "curves.json"
+    monkeypatch.setenv(CURVE_REGISTRY_ENV, str(path))
+    toy11 = {"p": 11, "a": 0, "b": 7, "gx": 4, "gy": 4, "order": 12}
+    path.write_text(json.dumps({"mine": toy11}))
+    assert named_curve("mine").p == named_curve("mine").p == 11
+    path.write_text(json.dumps({"mine": {**toy11, "gx": 2, "gy": 2}}))  # (2, 2) has order 4
+    with pytest.raises(ValueError, match="generator has order 4, not 12"):
+        named_curve("mine")
+    path.write_text(json.dumps({"mine": {**toy11, "gx": 2, "gy": 2, "order": 4}}))
+    assert named_curve("mine").generator == CurvePoint(2, 2)
+    path.write_text("{")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            named_curve("toy-p61-b7")
+    path.write_text(json.dumps({"mine": {**toy11, "p": 12}}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            named_curve("mine")
+    assert checked == [("toy-p61-b7", 61), ("mine", 11), ("mine", 11), ("mine", 11),
+                       ("mine", 12), ("mine", 12)]
 
 
 def test_is_probable_prime_matches_trial_division_below_2000() -> None:
