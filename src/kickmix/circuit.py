@@ -12,7 +12,7 @@ written by a measurement.  Measurements themselves can never be conditioned.
 Text format
 -----------
 
-Header lines, then one gate per line::
+A file has exactly one spelling, the one :func:`serialize` writes::
 
     qubits 3
     cbits 1
@@ -25,23 +25,24 @@ Header lines, then one gate per line::
     MX 2 -> c0
     IF c0 CZ 0 1
 
-* ``qubits N`` must come first; ``cbits M`` is optional and defaults to 0.
-* ``meta key value`` attaches free-form metadata (value runs to end of line).
+* ``qubits N``, then ``cbits M``, then ``meta key value`` lines in strictly
+  increasing key order (the value runs to the end of the line), then
+  ``in`` lines, then ``out`` lines, then one gate per line.
 * ``in``/``out`` declare named registers covering the inclusive qubit range
   ``lo..hi``; the qubit at ``lo`` is the least significant bit.
-* A gate line is ``[IF c<k>[=0|=1] ] OPCODE q ...``; a bare ``IF c<k>`` means
-  ``=1``.  MX lines end with ``-> c<k>`` naming the destination bit.
-* Every integer is a string of at most 7 ASCII digits (no sign, ``_``, or
-  non-ASCII digit), enough for ``MAX_CBITS``.  An error message quotes at
-  most the first 20 characters of the offending token, register name or
-  metadata key or value.
-* Blank lines and full-line ``#`` comments are accepted by the parser.
+* A gate line is ``[IF c<k>[=0] ]OPCODE q ...``; ``IF c<k>`` is the
+  condition ``=1``.  MX lines end with ``-> c<k>`` naming the destination bit.
+* Outside ``meta`` values, tokens are separated by one space; every line
+  ends in ``"\n"``, and there are no comments or blank lines.  Every
+  integer is spelled as ``str(int)`` spells it, in at most 7 ASCII digits,
+  enough for ``MAX_CBITS``.
 
-The canonical form produced by :func:`serialize` is byte-exact: header order
-``qubits``, ``cbits``, ``meta`` (sorted by key), ``in`` then ``out`` lines in
-declaration order, gates one per line, single spaces, ``IF c<k>`` spelled
-without ``=1``, no comments or blank lines, and a trailing newline.
-``parse(serialize(c))`` reproduces ``c`` exactly.
+So ``serialize(parse(b)) == b`` for every ``b`` that :func:`parse` accepts,
+and ``parse(serialize(c)) == c`` for every valid circuit.  The harness
+seeds its tests with the file bytes, so this is what keeps an author from
+re-rolling a comment or a line ending for a fresh transcript; ``meta``
+values are still free, so the harness's ``security_bits`` is also the
+grinding margin.
 
 Structural rules enforced on every circuit:
 
@@ -57,21 +58,21 @@ Structural rules enforced on every circuit:
   as the identity or a doubling for point arithmetic).
 
 These rules live in :class:`Gate`, :class:`Register` and
-:meth:`Circuit.validate` only; :func:`parse` checks syntax and header order.
-A :class:`ParseError` for a broken rule points at the gate's source line and
-the column of that line's first token; a rule that belongs to no one gate
-(counts, registers, metadata) points at line 1, column 1.
+:meth:`Circuit.validate` only; :func:`parse` checks spelling and line order.
+Every :class:`ParseError` is one line at column 1 (invalid UTF-8 excepted:
+it names the column of the first bad byte).  A refused line is quoted, cut
+to 20 characters like a register name or metadata key or value.  A broken
+rule points at the gate's line; a rule that belongs to no one gate (counts,
+registers, metadata) points at line 1.
 
-:func:`parse` matches gate lines against one pattern of the canonical
-spelling.  Headers, the first line of each shape (opcode and operands, with
-or without ``-> c<k>`` and ``IF c<k>``) and every line the pattern refuses
-are split with ``str.split()`` and handled by token index; only that code
-raises on a line, and computes a column only then.  Later lines of a shape
-copy its first :class:`Gate` with their own classical bits, and a line that
-repeats an earlier one reuses its ``Gate``.  The builders share gates the
-same way, per shape of kind and operands, so callers must not rely on gate
-identity in a parsed or a built circuit.  ``validate`` still checks every
-position.
+:func:`parse` matches each gate line against one pattern of the canonical
+spelling, and checks :class:`Gate`'s rules and the operand spelling on the
+first line of each shape (opcode and operands, with or without
+``-> c<k>`` and ``IF c<k>``) only.  Later lines of a shape copy its first
+``Gate`` with their own classical bits, and a line that repeats an earlier
+one reuses its ``Gate``.  The builders share gates the same way, per shape
+of kind and operands, so callers must not rely on gate identity in a parsed
+or a built circuit.  ``validate`` still checks every position.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -79,7 +80,6 @@ afterwards; ``qubit_count`` is the peak width.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field, fields
 
@@ -198,14 +198,6 @@ class Gate:
             raise CircuitError(f"{kind} does not write a classical bit")
         if condition is not None and _bad_condition(condition):
             raise CircuitError(f"bad condition {_shown(repr(condition))}")
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.kind in DIAGONAL_KINDS
-
-    @property
-    def is_non_clifford(self) -> bool:
-        return self.kind in NON_CLIFFORD_KINDS
 
 
 @dataclass(frozen=True)
@@ -327,7 +319,7 @@ class Circuit:
         for key, value in self.metadata.items():
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {_shown(key)!r}")
-            if value != value.strip() or "\n" in value or value == "":
+            if value != value.strip() or value.splitlines() != [value]:
                 raise CircuitError(
                     f"bad metadata value for {_shown(key)!r}: {_shown(value)!r}"
                 )
@@ -353,13 +345,24 @@ def static_resources(circuit: Circuit) -> StaticResources:
 # parsing
 
 
-_TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
-_HEADERS = frozenset(("qubits", "cbits", "meta", "in", "out"))
-# a gate line as serialize writes it; groups: IF bit, "=0"/"=1", core (opcode
-# and operands), MX bit; [0-9], not \d, as parse refuses non-ASCII digits
+# An integer as str(int) spells it, in at most _MAX_DIGITS digits, as one
+# group; [0-9], not \d, as parse refuses non-ASCII digits.  Gate operands
+# match the looser _INT: parse compares the first line of each shape with
+# _core of its operands instead, which costs nothing on the later lines.
+_NUM = f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
 _INT = f"[0-9]{{1,{_MAX_DIGITS}}}"
+# the header lines as serialize writes them; groups: qubits, cbits (each
+# optional, so that a missing one is named), the meta, in and out lines
+_HEADER = re.compile(
+    f"(?:qubits {_NUM}\n)?(?:cbits {_NUM}\n)?"
+    "((?:meta .*\n)*)((?:in .*\n)*)((?:out .*\n)*)"
+).match
+# an in or out line after its "in "/"out "; groups: name, lo, hi
+_REGISTER = re.compile(f"([^ ]+) {_NUM}\\.\\.{_NUM}").fullmatch
+# a gate line as serialize writes it; groups: IF bit, "=0", core (opcode
+# and operands), MX bit
 _GATE_LINE = re.compile(
-    f"(?:IF c({_INT})(=[01])? )?([A-Z]{{1,3}}(?: {_INT}){{1,3}})(?: -> c({_INT}))?"
+    f"(?:IF c{_NUM}(=0)? )?([A-Z]{{1,3}}(?: {_INT}){{1,3}})(?: -> c{_NUM})?"
 ).fullmatch
 
 # Gate's slot setters, which object.__setattr__ would look up on every call
@@ -378,200 +381,105 @@ def _reshaped(template: Gate, cbit: int | None, condition: tuple[int, int] | Non
     return gate
 
 
-class _TokenError(Exception):
-    """A syntax error at token ``index`` of the line being parsed; ``parse``
-    turns it into a :class:`ParseError` at that token's column."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+def _core(kind: str, qubits: tuple[int, ...]) -> str:
+    """The canonical "KIND q q q" of a gate line, without IF or "->"."""
+    return " ".join((kind, *map(str, qubits)))
 
 
-def _column(raw: str, index: int) -> int:
-    """1-based column of token ``index`` of ``raw``; only called while raising."""
-    return next(itertools.islice(_TOKEN.finditer(raw), index, None)).start() + 1
-
-
-def _is_digits(tok: str) -> bool:
-    return tok.isascii() and tok.isdigit()
-
-
-def _parse_int(tok: str, what: str, index: int) -> int:
-    """A non-negative integer spelled in at most _MAX_DIGITS ASCII digits."""
-    if _is_digits(tok) and len(tok) <= _MAX_DIGITS:
-        return int(tok)
-    if tok.startswith("-") and _is_digits(tok[1:]):
-        raise _TokenError(f"{what} must be non-negative, got {_shown(tok)}", index)
-    raise _TokenError(f"expected {what}, got {_shown(tok)!r}", index)
-
-
-def _parse_cref(tok: str, index: int) -> int:
-    digits = tok[1:]
-    if not (tok[:1] == "c" and digits.isascii() and digits.isdigit()):
-        raise _TokenError(f"expected classical bit like c0, got {_shown(tok)!r}", index)
-    return _parse_int(digits, "classical bit index", index)
+def _refused(expected: str, raw: str, lineno: int) -> ParseError:
+    return ParseError(f"expected {expected}, got {_shown(raw)!r}", lineno)
 
 
 def parse(text: str | bytes) -> Circuit:
-    """Parse `.kmx` text into a validated Circuit.
+    """Parse canonical `.kmx` text into a validated Circuit.
 
-    Raises :class:`ParseError` carrying 1-based line/column on any syntax or
-    structural problem; see the module docstring for the position rule.
+    Accepts exactly the text :func:`serialize` writes, so that
+    ``serialize(parse(b)) == b`` for every ``b`` it accepts.  Raises
+    :class:`ParseError` carrying a 1-based line on any syntax or structural
+    problem; see the module docstring for the position rule.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lines = (text[: exc.start].decode("utf-8") + "?").splitlines()
-            raise ParseError("invalid UTF-8", len(lines), len(lines[-1])) from None
-    lines = text.splitlines()
-    qubit_count: int | None = None
-    classical_bit_count = 0
-    saw_cbits = False
+            lines = text[: exc.start].decode("utf-8").split("\n")
+            raise ParseError("invalid UTF-8", len(lines), len(lines[-1]) + 1) from None
+    if text and text[-1] != "\n":
+        raise ParseError("no newline at the end of the file", text.count("\n") + 1)
+    header = _HEADER(text)
+    qubit_count, cbit_count, meta, ins, outs = header.groups()
+    if qubit_count is None or cbit_count is None:
+        lineno = 1 if qubit_count is None else 2
+        expected = "'qubits N'" if qubit_count is None else "'cbits M'"
+        raise _refused(expected, text.split("\n", 2)[lineno - 1], lineno)
+    lineno = 2
+    metadata: dict[str, str] = {}
+    for raw in meta.split("\n")[:-1]:
+        lineno += 1
+        key, _, value = raw[5:].partition(" ")
+        if metadata and key <= last:
+            raise ParseError(f"meta key {_shown(key)!r} not after {_shown(last)!r}", lineno)
+        metadata[key] = value
+        last = key
     inputs: list[Register] = []
     outputs: list[Register] = []
+    for head, block, registers in (("in", ins, inputs), ("out", outs, outputs)):
+        for raw in block.split("\n")[:-1]:
+            lineno += 1
+            match = _REGISTER(raw, len(head) + 1)
+            if match is None:
+                raise _refused(f"'{head} name lo..hi'", raw, lineno)
+            try:
+                registers.append(Register(match[1], int(match[2]), int(match[3])))
+            except CircuitError as exc:
+                raise ParseError(str(exc), lineno) from None
+
+    header_lines = lineno
+    lines = text[header.end() :].split("\n")
+    lines.pop()  # the empty text after the final newline
     gates: list[Gate] = []
-    metadata: dict[str, str] = {}
-    in_body = False
     # gate line text -> the Gate its first copy produced; Gate is frozen, so
     # repeated lines share it and only the first copy is parsed and built
     line_gates: dict[str, Gate] = {}
-    # shape of a _GATE_LINE (core, no "->", no IF) -> its first line's Gate
+    # shape of a line (core, no "->", no IF) -> its first line's Gate
     shapes: dict[tuple[str, bool, bool], Gate] = {}
-
-    # Every syntax error in the loop is a _TokenError naming a token by its
-    # index; the handler below re-scans that one line for the column.
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            gate = line_gates.get(raw)
-            if gate is not None:
-                gates.append(gate)
-                continue
+    for lineno, raw in enumerate(lines, start=header_lines + 1):
+        gate = line_gates.get(raw)
+        if gate is None:
             match = _GATE_LINE(raw)
-            if match is not None:
-                cb, val, core, dest = match.groups()
-                shape = (core, dest is None, cb is None)
-                template = shapes.get(shape)
-                if template is not None:
-                    gate = line_gates[raw] = _reshaped(
-                        template,
-                        None if dest is None else int(dest),
-                        None if cb is None else (int(cb), 0 if val == "=0" else 1),
-                    )
-                    gates.append(gate)
-                    continue
-            toks = raw.split()
-            if not toks or toks[0][0] == "#":
-                continue
-            head = toks[0]
-
-            if head in _HEADERS:
-                if in_body:
-                    raise _TokenError(f"header line {head!r} after gates", 0)
-                if head == "qubits":
-                    if qubit_count is not None:
-                        raise _TokenError("duplicate qubits line", 0)
-                    if len(toks) != 2:
-                        raise _TokenError("usage: qubits N", 0)
-                    qubit_count = _parse_int(toks[1], "qubit count", 1)
-                    continue
-                if qubit_count is None:
-                    raise _TokenError(f"{head!r} before the qubits line", 0)
-                if head == "cbits":
-                    if saw_cbits:
-                        raise _TokenError("duplicate cbits line", 0)
-                    if len(toks) != 2:
-                        raise _TokenError("usage: cbits M", 0)
-                    classical_bit_count = _parse_int(toks[1], "classical bit count", 1)
-                    saw_cbits = True
-                elif head == "meta":
-                    if len(toks) < 3:
-                        raise _TokenError("usage: meta key value", 0)
-                    key = toks[1]
-                    if key in metadata:
-                        raise _TokenError(f"duplicate metadata key {_shown(key)!r}", 1)
-                    metadata[key] = raw.split(None, 2)[2].strip()
-                else:  # in / out
-                    if len(toks) != 3:
-                        raise _TokenError(f"usage: {head} name lo..hi", 0)
-                    name, rng = toks[1], toks[2]
-                    if ".." not in rng:
-                        raise _TokenError(f"expected lo..hi, got {_shown(rng)!r}", 2)
-                    lo_s, hi_s = rng.split("..", 1)
-                    lo = _parse_int(lo_s, "register lo", 2)
-                    hi = _parse_int(hi_s, "register hi", 2)
-                    try:
-                        reg = Register(name, lo, hi)
-                    except CircuitError as exc:
-                        raise _TokenError(str(exc), 1) from None
-                    (inputs if head == "in" else outputs).append(reg)
-                continue
-
-            # gate line
-            in_body = True
-            if qubit_count is None:
-                raise _TokenError("gate before the qubits line", 0)
-            condition = None
-            idx = 0
-            if head == "IF":
-                if len(toks) < 2:
-                    raise _TokenError("IF needs a classical bit", 0)
-                cpart, eq, vpart = toks[1].partition("=")
-                cb = _parse_cref(cpart, 1)
-                if eq and vpart not in ("0", "1"):
-                    raise _TokenError(
-                        f"condition value must be 0 or 1, got {_shown(vpart)!r}", 1
-                    )
-                condition = (cb, int(vpart) if eq else 1)
-                idx = 2
-                if idx >= len(toks):
-                    raise _TokenError("IF prefix without a gate", 1)
-            opcode = toks[idx]
-            if opcode not in _ARITY:
-                raise _TokenError(f"unknown opcode {_shown(opcode)!r}", idx)
-            end = len(toks)
-            dest: int | None = None
-            if end - idx >= 3 and toks[-2] == "->":
-                end -= 2
-                dest = _parse_cref(toks[-1], end + 1)
-            elif opcode == "MX":
-                raise _TokenError("usage: MX q -> c<k>", idx)
-            qubits = tuple(
-                _parse_int(tok, "qubit index", i)
-                for i, tok in enumerate(toks[idx + 1 : end], start=idx + 1)
-            )
-            try:
-                gate = Gate(opcode, qubits, dest, condition)
-            except CircuitError as exc:
-                raise _TokenError(str(exc), 0) from None
-            if match is not None:
-                shapes[shape] = gate
+            if match is None:
+                raise _refused("a gate line", raw, lineno)
+            cb, zero, core, dest = match.groups()
+            cbit = None if dest is None else int(dest)
+            condition = None if cb is None else (int(cb), 0 if zero else 1)
+            shape = (core, dest is None, cb is None)
+            template = shapes.get(shape)
+            if template is None:
+                kind, *operands = core.split(" ")
+                qubits = tuple(map(int, operands))
+                if _core(kind, qubits) != core:
+                    raise _refused("a gate line", raw, lineno)
+                try:
+                    gate = shapes[shape] = Gate(kind, qubits, cbit, condition)
+                except CircuitError as exc:
+                    raise ParseError(str(exc), lineno) from None
+            else:
+                gate = _reshaped(template, cbit, condition)
             line_gates[raw] = gate
-            gates.append(gate)
-    except _TokenError as exc:
-        raise ParseError(str(exc), lineno, _column(raw, exc.index)) from None
+        gates.append(gate)
 
-    if qubit_count is None:
-        raise ParseError("missing qubits line", 1, 1)
     try:
         return Circuit(
-            qubit_count=qubit_count,
-            classical_bit_count=classical_bit_count,
+            qubit_count=int(qubit_count),
+            classical_bit_count=int(cbit_count),
             inputs=tuple(inputs),
             outputs=tuple(outputs),
             gates=tuple(gates),
             metadata=metadata,
         )
     except CircuitError as exc:
-        if exc.gate is None:
-            raise ParseError(str(exc), 1, 1) from None
-        gate_lines = (
-            (lineno, raw)
-            for lineno, raw in enumerate(lines, start=1)
-            if (toks := raw.split()) and toks[0][0] != "#" and toks[0] not in _HEADERS
-        )
-        lineno, raw = next(itertools.islice(gate_lines, exc.gate, None))
-        raise ParseError(str(exc), lineno, _column(raw, 0)) from None
+        lineno = 1 if exc.gate is None else header_lines + exc.gate + 1
+        raise ParseError(str(exc), lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +502,7 @@ def serialize(circuit: Circuit) -> bytes:
         shape = (gate.kind, gate.qubits)
         core = cores.get(shape)
         if core is None:
-            core = cores[shape] = " ".join((gate.kind, *map(str, gate.qubits)))
+            core = cores[shape] = _core(*shape)
         if gate.condition is not None:
             cb, val = gate.condition
             core = f"IF c{cb} {core}" if val == 1 else f"IF c{cb}=0 {core}"

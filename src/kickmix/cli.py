@@ -17,7 +17,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .circuit import (
     Circuit,
@@ -46,6 +46,14 @@ _FAILURE = 1
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as _UsageError, so that they
+    print one `error:` line like every other usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
 
 
 def _read_file(path: str, what: str) -> bytes:
@@ -145,8 +153,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         curve = named_curve(args.curve)
         base = _parse_point(curve, args.point)
         report = builders.build_windowed_pointadd(curve, base, args.window)
-    else:  # argparse choices make this unreachable
-        raise _UsageError(f"unknown builder {args.builder!r}")
+    else:
+        raise _UsageError(f"unknown builder {_shown(args.builder)!r}")
 
     _check_writable(args.output, "circuit file")
     _check_writable(args.output + ".json", "sidecar file")
@@ -444,7 +452,7 @@ def _histogram(circuit: Circuit) -> dict[str, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kickmix",
         description="Build, verify, inspect, and cost out measurement-assisted "
         "reversible circuits.",
@@ -459,14 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "builder",
-        choices=[
-            "temp-and",
-            "adder",
-            "mod-add",
-            "lookup",
-            "pointadd",
-            "windowed-pointadd",
-        ],
+        help="temp-and, adder, mod-add, lookup, pointadd or windowed-pointadd",
     )
     p_build.add_argument("-o", "--output", required=True, help="circuit file to write")
     p_build.add_argument("--width", type=_integer, help="register width in bits")
@@ -524,9 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, ValueError) as exc:  # CircuitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

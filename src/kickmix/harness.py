@@ -26,6 +26,14 @@ random tests with probability at most (1 - eps)^N;
 :func:`required_test_count` returns the smallest N pushing that below
 2^-security_bits (computed exactly, no floating point at the boundary).
 
+The commitment covers canonical bytes: :func:`~kickmix.circuit.parse`
+accepts only what ``serialize`` writes, so a comment, blank line or other
+spelling of the same circuit cannot buy a fresh transcript.  ``meta``
+values are still the author's free choice, and each one seeds another
+transcript, so ``security_bits`` is also the grinding margin: an author
+re-rolling them expects about 2^security_bits tries before a circuit
+wrong on the tolerated fraction passes.
+
 Reports are canonical JSON, the exact bytes of ``json.dumps(report,
 sort_keys=True, indent=2) + "\n"`` (ASCII-escaped, no non-finite float), and
 carry ``report_digest``: the SHA-256 of that encoding without the digest

@@ -92,3 +92,33 @@ def windowed11_w2(toy11):
 @pytest.fixture(scope="session")
 def windowed11_w2_bytes(windowed11_w2):
     return serialize(windowed11_w2.circuit)
+
+
+@pytest.fixture(scope="session")
+def pointadd11_respellings(pointadd11_bytes):
+    """Spellings of the p11 circuit that serialize never writes, each with
+    the line that parse must refuse.  Each would seed another transcript."""
+    lines = pointadd11_bytes.decode().splitlines(keepends=True)
+    first_gate = next(i for i, line in enumerate(lines) if line.startswith("CX "))
+    first_if = next(i for i, line in enumerate(lines) if line.startswith("IF c"))
+    first_ccx = next(i for i, line in enumerate(lines) if line.startswith("CCX "))
+
+    def edited(at: int, *new: str) -> str:
+        return "".join([*lines[:at], *new, *lines[at + 1 :]])
+
+    variants = {
+        "comment-nonce": ("".join(lines) + "# nonce 1\n", len(lines) + 1),
+        "blank-line": (edited(first_gate, "\n", lines[first_gate]), first_gate + 1),
+        "crlf-line-ends": ("".join(lines).replace("\n", "\r\n"), 1),
+        "indented-gate": (edited(first_gate, "  " + lines[first_gate]), first_gate + 1),
+        "if-equals-one": (
+            edited(first_if, re.sub("^(IF c[0-9]+)", r"\1=1", lines[first_if])), first_if + 1
+        ),
+        "leading-zero-operand": (
+            edited(first_ccx, lines[first_ccx].replace(" ", " 0", 1)), first_ccx + 1
+        ),
+        "no-cbits-line": (edited(1), 2),
+        "unsorted-meta": ("".join([*lines[:2], lines[3], lines[2], *lines[4:]]), 4),
+        "no-final-newline": ("".join(lines)[:-1], len(lines)),
+    }
+    return {name: (text.encode(), line) for name, (text, line) in variants.items()}

@@ -317,7 +317,7 @@ def test_mutate_is_deterministic_and_structurally_valid() -> None:
 
 def test_mutate_refuses_gateless_circuits() -> None:
     with pytest.raises(ValueError, match="no gates to mutate"):
-        mutate(parse("qubits 1\n"), seed=0)
+        mutate(parse("qubits 1\ncbits 0\n"), seed=0)
 
 
 # sha256 of serialize(circuit), construction, predicted counts (qubits, gates,

@@ -82,15 +82,13 @@ def test_integer_options_take_one_spelling(tmp_path, capsys) -> None:
     }
     for flag, argv in builds.items():
         for value in ("+4", "0_4", " 4", "04", "\u0664", "4.0", "-0", "1" * 5000):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["build", *argv, "-o", out, flag, value])
-            assert excinfo.value.code == 2
+            assert main(["build", *argv, "-o", out, flag, value]) == 2
             err = capsys.readouterr().err
             shown = value if len(value) <= 20 else value[:20] + "\u2026"
-            assert err.endswith(
+            assert err == (
                 f"error: argument {flag}: expected a plain decimal integer, got {shown!r}\n"
             )
-            assert len(err.splitlines()[-1]) < 120
+            assert len(err) < 120
     assert not list(tmp_path.iterdir())
     # the one spelling still builds, and a range error keeps its message
     assert main(["build", "lookup", "-o", out, "--table", "5,0,7,3"]) == 0
@@ -222,28 +220,35 @@ def test_verify_refuses_a_plan_too_costly_to_size(tmp_path, capsys) -> None:
 
 def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
     mangled = tmp_path / "mangled.kmx"
-    mangled.write_text("qubits 2\nBOGUS 0 1\n")
+    mangled.write_text("qubits 2\ncbits 0\nBOGUS 0 1\n")
     spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
     assert main(["verify", str(mangled), "--spec", str(spec)]) == 1
-    assert "line 2, column 1: unknown opcode 'BOGUS'" in capsys.readouterr().err
+    assert "line 3, column 1: expected a gate line, got 'BOGUS 0 1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "inspect"])
 @pytest.mark.parametrize(
     "text,where",
     [
-        (b"qubits 2\nX 0\n\xff\xfe\n", "line 3, column 1: invalid UTF-8"),
-        ("qubits 1\ncbits 1\nIF c\u00b2 Z 0\n".encode(), "line 3, column 4: "),
-        (b"qubits 1_0\n", "line 1, column 8: expected qubit count"),
-        (b"qubits 4\nX +2\n", "line 2, column 3: expected qubit index"),
-        (b"qubits 1\nX " + b"7" * 5000 + b"\n", "line 2, column 3: expected qubit index"),
+        (b"qubits 2\ncbits 0\nX 0\n\xff\xfe\n", "line 4, column 1: invalid UTF-8"),
+        (b"qubits 2\ncbits 0\nX 0\nX\xff\n", "line 4, column 2: invalid UTF-8"),
+        (
+            "qubits 1\ncbits 1\nIF c\u00b2 Z 0\n".encode(),
+            "line 3, column 1: expected a gate line, got 'IF c\u00b2 Z 0'\n",
+        ),
+        (b"qubits 1_0\n", "line 1, column 1: expected 'qubits N', got 'qubits 1_0'\n"),
+        (b"qubits 4\ncbits 0\nX +2\n", "line 3, column 1: expected a gate line, got 'X +2'\n"),
+        (
+            b"qubits 1\ncbits 0\nX " + b"7" * 5000 + b"\n",
+            "line 3, column 1: expected a gate line, got 'X " + "7" * 18 + "\u2026'\n",
+        ),
         pytest.param(
-            b"qubits 1\nin a-" + b"b" * 5000 + b" 0..0\n",
-            "line 2, column 4: bad register name 'a-" + "b" * 18 + "\u2026'\n",
+            b"qubits 1\ncbits 0\nin a-" + b"b" * 5000 + b" 0..0\n",
+            "line 3, column 1: bad register name 'a-" + "b" * 18 + "\u2026'\n",
             id="register-name-of-5002-characters",
         ),
         pytest.param(
-            b"qubits 1\nmeta exceptional " + b"x" * 5000 + b"\n",
+            b"qubits 1\ncbits 0\nmeta exceptional " + b"x" * 5000 + b"\n",
             "line 1, column 1: exceptional policy '" + "x" * 20 + "\u2026' not in",
             id="policy-of-5000-characters",
         ),
@@ -428,17 +433,47 @@ def test_inspect_json_output(tmp_path, capsys) -> None:
     assert data["histogram"] == {"CCX": 1, "CZ": 1, "MX": 1}
 
 
+def test_a_respelled_circuit_exits_1_with_one_line(tmp_path, capsys, pointadd11_respellings):
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5)
+    circuit = tmp_path / "respelled.kmx"
+    for raw, line in pointadd11_respellings.values():
+        circuit.write_bytes(raw)
+        for extra in (["verify", "--spec", str(spec)], ["verify", "--exhaustive", "--spec",
+                                                         str(spec)], ["inspect"]):
+            assert main([extra[0], str(circuit), *extra[1:]]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}, column 1: ") and err.count("\n") == 1
+
+
 def test_inspect_rejects_malformed_circuits(tmp_path, capsys) -> None:
     mangled = tmp_path / "mangled.kmx"
-    mangled.write_text("qubits 2\nBOGUS 0 1\n")
+    mangled.write_text("qubits 2\ncbits 0\nBOGUS 0 1\n")
     assert main(["inspect", str(mangled)]) == 1
-    assert "error: line 2, column 1: unknown opcode 'BOGUS'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: line 3, column 1: expected a gate line, got 'BOGUS 0 1'\n"
 
 
-def test_missing_subcommand_is_a_usage_error(capsys) -> None:
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
+def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
+    out = str(tmp_path / "x.kmx")
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["build", "adder", "--width", "4"], "the following arguments are required: -o/--output"),
+        (["build", "adder", "-o", out, "--width", "+4"],
+         "argument --width: expected a plain decimal integer, got '+4'"),
+        (["build", "nosuch", "-o", out], "unknown builder 'nosuch'"),
+        (["build", "y" * 300, "-o", out], "unknown builder '" + "y" * 20 + "\u2026'"),
+        (["inspect", "a.kmx", "--jsn"], "unrecognized arguments: --jsn"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert len(captured.err) < 200
+    assert not list(tmp_path.iterdir())
+    for argv in (["--help"], ["build", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage: kickmix" in capsys.readouterr().out
 
 
 def test_verify_rejects_non_positive_jobs_in_one_line(tmp_path, capsys) -> None:
@@ -451,11 +486,9 @@ def test_verify_rejects_non_positive_jobs_in_one_line(tmp_path, capsys) -> None:
             err = capsys.readouterr().err
             assert err == f"error: --jobs must be at least 1, got {jobs}\n"
     for jobs in ("+1", "01", "1_0", "\u0661"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", str(circuit), "--spec", str(spec), "--jobs", jobs])
-        assert excinfo.value.code == 2
+        assert main(["verify", str(circuit), "--spec", str(spec), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert err.endswith(f"error: argument --jobs: expected a plain decimal integer, got {jobs!r}\n")
+        assert err == f"error: argument --jobs: expected a plain decimal integer, got {jobs!r}\n"
 
 
 def test_verify_rejects_mistyped_spec_fields_in_one_line(tmp_path, capsys) -> None:
@@ -510,7 +543,8 @@ def test_off_curve_points_print_one_short_line(tmp_path, capsys) -> None:
     for raw, shown in (("1,1", "'1,1'"), (long + ",5", "'" + "9" * 20 + "…'")):
         circuit = tmp_path / "off.kmx"
         circuit.write_text(
-            f"qubits 8\nmeta base {raw}\nin qx 0..3\nin qy 4..7\nout qx 0..3\nout qy 4..7\n"
+            f"qubits 8\ncbits 0\nmeta base {raw}\n"
+            "in qx 0..3\nin qy 4..7\nout qx 0..3\nout qy 4..7\n"
         )
         for extra in ([], ["--exhaustive"]):
             assert main(["verify", str(circuit), "--spec", str(spec), *extra]) == 2
@@ -784,7 +818,7 @@ def test_verify_refuses_an_unwritable_report_before_verifying(
 def test_verify_write_check_leaves_no_file_and_truncates_none(tmp_path, capsys) -> None:
     spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=10)
     broken = tmp_path / "broken.kmx"
-    broken.write_text("qubits 2\nCX 0 7\n")
+    broken.write_text("qubits 2\ncbits 0\nCX 0 7\n")
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier report\n")
     for out in (fresh, kept):  # parse fails after the check: exit 1

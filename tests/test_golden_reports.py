@@ -16,6 +16,7 @@ import pytest
 
 import kickmix.harness as harness
 import kickmix.sim as sim
+from kickmix.circuit import DIAGONAL_KINDS
 from kickmix import (
     INFINITY,
     Gate,
@@ -62,7 +63,7 @@ def _cases(pointadd11, pointadd61, windowed11_w2):
     p11 = pointadd11.circuit
     undefined = replace(p11, metadata={**p11.metadata, "exceptional": "undefined"})
     two_point = parse(
-        "qubits 16\n"
+        "qubits 16\ncbits 0\n"
         "in qx 0..3\nin qy 4..7\nin ax 8..11\nin ay 12..15\n"
         "out qx 0..3\nout qy 4..7\nout ax 8..11\nout ay 12..15\n"
     )
@@ -163,7 +164,7 @@ def test_the_pinned_cases_cover_the_paths_they_name(pointadd11, pointadd61, wind
     )
     assert data["p11-conditioned-cx"]["verdict"] == "pass"
     fallback = cases["p11-conditioned-cx"][0]
-    assert any(g.condition is not None and not g.is_diagonal for g in fallback.gates)
+    assert any(g.condition is not None and g.kind not in DIAGONAL_KINDS for g in fallback.gates)
 
 
 def test_the_report_assembly_cases_cover_the_paths_they_name(

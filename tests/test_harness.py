@@ -25,6 +25,7 @@ from kickmix import harness
 from kickmix import (
     INFINITY,
     HarnessError,
+    ParseError,
     VerificationSpec,
     achieved_security_bits,
     build_pointadd_permutation,
@@ -254,7 +255,7 @@ def test_spec_for_circuit_defaults(pointadd11, windowed11_w2) -> None:
     override = spec_for_circuit(pointadd11.circuit, test_count=50)
     assert override.test_count == 50
 
-    bare = parse("qubits 1\n")
+    bare = parse("qubits 1\ncbits 0\n")
     with pytest.raises(HarnessError, match="names no curve"):
         spec_for_circuit(bare)
 
@@ -434,9 +435,20 @@ def test_register_mapping_errors(pointadd11_bytes, windowed11_w2, windowed11_w2_
         verify(pointadd11_bytes, VerificationSpec(curve="no-such", test_count=5))
 
 
+def test_a_respelled_circuit_is_refused_on_its_line(pointadd11, pointadd11_respellings):
+    # Every spelling parse accepted would seed its own transcript, so an
+    # author could re-roll comments or whitespace until the tests miss a bug.
+    spec = spec_for_circuit(pointadd11.circuit, test_count=20)
+    for name, (raw, line) in pointadd11_respellings.items():
+        for run in (verify, verify_exhaustive, derive_tests):
+            with pytest.raises(ParseError) as excinfo:
+                run(raw, spec)
+            assert (excinfo.value.line, excinfo.value.column) == (line, 1), (name, run)
+
+
 def test_base_metadata_errors(toy11) -> None:
     text = (
-        "qubits 8\n"
+        "qubits 8\ncbits 0\n"
         "meta curve toy-p11-b7\n"
         "in qx 0..3\nin qy 4..7\nout qx 0..3\nout qy 4..7\n"
     )
@@ -460,7 +472,7 @@ def test_base_metadata_errors(toy11) -> None:
 
 def test_identity_base_metadata_makes_a_gateless_circuit_correct() -> None:
     text = (
-        "qubits 8\n"
+        "qubits 8\ncbits 0\n"
         "meta base inf\n"
         "in qx 0..3\nin qy 4..7\nout qx 0..3\nout qy 4..7\n"
     )
@@ -489,7 +501,7 @@ def test_two_point_adder_path_uses_addend_scalars() -> None:
     # A gateless circuit with all four point registers: it "computes"
     # Q + A = Q, which is right exactly when A is the identity.
     text = (
-        "qubits 16\n"
+        "qubits 16\ncbits 0\n"
         "in qx 0..3\nin qy 4..7\nin ax 8..11\nin ay 12..15\n"
         "out qx 0..3\nout qy 4..7\nout ax 8..11\nout ay 12..15\n"
     )

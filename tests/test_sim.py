@@ -84,7 +84,7 @@ def test_skipped_conditioned_gates_do_not_count() -> None:
 
 
 def test_condition_matches_value_zero_and_one() -> None:
-    circuit = _bare(1, 1, "MX 0 -> c0\nIF c0=0 Z 0\nIF c0=1 X 0\n")
+    circuit = _bare(1, 1, "MX 0 -> c0\nIF c0=0 Z 0\nIF c0 X 0\n")
     on_zero = run(circuit, {"a": 0}, [0])
     on_one = run(circuit, {"a": 0}, [1])
     assert on_zero.executed_total == 2 and on_zero.outputs["a"] == 0
