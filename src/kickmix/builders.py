@@ -34,8 +34,6 @@ from .circuit import (
     Gate,
     Register,
     StaticResources,
-    _bad_condition,
-    _reshaped,
     _shown,
     static_resources,
 )
@@ -107,33 +105,20 @@ class BuildReport:
         return data
 
 
-def _copyable(qubits: tuple, cond) -> bool:
-    """Whether a gate with these operands and condition meets the rules of
-    Gate that its shape does not fix: int operands (1.0 and True compare
-    equal to 1) and a good condition.  A False sends the gate to Gate,
-    which names the fault."""
-    for q in qubits:
-        if type(q) is not int:
-            return False
-    return cond is None or not _bad_condition(cond)
-
-
 class _Emitter:
     """Accumulates gates; allocates ancilla qubits (LIFO reuse) and classical
     bits.  qubit watermark == peak circuit width.
 
-    Each gate shape (kind, operands, cbit is None, condition is None) is
-    built and checked by Gate once.  A repeat of an unconditioned gate
-    reuses that Gate; an MX or a conditioned gate copies it with its own
-    classical bits (``_reshaped``) once ``_copyable`` has checked the rules
-    a shape does not fix."""
+    Each (kind, operands) gets one unconditioned Gate, reused by its repeats;
+    an MX or a conditioned gate reuses its operand tuple.  Every rule is
+    checked at :meth:`finish`, by :meth:`Circuit.validate`."""
 
     def __init__(self, fixed_qubits: int):
         self.gates: list[Gate] = []
         self.cbits = 0
         self.watermark = fixed_qubits
         self._free: list[int] = []
-        self._shapes: dict[tuple, Gate] = {}
+        self._plain: dict[tuple[str, tuple[int, ...]], Gate] = {}
 
     def alloc(self) -> int:
         if self._free:
@@ -145,25 +130,20 @@ class _Emitter:
     def release(self, q: int) -> None:
         self._free.append(q)
 
-    def _add(
-        self, kind: str, qubits: tuple, cbit: int | None, cond: tuple[int, int] | None
+    def emit(
+        self, kind: str, *qubits: int, cond: tuple[int, int] | None = None, cbit: int | None = None
     ) -> None:
-        shape = (kind, qubits, cbit is None, cond is None)
-        gate = self._shapes.get(shape)
-        if gate is None or not _copyable(qubits, cond):
-            gate = self._shapes[shape] = Gate(kind, qubits, cbit, cond)
-        elif cbit is not None or cond is not None:
-            gate = _reshaped(gate, cbit, cond)
+        gate = self._plain.get((kind, qubits))
+        if gate is None:
+            gate = self._plain[kind, qubits] = Gate(kind, qubits)
+        if cbit is not None or cond is not None:
+            gate = Gate(gate.kind, gate.qubits, cbit, cond)
         self.gates.append(gate)
 
-    def emit(self, kind: str, *qubits: int, cond: tuple[int, int] | None = None) -> None:
-        self._add(kind, qubits, None, cond)
-
     def measure(self, qubit: int) -> int:
-        cb = self.cbits
         self.cbits += 1
-        self._add("MX", (qubit,), cb, None)
-        return cb
+        self.emit("MX", qubit, cbit=self.cbits - 1)
+        return self.cbits - 1
 
     def temp_and(self, a: int, b: int) -> int:
         """Fresh ancilla holding a AND b (one CCX)."""
@@ -335,7 +315,7 @@ def build_adder(width: int) -> BuildReport:
     count is width - 1.  Overflow wraps.  width = 1 degenerates to one CX
     and no measurements."""
     if not 1 <= width <= MAX_ADDER_WIDTH:
-        raise ValueError(f"adder width must be in 1..{MAX_ADDER_WIDTH}, got {width}")
+        raise ValueError(f"adder width must be in 1..{MAX_ADDER_WIDTH}, got {_shown(width)}")
     m = width
     a = list(range(m))
     b = list(range(m, 2 * m))
@@ -379,12 +359,12 @@ def build_mod_add_const(width: int, constant: int, modulus: int) -> BuildReport:
     with undefined-by-contract behavior."""
     if not 1 <= width <= MAX_MOD_ADD_WIDTH:
         raise ValueError(
-            f"mod-add width must be in 1..{MAX_MOD_ADD_WIDTH}, got {width}"
+            f"mod-add width must be in 1..{MAX_MOD_ADD_WIDTH}, got {_shown(width)}"
         )
     if not 1 <= modulus < (1 << width):
-        raise ValueError(f"modulus must be in 1..2^width-1, got {modulus}")
+        raise ValueError(f"modulus must be in 1..2^width-1, got {_shown(modulus)}")
     if not 0 <= constant < modulus:
-        raise ValueError(f"constant must be in 0..modulus-1, got {constant}")
+        raise ValueError(f"constant must be in 0..modulus-1, got {_shown(constant)}")
     em = _Emitter(width)
     perm = {x: (x + constant) % modulus for x in range(modulus)}
     em.synth_permutation(perm, list(range(width)))
@@ -448,7 +428,7 @@ def build_lookup(
     if window is None:
         window = (len(table) - 1).bit_length() if len(table) > 1 else 1
     if not 1 <= window <= MAX_LOOKUP_WINDOW:
-        raise ValueError(f"window must be in 1..{MAX_LOOKUP_WINDOW}, got {window}")
+        raise ValueError(f"window must be in 1..{MAX_LOOKUP_WINDOW}, got {_shown(window)}")
     if len(table) != 1 << window:
         raise ValueError(
             f"table length {len(table)} does not match window {window} "
@@ -459,9 +439,9 @@ def build_lookup(
     if entry_bits is None:
         entry_bits = max(1, max(table).bit_length())
     if window + entry_bits > MAX_QUBITS:  # before any list is sized by entry_bits
-        raise ValueError(f"{window + entry_bits} qubits exceed the ceiling {MAX_QUBITS}")
+        raise ValueError(f"{_shown(window + entry_bits)} qubits exceed the ceiling {MAX_QUBITS}")
     if max(table).bit_length() > entry_bits:
-        raise ValueError(f"table entries do not fit in {entry_bits} bit(s)")
+        raise ValueError(f"table entries do not fit in {_shown(entry_bits)} bit(s)")
     address = list(range(window))
     value = list(range(window, window + entry_bits))
     em = _Emitter(window + entry_bits)
@@ -526,7 +506,7 @@ def build_windowed_pointadd(
     and contributes no gates.  The tree's 2^w - 2 CCX cost is surfaced as
     lookup overhead in the report."""
     if not 1 <= window <= MAX_POINT_WINDOW:
-        raise ValueError(f"window must be in 1..{MAX_POINT_WINDOW}, got {window}")
+        raise ValueError(f"window must be in 1..{MAX_POINT_WINDOW}, got {_shown(window)}")
     metadata = _point_metadata(curve, base)
     nb = curve.coordinate_bits
     data = list(range(window, window + 2 * nb))
@@ -599,15 +579,12 @@ def mutate(circuit: Circuit, seed: int) -> Circuit:
             q for q in range(circuit.qubit_count) if q not in gate.qubits
         ]
         new_q = candidates[rng.randrange(len(candidates))]
-        qubits = list(gate.qubits)
-        qubits[pos] = new_q
-        gates[i] = Gate(gate.kind, tuple(qubits), cbit=gate.cbit, condition=gate.condition)
+        gates[i] = gate._replace(qubits=gate.qubits[:pos] + (new_q,) + gate.qubits[pos + 1 :])
     elif kind == "drop":
         i = drop_sites[rng.randrange(len(drop_sites))]
         del gates[i]
     else:
         i = toggle_sites[rng.randrange(len(toggle_sites))]
-        gate = gates[i]
-        cb, val = gate.condition
-        gates[i] = Gate(gate.kind, gate.qubits, cbit=gate.cbit, condition=(cb, 1 - val))
+        cb, val = gates[i].condition
+        gates[i] = gates[i]._replace(condition=(cb, 1 - val))
     return replace(circuit, gates=tuple(gates))

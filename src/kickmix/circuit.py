@@ -57,22 +57,20 @@ Structural rules enforced on every circuit:
   ``correct`` or ``wraps`` (how the circuit treats exceptional inputs such
   as the identity or a doubling for point arithmetic).
 
-These rules live in :class:`Gate`, :class:`Register` and
-:meth:`Circuit.validate` only; :func:`parse` checks spelling and line order.
-Every :class:`ParseError` is one line at column 1 (invalid UTF-8 excepted:
-it names the column of the first bad byte).  A refused line is quoted, cut
-to 20 characters like a register name or metadata key or value.  A broken
+These rules live in :class:`Register` and :meth:`Circuit.validate` only; a
+:class:`Gate` is a plain record, and :func:`parse` checks spelling and line
+order.  ``validate`` reports the first broken rule, checking the counts,
+the registers, the gates by position, then the metadata; :func:`parse`
+reports a spelling error anywhere in the file before any of these.  Every
+:class:`ParseError` is one line at column 1 (invalid UTF-8 excepted: it
+names the column of the first bad byte).  A refused line is quoted, cut to
+20 characters like a register name or metadata key or value.  A broken
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-:func:`parse` matches each gate line against one pattern of the canonical
-spelling, and checks :class:`Gate`'s rules and the operand spelling on the
-first line of each shape (opcode and operands, with or without
-``-> c<k>`` and ``IF c<k>``) only.  Later lines of a shape copy its first
-``Gate`` with their own classical bits, and a line that repeats an earlier
-one reuses its ``Gate``.  The builders share gates the same way, per shape
-of kind and operands, so callers must not rely on gate identity in a parsed
-or a built circuit.  ``validate`` still checks every position.
+``validate`` checks each operand tuple once, however many gates share it:
+:func:`parse` shares one per "KIND q q q", and the builders one per kind
+and operands.  Callers must not rely on gate or tuple identity.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -81,7 +79,8 @@ afterwards; ``qubit_count`` is the peak width.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "GATE_KINDS",
@@ -138,66 +137,59 @@ class ParseError(CircuitError):
         self.column = column
 
 
-def _bad_condition(condition) -> bool:
-    """Whether a condition is not a pair of an int bit >= 0 and an int 0 or 1."""
-    cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
-    return type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1)
-
-
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate: kind, qubit operands (controls first, target last for the
     permutation kinds), MX destination bit, and an optional classical
-    condition (cbit index, required value).  Operands are a tuple of exact
-    non-negative ints, the MX destination and the condition's bit are exact
-    non-negative ints and its value an exact 0 or 1, so that every gate
-    serializes to a line that parses back to an equal gate.
-
-    ``_reshaped`` copies a checked gate with other classical bits and runs
-    no rule.  The rules read ``cbit`` and ``condition`` only as "is None"
-    and by the types and ranges above, so the copy is a valid gate when
-    each is None exactly where the template's is and otherwise meets them.
-    Its two callers ensure that: :func:`parse` with ``int`` of its pattern's
-    digits, and the builders' emitter with its own classical-bit counter for
-    an MX and by re-checking every condition it is given."""
+    condition (cbit index, required value).  A plain record: the rules a
+    gate must meet are checked by :meth:`Circuit.validate`."""
 
     kind: str
     qubits: tuple[int, ...]
     cbit: int | None = None
     condition: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        kind, qubits, cbit, condition = self.kind, self.qubits, self.cbit, self.condition
-        if kind not in GATE_KINDS:
-            raise CircuitError(f"unknown gate kind {kind!r}")
-        if type(qubits) is not tuple:
-            raise CircuitError(f"{kind} operands must be a tuple, not {type(qubits).__name__}")
-        if len(qubits) != _ARITY[kind]:
-            raise CircuitError(
-                f"{kind} takes {_ARITY[kind]} qubit operand(s), got {len(qubits)}"
-            )
-        try:
-            duplicated = len(set(qubits)) != len(qubits)
-        except TypeError:  # an unhashable operand: not an int, refused below
-            duplicated = False
-        if duplicated:
-            raise CircuitError(f"duplicate operand in {kind} {qubits}")
-        for q in qubits:
-            if type(q) is not int:
-                raise CircuitError(f"{kind} operand of type {type(q).__name__}, not int")
-            if q < 0:
-                raise CircuitError("negative qubit index")
-        if kind == "MX":
-            if cbit is None:
-                raise CircuitError("MX requires a destination classical bit")
-            if type(cbit) is not int or cbit < 0:
-                raise CircuitError(f"bad MX destination {_shown(repr(cbit))}")
-            if condition is not None:
-                raise CircuitError("measurements cannot be conditioned")
-        elif cbit is not None:
-            raise CircuitError(f"{kind} does not write a classical bit")
-        if condition is not None and _bad_condition(condition):
-            raise CircuitError(f"bad condition {_shown(repr(condition))}")
+
+def _gate_error(i: int, gate: Gate, qubit_count: int, cbit_count: int, written) -> str | None:
+    """What is wrong with gate ``i``, or None; ``written``: the bits measured before it."""
+    kind, qubits, cbit, condition = gate
+    if kind not in GATE_KINDS:
+        return f"unknown gate kind {_shown(repr(kind))}"
+    if type(qubits) is not tuple:
+        return f"{kind} operands must be a tuple, not {type(qubits).__name__}"
+    if len(qubits) != _ARITY[kind]:
+        return f"{kind} takes {_ARITY[kind]} qubit operand(s), got {len(qubits)}"
+    if any(qubits.count(q) > 1 for q in qubits):
+        return f"duplicate operand in {kind} {qubits}"
+    for q in qubits:
+        if type(q) is not int:
+            return f"{kind} operand of type {type(q).__name__}, not int"
+        if q < 0:
+            return "negative qubit index"
+        if q >= qubit_count:
+            return (f"qubit {q} out of range: gate {i} ({kind}) uses qubit {q} "
+                    f"but the circuit has {qubit_count}")
+    if kind == "MX":
+        if cbit is None:
+            return "MX requires a destination classical bit"
+        if type(cbit) is not int or cbit < 0:
+            return f"bad MX destination {_shown(repr(cbit))}"
+        if condition is not None:
+            return "measurements cannot be conditioned"
+    elif cbit is not None:
+        return f"{kind} does not write a classical bit"
+    if condition is not None:
+        cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
+        if type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1):
+            return f"bad condition {_shown(repr(condition))}"
+    # the classical bit the gate reads (condition) or writes (MX)
+    cb = cbit if condition is None else condition[0]
+    if cb is not None and cb >= cbit_count:
+        return (f"classical bit c{cb} out of range: gate {i} ({kind}) uses c{cb} "
+                f"but the circuit has {cbit_count}")
+    if condition is not None and cb not in written:
+        return f"gate {i} ({kind}): condition on c{cb} before any measurement writes it"
+    if kind == "MX" and cb in written:
+        return f"gate {i} (MX): classical bit c{cb} written twice"
 
 
 @dataclass(frozen=True)
@@ -287,35 +279,31 @@ class Circuit:
                         f"{min(overlap)} already covered by another {spec_name} register"
                     )
                 used.update(reg.qubits)
+        gates, cbit_count = self.gates, self.classical_bit_count
+        if not set(map(type, gates)) <= {Gate}:
+            i, bad = next((i, g) for i, g in enumerate(gates) if type(g) is not Gate)
+            raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate", gate=i)
+        # id of an operand tuple -> the kind that _gate_error passed it with.
+        # The tuple is alive in gates and holds exact ints, so a later gate
+        # with both objects meets every operand rule and needs only the test
+        # of its classical bits below, which holds only where _gate_error does.
+        checked: dict[int, str] = {}
         written: set[int] = set()
-        for i, gate in enumerate(self.gates):
-            for q in gate.qubits:
-                if q >= self.qubit_count:
-                    raise CircuitError(
-                        f"qubit {q} out of range: gate {i} ({gate.kind}) uses qubit "
-                        f"{q} but the circuit has {self.qubit_count}",
-                        gate=i,
-                    )
-            # the classical bit the gate reads (condition) or writes (MX)
-            cb = gate.cbit if gate.condition is None else gate.condition[0]
-            if cb is not None and cb >= self.classical_bit_count:
-                raise CircuitError(
-                    f"classical bit c{cb} out of range: gate {i} ({gate.kind}) uses "
-                    f"c{cb} but the circuit has {self.classical_bit_count}",
-                    gate=i,
-                )
-            if gate.condition is not None and cb not in written:
-                raise CircuitError(
-                    f"gate {i} ({gate.kind}): condition on c{cb} before any "
-                    "measurement writes it",
-                    gate=i,
-                )
-            if gate.kind == "MX":
-                if cb in written:
-                    raise CircuitError(
-                        f"gate {i} (MX): classical bit c{cb} written twice", gate=i
-                    )
-                written.add(cb)
+        for i, gate in enumerate(gates):
+            kind, qubits, cbit, condition = gate
+            if checked.get(id(qubits)) is not kind or not (
+                cbit is None and kind != "MX" and (condition is None or (
+                    type(condition) is tuple and len(condition) == 2
+                    and type(condition[0]) is int is type(condition[1])
+                    and condition[0] in written and 0 <= condition[1] <= 1))
+                or kind == "MX" and condition is None and type(cbit) is int
+                and 0 <= cbit < cbit_count and cbit not in written
+            ):
+                if error := _gate_error(i, gate, self.qubit_count, cbit_count, written):
+                    raise CircuitError(error, gate=i)
+                checked[id(qubits)] = kind
+            if cbit is not None:  # an MX, as the gate is valid
+                written.add(cbit)
         for key, value in self.metadata.items():
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {_shown(key)!r}")
@@ -364,22 +352,6 @@ _REGISTER = re.compile(f"([^ ]+) {_NUM}\\.\\.{_NUM}").fullmatch
 _GATE_LINE = re.compile(
     f"(?:IF c{_NUM}(=0)? )?([A-Z]{{1,3}}(?: {_INT}){{1,3}})(?: -> c{_NUM})?"
 ).fullmatch
-
-# Gate's slot setters, which object.__setattr__ would look up on every call
-_SET_KIND, _SET_QUBITS, _SET_CBIT, _SET_CONDITION = (
-    getattr(Gate, f.name).__set__ for f in fields(Gate)
-)
-
-
-def _reshaped(template: Gate, cbit: int | None, condition: tuple[int, int] | None) -> Gate:
-    """``template`` with its own classical bits, unchecked; see :class:`Gate`."""
-    gate = object.__new__(Gate)
-    _SET_KIND(gate, template.kind)
-    _SET_QUBITS(gate, template.qubits)
-    _SET_CBIT(gate, cbit)
-    _SET_CONDITION(gate, condition)
-    return gate
-
 
 def _core(kind: str, qubits: tuple[int, ...]) -> str:
     """The canonical "KIND q q q" of a gate line, without IF or "->"."""
@@ -438,11 +410,9 @@ def parse(text: str | bytes) -> Circuit:
     lines = text[header.end() :].split("\n")
     lines.pop()  # the empty text after the final newline
     gates: list[Gate] = []
-    # gate line text -> the Gate its first copy produced; Gate is frozen, so
-    # repeated lines share it and only the first copy is parsed and built
+    # gate line text -> its Gate; a line's core is itself a gate line, so
+    # the lines of one core share its kind and operand tuple
     line_gates: dict[str, Gate] = {}
-    # shape of a line (core, no "->", no IF) -> its first line's Gate
-    shapes: dict[tuple[str, bool, bool], Gate] = {}
     for lineno, raw in enumerate(lines, start=header_lines + 1):
         gate = line_gates.get(raw)
         if gate is None:
@@ -450,22 +420,17 @@ def parse(text: str | bytes) -> Circuit:
             if match is None:
                 raise _refused("a gate line", raw, lineno)
             cb, zero, core, dest = match.groups()
-            cbit = None if dest is None else int(dest)
-            condition = None if cb is None else (int(cb), 0 if zero else 1)
-            shape = (core, dest is None, cb is None)
-            template = shapes.get(shape)
-            if template is None:
+            gate = line_gates.get(core)
+            if gate is None:
                 kind, *operands = core.split(" ")
                 qubits = tuple(map(int, operands))
                 if _core(kind, qubits) != core:
                     raise _refused("a gate line", raw, lineno)
-                try:
-                    gate = shapes[shape] = Gate(kind, qubits, cbit, condition)
-                except CircuitError as exc:
-                    raise ParseError(str(exc), lineno) from None
-            else:
-                gate = _reshaped(template, cbit, condition)
-            line_gates[raw] = gate
+                gate = line_gates[core] = Gate(kind, qubits)
+            if raw != core:
+                cbit = None if dest is None else int(dest)
+                condition = None if cb is None else (int(cb), 0 if zero else 1)
+                gate = line_gates[raw] = Gate(gate.kind, gate.qubits, cbit, condition)
         gates.append(gate)
 
     try:

@@ -50,7 +50,25 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse with its usage errors raised as _UsageError, so that they
-    print one `error:` line like every other usage error."""
+    print one `error:` line like every other usage error.  An argument that
+    argparse echoes whole (itself, its value after "=", or the tail of a
+    "-xVALUE") is cut by _shown, as are unrecognized arguments."""
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        try:
+            parsed, extras = self.parse_known_args(args, namespace)
+        except _UsageError as exc:
+            message = str(exc)
+            for arg in args:
+                for echo in (arg, arg.partition("=")[2], arg[2:]):
+                    if len(echo) > 20:
+                        message = message.replace(repr(echo), repr(_shown(echo)))
+                        message = message.replace(echo, _shown(echo))
+            raise _UsageError(message) from None
+        if extras:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
+        return parsed
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)
@@ -195,7 +213,7 @@ _LABELS = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        raise _UsageError(f"--jobs must be at least 1, got {_shown(args.jobs)}")
     circuit_bytes = _read_file(args.circuit, "circuit file")
     spec_data = _read_json(args.spec, "spec file")
     try:

@@ -19,6 +19,7 @@ import kickmix.builders as builders_module
 from kickmix import (
     INFINITY,
     BuildReport,
+    Circuit,
     CircuitError,
     CurveParams,
     CurvePoint,
@@ -594,7 +595,7 @@ def _plain_serialize(circuit) -> bytes:
 
 
 class _FreshEmitter(builders_module._Emitter):
-    """The emitter with one fresh, fully checked Gate per call."""
+    """The emitter with one fresh Gate per call."""
 
     def emit(self, kind, *qubits, cond=None):
         self.gates.append(Gate(kind, tuple(qubits), condition=cond))
@@ -647,8 +648,9 @@ def test_emitter_keeps_conditioned_and_measured_shapes_apart() -> None:
     assert play(builders_module._Emitter(3)) == play(_FreshEmitter(3))
 
 
-# (kind, operands, condition) that Gate refuses; the emitter must refuse each
-# with Gate's message, also when a valid gate of an equal shape came first
+# (kind, operands, condition) that Circuit refuses; the emitter's circuit
+# must be refused at finish with the same message, also when a valid gate of
+# the same kind and operands came first
 _BAD_GATES = [
     ("Y", (0,), None),
     ("CX", (0,), None),
@@ -668,36 +670,48 @@ _BAD_GATES = [
 ]
 
 
+def _circuit_refusal(*gates: Gate) -> str:
+    with pytest.raises(CircuitError) as refused:
+        Circuit(qubit_count=4, classical_bit_count=1, gates=gates)
+    assert refused.value.gate == len(gates) - 1
+    return str(refused.value)
+
+
+def _finish_refusal(em) -> CircuitError:
+    with pytest.raises(CircuitError) as refused:
+        em.finish("bad", (), {})
+    return refused.value
+
+
 @pytest.mark.parametrize("kind, qubits, cond", _BAD_GATES)
 def test_emitter_refuses_what_gate_refuses(kind, qubits, cond) -> None:
-    with pytest.raises(CircuitError) as refused:
-        Gate(kind, qubits, condition=cond)
+    measured = Gate("MX", (0,), cbit=0)
+    message = _circuit_refusal(measured, Gate(kind, qubits, condition=cond))
     em = builders_module._Emitter(4)
-    em.measure(0)  # a checked ("MX", (0,)) shape, with a classical bit
-    twin = (kind, tuple(int(q) for q in qubits), None if cond is None else (0, 1))
-    try:
-        Gate(*twin[:2], condition=twin[2])
-    except CircuitError:
-        pass
-    else:
-        em.emit(twin[0], *twin[1], cond=twin[2])
-        em.emit(twin[0], *twin[1], cond=twin[2])
-    before = list(em.gates)
+    em.measure(0)
+    # a twin with int operands shares the bad gate's operand tuple; a bool
+    # or float operand equal to an int is the same qubit to the emitter
+    twin = Gate(kind, qubits, condition=None if cond is None else (0, 1))
+    if all(type(q) is int for q in qubits):
+        try:
+            Circuit(qubit_count=4, classical_bit_count=1, gates=(measured, twin))
+        except CircuitError:
+            pass
+        else:
+            em.emit(twin.kind, *twin.qubits, cond=twin.condition)
+            em.emit(twin.kind, *twin.qubits, cond=twin.condition)
+    bad = len(em.gates)
     for _ in range(2):
-        with pytest.raises(CircuitError) as emitted:
-            em.emit(kind, *qubits, cond=cond)
-        assert str(emitted.value) == str(refused.value)
-        assert emitted.value.gate is None
-    assert em.gates == before
+        em.emit(kind, *qubits, cond=cond)
+    refused = _finish_refusal(em)
+    assert (str(refused), refused.gate) == (message, bad)
 
 
 def test_emitter_measure_refuses_what_gate_refuses() -> None:
-    em = builders_module._Emitter(4)
-    em.measure(1)
     for qubit in (True, 1.0, -1):
-        with pytest.raises(CircuitError) as refused:
-            Gate("MX", (qubit,), cbit=0)
-        with pytest.raises(CircuitError) as emitted:
-            em.measure(qubit)
-        assert str(emitted.value) == str(refused.value)
-    assert [g.qubits for g in em.gates] == [(1,)]
+        message = _circuit_refusal(Gate("MX", (2,), cbit=0), Gate("MX", (qubit,), cbit=1))
+        em = builders_module._Emitter(4)
+        em.measure(2)
+        em.measure(qubit)
+        refused = _finish_refusal(em)
+        assert (str(refused), refused.gate) == (message, 1)

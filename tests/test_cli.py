@@ -98,11 +98,12 @@ def test_integer_options_take_one_spelling(tmp_path, capsys) -> None:
 
 def test_lookup_entry_bits_over_the_qubit_ceiling_is_one_line(tmp_path, capsys) -> None:
     out = tmp_path / "x.kmx"
-    for bits in ("65536", "1000000", "1" + "0" * 30):
+    for bits, shown in (("65536", "65537"), ("1000000", "1000001"),
+                        ("1" + "0" * 30, "1" + "0" * 19 + "\u2026")):
         assert main(["build", "lookup", "-o", str(out), "--table", "1,0",
                      "--entry-bits", bits]) == 2
         assert capsys.readouterr().err == (
-            f"error: {int(bits) + 1} qubits exceed the ceiling 65536\n"
+            f"error: {shown} qubits exceed the ceiling 65536\n"
         )
     assert not out.exists()
 
@@ -468,6 +469,28 @@ def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert len(captured.err) < 200
+    # each value that argparse or a builder echoes is cut by _shown
+    long, nines = "y" * 300, "9" * 4000
+    for argv in (
+        [long],
+        ["inspect", "x.kmx", "--", long],
+        ["inspect", "x.kmx", *["zz"] * 150],
+        ["verify", "x.kmx", "--spec", "s.json", f"--exhaustive={long}"],
+        ["verify", "x.kmx", "--spec", "s.json", "--jobs", f"-{nines}"],
+        ["build", "adder", "-o", out, f"--wi={long}"],
+        ["build", "adder", "-o", out, f"-h{long}"],
+        ["build", "adder", "-o", out, "--width", nines],
+        ["build", "mod-add", "-o", out, "--width", "4", "--constant", nines, "--modulus", "5"],
+        ["build", "mod-add", "-o", out, "--width", "4", "--constant", "1", "--modulus", nines],
+        ["build", "windowed-pointadd", "-o", out, "--curve", "toy-p11-b7", "--point", "G",
+         "--window", nines],
+        ["build", "lookup", "-o", out, "--table", "1,2", "--entry-bits", nines],
+        ["build", "lookup", "-o", out, "--table", "1,2", "--entry-bits", f"-{nines}"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "\u2026" in captured.err and len(captured.err) < 200 and captured.out == ""
     assert not list(tmp_path.iterdir())
     for argv in (["--help"], ["build", "--help"]):
         with pytest.raises(SystemExit) as excinfo:
