@@ -335,7 +335,7 @@ def static_resources(circuit: Circuit) -> StaticResources:
 
 # An integer as str(int) spells it, in at most _MAX_DIGITS digits, as one
 # group; [0-9], not \d, as parse refuses non-ASCII digits.  Gate operands
-# match the looser _INT: parse compares the first line of each shape with
+# match the looser _INT: parse compares the first line of each core with
 # _core of its operands instead, which costs nothing on the later lines.
 _NUM = f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
 _INT = f"[0-9]{{1,{_MAX_DIGITS}}}"

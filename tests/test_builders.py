@@ -572,7 +572,7 @@ def test_builder_outputs_are_pinned(
 
 
 # ---------------------------------------------------------------------------
-# shared gates: the emitter builds each gate shape once and serialize writes
+# shared gates: the emitter builds each unconditioned gate once and serialize writes
 # each "KIND q q q" once; both must agree with the plain per-gate forms
 
 

@@ -187,7 +187,7 @@ def test_four_gate_example_counts() -> None:
         ("qubits 2\ncbits 0\nin a 1..0\n", 3, 1, "bad register range 1..0"),
         ("qubits 1\ncbits 0\nin a 0..0\nin a 0..0\n", 1, 1, "duplicate in register 'a'"),
         ("qubits 2\ncbits 0\nin a 0..3\n", 1, 1, "exceeds qubit count"),
-        # Gate lines: syntax first, then Gate's rules, then Circuit.validate's.
+        # Gate lines: syntax first, then Circuit.validate's rules.
         ("qubits 2\ncbits 0\nBOGUS 0\n", 3, 1, "expected a gate line, got 'BOGUS 0'"),
         ("qubits 2\ncbits 0\nH 0\n", 3, 1, "unknown gate kind 'H'"),
         ("qubits 2\ncbits 1\nMX 0\n", 3, 1, "MX requires a destination classical bit"),
