@@ -68,9 +68,10 @@ names the column of the first bad byte).  A refused line is quoted, cut to
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-``validate`` checks each operand tuple once, however many gates share it:
-:func:`parse` shares one per "KIND q q q", and the builders one per kind
-and operands.  Callers must not rely on gate or tuple identity.
+``validate`` checks each operand tuple once, however many gates share it
+(:func:`parse` shares one per "KIND q q q", the builders one per kind and
+operands), and the classical bits of every gate.  Callers must not rely on
+gate or tuple identity.  A message stays one bounded line for any value.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -79,7 +80,8 @@ afterwards; ``qubit_count`` is the peak width.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -113,9 +115,27 @@ _MAX_DIGITS = len(str(MAX_CBITS))  # no integer in a circuit file may exceed MAX
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
 
 
-def _shown(value) -> str:
-    """A token, name or value as echoed in an error message, cut to a bounded length."""
-    text = str(value)
+def _shown(value, form=str) -> str:
+    """``form(value)`` (str or repr) for an error message, cut to 20 characters;
+    never raises.  str() sees only an int's leading digits; a tuple or list
+    shows its first items in repr form, a value whose form raises its type."""
+    try:
+        if type(value) is int:
+            # n // 10**k keeps at least 21 leading digits, as 0.30102 < log10(2)
+            k = max(int((abs(value).bit_length() - 1) * 0.30102) - 20, 0)
+            text = ("-" if value < 0 else "") + str(abs(value) // 10**k)
+        elif type(value) in (tuple, list):
+            items: list[str] = []
+            for item in value:
+                if len(", ".join(items)) > 20:
+                    break
+                items.append(_shown(item, repr))
+            text = ", ".join(items) + ("," if len(value) == 1 and type(value) is tuple else "")
+            text = f"({text})" if type(value) is tuple else f"[{text}]"
+        else:
+            text = form(value)
+    except Exception:  # RecursionError too, from a deeply nested value
+        text = f"<{type(value).__name__}>"
     return text if len(text) <= 20 else text[:20] + "\u2026"
 
 
@@ -149,47 +169,24 @@ class Gate(NamedTuple):
     condition: tuple[int, int] | None = None
 
 
-def _gate_error(i: int, gate: Gate, qubit_count: int, cbit_count: int, written) -> str | None:
-    """What is wrong with gate ``i``, or None; ``written``: the bits measured before it."""
-    kind, qubits, cbit, condition = gate
+def _operand_error(i: int, kind, qubits, qubit_count: int) -> str | None:
+    """What is wrong with the kind or operands of gate ``i``, or None."""
     if kind not in GATE_KINDS:
-        return f"unknown gate kind {_shown(repr(kind))}"
+        return f"unknown gate kind {_shown(kind, repr)}"
     if type(qubits) is not tuple:
-        return f"{kind} operands must be a tuple, not {type(qubits).__name__}"
+        return f"{kind} operands must be a tuple, not {_shown(type(qubits).__name__)}"
     if len(qubits) != _ARITY[kind]:
         return f"{kind} takes {_ARITY[kind]} qubit operand(s), got {len(qubits)}"
     if any(qubits.count(q) > 1 for q in qubits):
-        return f"duplicate operand in {kind} {qubits}"
+        return f"duplicate operand in {kind} {_shown(qubits)}"
     for q in qubits:
         if type(q) is not int:
-            return f"{kind} operand of type {type(q).__name__}, not int"
+            return f"{kind} operand of type {_shown(type(q).__name__)}, not int"
         if q < 0:
             return "negative qubit index"
         if q >= qubit_count:
-            return (f"qubit {q} out of range: gate {i} ({kind}) uses qubit {q} "
-                    f"but the circuit has {qubit_count}")
-    if kind == "MX":
-        if cbit is None:
-            return "MX requires a destination classical bit"
-        if type(cbit) is not int or cbit < 0:
-            return f"bad MX destination {_shown(repr(cbit))}"
-        if condition is not None:
-            return "measurements cannot be conditioned"
-    elif cbit is not None:
-        return f"{kind} does not write a classical bit"
-    if condition is not None:
-        cb, val = condition if type(condition) is tuple and len(condition) == 2 else (-1, -1)
-        if type(cb) is not int or cb < 0 or type(val) is not int or val not in (0, 1):
-            return f"bad condition {_shown(repr(condition))}"
-    # the classical bit the gate reads (condition) or writes (MX)
-    cb = cbit if condition is None else condition[0]
-    if cb is not None and cb >= cbit_count:
-        return (f"classical bit c{cb} out of range: gate {i} ({kind}) uses c{cb} "
-                f"but the circuit has {cbit_count}")
-    if condition is not None and cb not in written:
-        return f"gate {i} ({kind}): condition on c{cb} before any measurement writes it"
-    if kind == "MX" and cb in written:
-        return f"gate {i} (MX): classical bit c{cb} written twice"
+            return (f"qubit {_shown(q)} out of range: gate {i} ({kind}) uses qubit {_shown(q)} "
+                    f"but the circuit has {_shown(qubit_count)}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,7 @@ class Register:
         if not self.name or not self.name.replace("_", "").isalnum():
             raise CircuitError(f"bad register name {_shown(self.name)!r}")
         if self.lo < 0 or self.hi < self.lo:
-            raise CircuitError(f"bad register range {self.lo}..{self.hi}")
+            raise CircuitError(f"bad register range {_shown(self.lo)}..{_shown(self.hi)}")
 
     @property
     def width(self) -> int:
@@ -225,12 +222,7 @@ class StaticResources:
     measurement_count: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "qubit_count": self.qubit_count,
-            "total_gate_count": self.total_gate_count,
-            "non_clifford_gate_count": self.non_clifford_gate_count,
-            "measurement_count": self.measurement_count,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -254,12 +246,10 @@ class Circuit:
     def validate(self) -> None:
         if self.qubit_count < 0 or self.classical_bit_count < 0:
             raise CircuitError("negative qubit or classical bit count")
-        if self.qubit_count > MAX_QUBITS:
-            raise CircuitError(f"{self.qubit_count} qubits exceed the ceiling {MAX_QUBITS}")
-        if self.classical_bit_count > MAX_CBITS:
-            raise CircuitError(
-                f"{self.classical_bit_count} classical bits exceed the ceiling {MAX_CBITS}"
-            )
+        for count, what, ceiling in ((self.qubit_count, "qubits", MAX_QUBITS),
+                                     (self.classical_bit_count, "classical bits", MAX_CBITS)):
+            if count > ceiling:
+                raise CircuitError(f"{_shown(count)} {what} exceed the ceiling {ceiling}")
         for spec_name, regs in (("in", self.inputs), ("out", self.outputs)):
             seen_names: set[str] = set()
             used: set[int] = set()
@@ -269,8 +259,8 @@ class Circuit:
                 seen_names.add(reg.name)
                 if reg.hi >= self.qubit_count:
                     raise CircuitError(
-                        f"{spec_name} register {_shown(reg.name)!r} range {reg.lo}..{reg.hi} "
-                        f"exceeds qubit count {self.qubit_count}"
+                        f"{spec_name} register {_shown(reg.name)!r} range {_shown(reg.lo)}.."
+                        f"{_shown(reg.hi)} exceeds qubit count {_shown(self.qubit_count)}"
                     )
                 overlap = used.intersection(reg.qubits)
                 if overlap:
@@ -283,27 +273,44 @@ class Circuit:
         if not set(map(type, gates)) <= {Gate}:
             i, bad = next((i, g) for i, g in enumerate(gates) if type(g) is not Gate)
             raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate", gate=i)
-        # id of an operand tuple -> the kind that _gate_error passed it with.
-        # The tuple is alive in gates and holds exact ints, so a later gate
-        # with both objects meets every operand rule and needs only the test
-        # of its classical bits below, which holds only where _gate_error does.
+        # id of an operand tuple -> the kind _operand_error passed it with; the
+        # tuple is alive in gates and holds exact ints, so it passes again
         checked: dict[int, str] = {}
         written: set[int] = set()
-        for i, gate in enumerate(gates):
-            kind, qubits, cbit, condition = gate
-            if checked.get(id(qubits)) is not kind or not (
-                cbit is None and kind != "MX" and (condition is None or (
-                    type(condition) is tuple and len(condition) == 2
-                    and type(condition[0]) is int is type(condition[1])
-                    and condition[0] in written and 0 <= condition[1] <= 1))
-                or kind == "MX" and condition is None and type(cbit) is int
-                and 0 <= cbit < cbit_count and cbit not in written
-            ):
-                if error := _gate_error(i, gate, self.qubit_count, cbit_count, written):
+        for i, (kind, qubits, cbit, condition) in enumerate(gates):
+            if checked.get(id(qubits)) is not kind:
+                if error := _operand_error(i, kind, qubits, self.qubit_count):
                     raise CircuitError(error, gate=i)
                 checked[id(qubits)] = kind
-            if cbit is not None:  # an MX, as the gate is valid
-                written.add(cbit)
+            if kind == "MX":
+                if cbit is None:
+                    raise CircuitError("MX requires a destination classical bit", gate=i)
+                if type(cbit) is not int or cbit < 0:
+                    raise CircuitError(f"bad MX destination {_shown(cbit, repr)}", gate=i)
+                if condition is not None:
+                    raise CircuitError("measurements cannot be conditioned", gate=i)
+                cb = cbit  # the classical bit the gate writes or reads
+            elif cbit is not None:
+                raise CircuitError(f"{kind} does not write a classical bit", gate=i)
+            elif condition is None:
+                continue  # the gate writes and reads no classical bit
+            elif (type(condition) is not tuple or len(condition) != 2
+                  or type(condition[0]) is not int or condition[0] < 0
+                  or type(condition[1]) is not int or condition[1] not in (0, 1)):
+                raise CircuitError(f"bad condition {_shown(condition, repr)}", gate=i)
+            else:
+                cb = condition[0]
+            if cb >= cbit_count:
+                raise CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
+                                   f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}",
+                                   gate=i)
+            if kind == "MX":
+                if cb in written:
+                    raise CircuitError(f"gate {i} (MX): classical bit c{cb} written twice", gate=i)
+                written.add(cb)
+            elif cb not in written:
+                raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
+                                   "measurement writes it", gate=i)
         for key, value in self.metadata.items():
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {_shown(key)!r}")
@@ -320,7 +327,7 @@ class Circuit:
 
 def static_resources(circuit: Circuit) -> StaticResources:
     """Count peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements."""
-    kinds = [g.kind for g in circuit.gates]
+    kinds = list(map(itemgetter(0), circuit.gates))
     return StaticResources(
         qubit_count=circuit.qubit_count,
         total_gate_count=len(kinds),
@@ -463,15 +470,14 @@ def serialize(circuit: Circuit) -> bytes:
     # "KIND q q q" of each (kind, operands), written once; a line adds its
     # own "IF c<k>[=0] " prefix or " -> c<k>" suffix (Gate: only MX has a cbit)
     cores: dict[tuple[str, tuple[int, ...]], str] = {}
-    for gate in circuit.gates:
-        shape = (gate.kind, gate.qubits)
-        core = cores.get(shape)
+    for kind, qubits, cbit, condition in circuit.gates:
+        core = cores.get((kind, qubits))
         if core is None:
-            core = cores[shape] = _core(*shape)
-        if gate.condition is not None:
-            cb, val = gate.condition
+            core = cores[kind, qubits] = _core(kind, qubits)
+        if condition is not None:
+            cb, val = condition
             core = f"IF c{cb} {core}" if val == 1 else f"IF c{cb}=0 {core}"
-        elif gate.cbit is not None:
-            core = f"{core} -> c{gate.cbit}"
+        elif cbit is not None:
+            core = f"{core} -> c{cbit}"
         lines.append(core)
     return ("\n".join(lines) + "\n").encode("utf-8")

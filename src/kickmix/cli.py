@@ -78,7 +78,7 @@ def _read_file(path: str, what: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise _UsageError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+        raise _UsageError(f"cannot read {what} {_shown(path)!r}: {exc.strerror}") from exc
 
 
 def _write_file(path: str | None, data: bytes, what: str, mode: str = "wb") -> None:
@@ -90,7 +90,7 @@ def _write_file(path: str | None, data: bytes, what: str, mode: str = "wb") -> N
         with open(path, mode) as out:
             out.write(data)
     except OSError as exc:
-        raise _UsageError(f"cannot write {what} {path!r}: {exc.strerror}") from exc
+        raise _UsageError(f"cannot write {what} {_shown(path)!r}: {exc.strerror}") from exc
 
 
 def _check_writable(path: str | None, what: str) -> None:
@@ -108,11 +108,11 @@ def _read_json(path: str, what: str) -> dict:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+        raise _UsageError(f"{what} {_shown(path)!r} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise _UsageError(f"{what} {path!r} nests too deeply to read") from None
+        raise _UsageError(f"{what} {_shown(path)!r} nests too deeply to read") from None
     if not isinstance(data, dict):
-        raise _UsageError(f"{what} {path!r} must hold a JSON object")
+        raise _UsageError(f"{what} {_shown(path)!r} must hold a JSON object")
     return data
 
 

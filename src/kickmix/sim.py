@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .circuit import GATE_KINDS, NON_CLIFFORD_KINDS, Circuit, static_resources
@@ -116,13 +117,9 @@ def run(
     executed_non_clifford = 0
     rng_iter: Iterator[int] = iter(rng)
 
-    for index, gate in enumerate(circuit.gates):
-        if gate.condition is not None:
-            cb, wanted = gate.condition
-            if cbits[cb] != wanted:
-                continue
-        kind = gate.kind
-        qs = gate.qubits
+    for index, (kind, qs, cbit, condition) in enumerate(circuit.gates):
+        if condition is not None and cbits[condition[0]] != condition[1]:
+            continue
         if kind == "MX":
             try:
                 outcome = next(rng_iter)
@@ -134,7 +131,7 @@ def run(
                 raise ValueError(f"measurement randomness must be bits, got {outcome!r}")
             if outcome and bits[qs[0]]:
                 phase = -phase
-            cbits[gate.cbit] = outcome
+            cbits[cbit] = outcome
             bits[qs[0]] = 0
         elif kind in ("X", "CX", "CCX"):
             if all(bits[q] for q in qs[:-1]):
@@ -283,7 +280,7 @@ def run_lanes(
     longer factorizes), so it is None and ().  Without words such a gate
     raises ValueError.
     """
-    by_kind = Counter((g.condition, g.kind) for g in circuit.gates)
+    by_kind = Counter(map(itemgetter(3, 0), circuit.gates))  # (condition, kind)
     m = sum(n for (_, kind), n in by_kind.items() if kind == "MX")
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
     # otherwise they and the defect planes depend only on the inputs.
@@ -310,9 +307,7 @@ def run_lanes(
     corr: dict[tuple[int, int], int] = {}
     # cbit -> lanes whose own outcome is 1; filled iff a conditioned X/CX/CCX ran
     outcomes: dict[int, int] = {}
-    for index, gate in enumerate(circuit.gates):
-        kind = gate.kind
-        qs = gate.qubits
+    for index, (kind, qs, cbit, cond) in enumerate(circuit.gates):
         if kind == "CCX":
             flip = q[qs[0]] & q[qs[1]]
         elif kind == "CX":
@@ -320,8 +315,8 @@ def run_lanes(
         elif kind == "X":
             flip = full
         elif kind == "MX":
-            position[gate.cbit] = m - 1 - len(measured)
-            measured[gate.cbit] = q[qs[0]]
+            position[cbit] = m - 1 - len(measured)
+            measured[cbit] = q[qs[0]]
             q[qs[0]] = 0
             continue
         else:
@@ -331,13 +326,11 @@ def run_lanes(
                 parity = q[qs[0]] & q[qs[1]]
             else:
                 parity = q[qs[0]]
-            cond = gate.condition
             if cond is None:
                 base ^= parity
             else:
                 corr[cond] = corr.get(cond, 0) ^ parity
             continue
-        cond = gate.condition
         if cond is not None:
             cb, value = cond
             if words is None:

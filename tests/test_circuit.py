@@ -449,14 +449,18 @@ def _first_bad_gate(gates, qubit_count: int, cbit_count: int) -> int | None:
 # operand tuples of each kind, each shared by every gate that draws it, as
 # parse and the builders share them
 _GOOD_OPERANDS = {kind: [tuple(range(n)), tuple(range(4 - n, 4))] for kind, n in _ARITIES.items()}
-_BAD_OPERANDS = [(), (1, 1), (-1,), (0, 4), (True,), (0, 1.0), (0, [1]), [0], [0, 1]]
-_BAD_CBITS = [None, -1, True, 1.0, 0, 4]
-_BAD_CONDITIONS = [(True, 1), (0, True), (0.0, 1), (0, 2), (-1, 1), [0, 1], (0,), (0, 1, 1)]
+_HUGE = 10**5000  # str() refuses an int this long
+_BAD_OPERANDS = [(), (1, 1), (-1,), (0, 4), (True,), (0, 1.0), (0, [1]), [0], [0, 1],
+                 (_HUGE,), (_HUGE, _HUGE)]
+_BAD_CBITS = [None, -1, True, 1.0, 0, 4, _HUGE]
+_BAD_CONDITIONS = [(True, 1), (0, True), (0.0, 1), (0, 2), (-1, 1), [0, 1], (0,), (0, 1, 1),
+                   (_HUGE, 1), (0, _HUGE)]
 
 
 @st.composite
 def _odd_gates(draw) -> list[Gate]:
-    """Gates, mostly good, some with a bad kind, operand, cbit or condition.
+    """Gates, mostly good, some with a bad kind, operand, cbit or condition,
+    which may hold an int too long for str().
     Gates of one kind that draw the same operands share one tuple object, so
     a bad gate often repeats the kind and operands of a good one; a bad kind
     may share another kind's tuple, or be an equal string that is another
@@ -474,7 +478,7 @@ def _odd_gates(draw) -> list[Gate]:
             condition = (draw(st.integers(0, measured - 1)), draw(st.integers(0, 1)))
         fault = draw(st.sampled_from([None] * 20 + ["kind", "qubits", "cbit", "condition"]))
         if fault == "kind":
-            kind = draw(st.sampled_from(["H", "".join(list(kind)), "CX", "MX"]))
+            kind = draw(st.sampled_from(["H", "".join(list(kind)), "CX", "MX", _HUGE]))
         elif fault == "qubits":
             qubits = draw(st.sampled_from([*_BAD_OPERANDS, tuple(list(qubits))]))
         elif fault == "cbit":
@@ -515,6 +519,7 @@ def test_circuit_refuses_the_first_bad_gate_or_round_trips(gates) -> None:
         circuit = Circuit(qubit_count=4, classical_bit_count=4, gates=gates)
     except CircuitError as exc:
         assert type(exc) is CircuitError and exc.gate == bad is not None
+        assert "\n" not in str(exc) and len(str(exc)) < 200
     else:
         assert bad is None
         assert parse(serialize(circuit)) == circuit
@@ -551,6 +556,69 @@ def test_circuit_validation() -> None:
         Circuit(qubit_count=1, inputs=(Register("a", 0, 1),))
     with pytest.raises(CircuitError, match="uses qubit 5 but the circuit has 1"):
         Circuit(qubit_count=1, gates=(Gate("X", (5,)),))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"gates": (Gate("X", (_HUGE,)),)},
+         "qubit 10000000000000000000\u2026 out of range: gate 0 (X) uses qubit "
+         "10000000000000000000\u2026 but the circuit has 1"),
+        ({"gates": (Gate("CX", (_HUGE, _HUGE)),)},
+         "duplicate operand in CX (1000000000000000000\u2026"),
+        ({"gates": (Gate("MX", (0,), _HUGE),)},
+         "classical bit c10000000000000000000\u2026 out of range: gate 0 (MX) uses "
+         "c10000000000000000000\u2026 but the circuit has 1"),
+        ({"gates": (Gate("MX", (0,), -_HUGE),)}, "bad MX destination -1000000000000000000\u2026"),
+        ({"gates": (Gate("X", (0,), condition=(_HUGE, 1)),)},
+         "classical bit c10000000000000000000\u2026 out of range: gate 0 (X) uses "
+         "c10000000000000000000\u2026 but the circuit has 1"),
+        ({"gates": (Gate("X", (0,), condition=(0, _HUGE)),)},
+         "bad condition (0, 1000000000000000\u2026"),
+        ({"gates": (Gate(_HUGE, (0,)),)}, "unknown gate kind 10000000000000000000\u2026"),
+        ({"qubit_count": _HUGE}, "10000000000000000000\u2026 qubits exceed the ceiling 65536"),
+        ({"classical_bit_count": _HUGE},
+         "10000000000000000000\u2026 classical bits exceed the ceiling 1048576"),
+        ({"inputs": (Register("a", 0, _HUGE),)},
+         "in register 'a' range 0..10000000000000000000\u2026 exceeds qubit count 1"),
+    ],
+)
+def test_huge_integers_are_refused_in_one_short_line(changes, message) -> None:
+    # str() refuses an int of over 4300 digits; the message shows its first 20
+    with pytest.raises(CircuitError) as excinfo:
+        Circuit(**{"qubit_count": 1, "classical_bit_count": 1, **changes})
+    assert type(excinfo.value) is CircuitError and str(excinfo.value) == message
+    assert excinfo.value.gate == (0 if "gates" in changes else None)
+
+
+def test_huge_register_range_is_refused_in_one_short_line() -> None:
+    with pytest.raises(CircuitError) as excinfo:
+        Register("a", _HUGE, 0)
+    assert str(excinfo.value) == "bad register range 10000000000000000000\u2026..0"
+
+
+def test_shown_cuts_any_value_without_raising() -> None:
+    shown = circuit_module._shown
+    rng = random.Random(7)
+    for digits in [*range(1, 80), *rng.sample(range(80, 4300), 200)]:
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10**digits)):
+            for value in (n, -n):
+                text = str(value)
+                assert shown(value) == (text if len(text) <= 20 else text[:20] + "\u2026")
+    for value in ((0, 1, 1), (0,), (), [0, 1], ((1, 2), 3), (1,) * 1000, True, 1.5, "a'b" * 9):
+        text = repr(value)
+        assert shown(value, repr) == (text if len(text) <= 20 else text[:20] + "\u2026")
+
+    class Unprintable:
+        def __repr__(self) -> str:
+            raise RuntimeError("no repr")
+
+    nested: tuple = ()
+    for _ in range(200):
+        nested = (nested, nested)  # 2**200 leaves, shared
+    assert shown((Unprintable(), 1), repr) == "(<Unprintable>, 1)"
+    assert shown(nested) == "(" * 20 + "\u2026"
+    assert shown(10**200_000) == "1" + "0" * 19 + "\u2026"
 
 
 @pytest.mark.parametrize(
@@ -721,14 +789,14 @@ def test_gate_lines_parse_only_in_their_canonical_spelling(lines) -> None:
 
 def test_gate_rules_run_once_per_distinct_operand_tuple(toy1009, monkeypatch) -> None:
     checks = 0
-    checked = circuit_module._gate_error
+    checked = circuit_module._operand_error
 
     def counting(*args):
         nonlocal checks
         checks += 1
         return checked(*args)
 
-    monkeypatch.setattr(circuit_module, "_gate_error", counting)
+    monkeypatch.setattr(circuit_module, "_operand_error", counting)
     built = build_pointadd_permutation(toy1009, toy1009.generator).circuit
     tuples = {id(gate.qubits) for gate in built.gates}
     assert (checks, len(tuples), len(built.gates)) == (242, 242, 94080)

@@ -492,6 +492,21 @@ def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "\u2026" in captured.err and len(captured.err) < 200 and captured.out == ""
     assert not list(tmp_path.iterdir())
+    # a file path is cut too, whether it cannot be read or written
+    assert main(["build", "temp-and", "-o", out]) == 0
+    capsys.readouterr()
+    for argv, message in (
+        (["inspect", "a" * 300 + ".kmx"], "cannot read circuit file 'aaaaaaaaaaaaaaaaaaaa\u2026': "
+         "File name too long"),
+        (["build", "temp-and", "-o", "/nonexist/" + "a" * 300 + ".kmx"],
+         "cannot write circuit file '/nonexist/aaaaaaaaaa\u2026': No such file or directory"),
+        (["verify", out, "--spec", "s" * 300 + ".json"],
+         "cannot read spec file 'ssssssssssssssssssss\u2026': File name too long"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert len(captured.err) < 200
     for argv in (["--help"], ["build", "--help"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -827,9 +842,9 @@ def test_verify_refuses_an_unwritable_report_before_verifying(
         assert main(["verify", str(circuit), "--spec", str(spec), "-o", str(target),
                      *extra]) == 2
         err = capsys.readouterr().err
-        _one_short_line(err.replace(str(tmp_path), ""))
-        assert err == (f"error: cannot write report file {str(target)!r}: "
-                       "No such file or directory\n")
+        _one_short_line(err)
+        shown = str(target)[:20] + "\u2026"
+        assert err == f"error: cannot write report file {shown!r}: No such file or directory\n"
     (tmp_path / "adir").mkdir()
     assert main(["verify", str(circuit), "--spec", str(spec), "-o",
                  str(tmp_path / "adir")]) == 2
