@@ -46,6 +46,9 @@ grinding margin.
 
 Structural rules enforced on every circuit:
 
+* every ``inputs``/``outputs`` entry is a :class:`Register` and every
+  ``gates`` entry a :class:`Gate`; counts, register bounds, operands and
+  classical bits are exact ints, names and metadata exact strs;
 * gate operands are distinct, in-range qubit indices;
 * each classical bit is written by at most one MX;
 * a condition may only reference a classical bit that an earlier MX wrote;
@@ -148,6 +151,12 @@ class CircuitError(ValueError):
         self.gate = gate
 
 
+def _exact(value, kind: type, what: str) -> None:
+    """Refuse a value whose type is not exactly ``kind`` (a bool is no int)."""
+    if type(value) is not kind:
+        raise CircuitError(f"{what} of type {_shown(type(value).__name__)}, not {kind.__name__}")
+
+
 class ParseError(CircuitError):
     """Parse or validation failure in `.kmx` text, with 1-based position."""
 
@@ -198,8 +207,11 @@ class Register:
     hi: int
 
     def __post_init__(self) -> None:
+        _exact(self.name, str, "register name")
         if not self.name or not self.name.replace("_", "").isalnum():
             raise CircuitError(f"bad register name {_shown(self.name)!r}")
+        _exact(self.lo, int, "register bound")
+        _exact(self.hi, int, "register bound")
         if self.lo < 0 or self.hi < self.lo:
             raise CircuitError(f"bad register range {_shown(self.lo)}..{_shown(self.hi)}")
 
@@ -244,6 +256,8 @@ class Circuit:
         self.validate()
 
     def validate(self) -> None:
+        _exact(self.qubit_count, int, "qubit count")
+        _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
             raise CircuitError("negative qubit or classical bit count")
         for count, what, ceiling in ((self.qubit_count, "qubits", MAX_QUBITS),
@@ -253,7 +267,10 @@ class Circuit:
         for spec_name, regs in (("in", self.inputs), ("out", self.outputs)):
             seen_names: set[str] = set()
             used: set[int] = set()
-            for reg in regs:
+            for i, reg in enumerate(regs):
+                if type(reg) is not Register:
+                    raise CircuitError(f"{spec_name} register {i} is a "
+                                       f"{_shown(type(reg).__name__)}, not a Register")
                 if reg.name in seen_names:
                     raise CircuitError(f"duplicate {spec_name} register {_shown(reg.name)!r}")
                 seen_names.add(reg.name)
@@ -312,6 +329,8 @@ class Circuit:
                 raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
                                    "measurement writes it", gate=i)
         for key, value in self.metadata.items():
+            _exact(key, str, "metadata key")
+            _exact(value, str, f"metadata value for {_shown(key)!r}")
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {_shown(key)!r}")
             if value != value.strip() or value.splitlines() != [value]:

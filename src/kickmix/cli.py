@@ -218,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec_data = _read_json(args.spec, "spec file")
     try:
         spec = VerificationSpec.from_dict(spec_data)
-    except (HarnessError, TypeError) as exc:
+    except HarnessError as exc:
         raise _UsageError(f"bad spec: {exc}") from exc
     _check_writable(args.output, "report file")
 

@@ -9,7 +9,10 @@ needs nothing but the file to reproduce the exact test set:
   k_1..k_N are drawn first, sequentially, each as ceil(order_bits / 8)
   bytes, big-endian, reduced modulo the curve group order (then window
   values w_1..w_N for windowed circuits, then addend scalars for two-point
-  adders, in that order, with the analogous width rules);
+  adders, in that order, with the analogous width rules); a
+  :class:`Transcript` holds each draw as one column of N values (None where
+  the circuit has no window or addend register), and a report's per-test
+  ``scalar``, ``window`` and ``addend_scalar`` fields are those columns;
 * measurement randomness for test i comes from its own stream,
   SHAKE256(commitment_bytes || i as 8-byte big-endian), consumed one byte
   at a time, bits taken most-significant first — so tests can run in any
@@ -64,7 +67,6 @@ from .sim import check_phase_all_branches, run, run_lanes  # noqa: F401
 __all__ = [
     "HarnessError",
     "VerificationSpec",
-    "TestCase",
     "Transcript",
     "VerificationReport",
     "commit",
@@ -118,35 +120,6 @@ def _unknown(what: str, names: list[str]) -> str:
 def commit(data: bytes) -> str:
     """Hex SHA-256 commitment to exact bytes."""
     return hashlib.sha256(data).hexdigest()
-
-
-class _XofStream:
-    """Incremental reads from a SHAKE256 output stream (prefix-stable).
-
-    SHAKE output can only be taken as a prefix, so the buffered prefix grows
-    geometrically: n bytes read cost O(n) bytes hashed, not O(n^2)."""
-
-    def __init__(self, seed: bytes):
-        self._hash = hashlib.shake_256(seed)
-        self._buffer = b""
-        self._pos = 0
-
-    def read(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._buffer):
-            self._buffer = self._hash.digest(max(end, 2 * len(self._buffer)))
-        out = self._buffer[self._pos : end]
-        self._pos = end
-        return out
-
-
-def _bit_stream(seed: bytes) -> Iterator[int]:
-    """Endless bits from SHAKE256(seed): bytes in stream order, bits MSB first."""
-    stream = _XofStream(seed)
-    while True:
-        for byte in stream.read(64):
-            for shift in range(7, -1, -1):
-                yield (byte >> shift) & 1
 
 
 def required_test_count(tolerated_fraction, security_bits: int) -> int:
@@ -218,6 +191,11 @@ class VerificationSpec:
     allow_failures: bool = False
 
     def __post_init__(self) -> None:
+        for name, (types, what) in _SPEC_FIELDS.items():
+            value = getattr(self, name)
+            if not _fits(value, types):
+                raise HarnessError(f"spec field {name!r} must be {what}, "
+                                   f"got {_shown(type(value).__name__)}")
         if not 0 <= self.test_count <= MAX_TEST_COUNT:
             raise HarnessError(
                 f"test_count must be >= 0 and at most {MAX_TEST_COUNT}, "
@@ -238,31 +216,23 @@ class VerificationSpec:
             raise HarnessError("addend_x and addend_y must be mapped together")
         if not 0 <= self.tolerated_failure_fraction < 1:
             raise HarnessError("tolerated_failure_fraction must be in [0, 1)")
-        bound = self.max_avg_non_clifford
-        if bound is not None and not math.isfinite(bound):
-            raise HarnessError(f"max_avg_non_clifford must be finite, got {bound}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VerificationSpec":
-        """Build a spec from decoded JSON, checking every field's type."""
+        """Build a spec from decoded JSON; the constructor checks each field's type."""
         unknown = sorted(set(data) - set(_SPEC_FIELDS))
         if unknown:
             raise HarnessError(_unknown("spec field(s)", unknown))
         if "curve" not in data or "test_count" not in data:
             raise HarnessError("spec requires at least curve and test_count")
-        for name, value in data.items():
-            types, what = _SPEC_FIELDS[name]
-            if not _fits(value, types):
-                raise HarnessError(
-                    f"spec field {name!r} must be {what}, got {type(value).__name__}"
-                )
         return cls(**data)
 
 
-# The JSON type of each spec field, and how an error message names it.
+# The JSON type of each spec field, and how an error message names it;
+# VerificationSpec checks every field against it before anything else.
 _NULL = type(None)
 _SPEC_FIELDS = {
     "curve": ((str,), "a string"),
@@ -313,24 +283,29 @@ def spec_for_circuit(circuit: Circuit, **overrides) -> VerificationSpec:
 
 
 @dataclass(frozen=True)
-class TestCase:
-    index: int
-    scalar: int
-    window: int | None = None
-    addend_scalar: int | None = None
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Commitment plus the derived test inputs; see the module docstring for
+    """Commitment plus the drawn test inputs, one column per draw: test i
+    drives scalars[i], windows[i] and addend_scalars[i], each None where the
+    circuit has no window or addend register.  See the module docstring for
     the byte-exact derivation rules."""
 
     commitment: str
     curve_name: str
-    tests: tuple[TestCase, ...]
+    scalars: tuple[int, ...]
+    windows: tuple[int | None, ...]
+    addend_scalars: tuple[int | None, ...]
 
     def measurement_bits(self, index: int) -> Iterator[int]:
-        return _bit_stream(self._measurement_seed(index))
+        """Endless bits of test index's stream: bytes in order, bits most
+        significant first.  SHAKE output is only taken as a prefix, so the
+        prefix doubles from 64 bytes: n bytes read cost O(n) bytes hashed."""
+        xof = hashlib.shake_256(self._measurement_seed(index))
+        start, end = 0, 64
+        while True:
+            for byte in xof.digest(end)[start:]:
+                for shift in range(7, -1, -1):
+                    yield (byte >> shift) & 1
+            start, end = end, 2 * end
 
     def measurement_word(self, index: int, count: int) -> int:
         """The first count bits of test index's measurement stream as one
@@ -363,27 +338,20 @@ def _derive(circuit_bytes: bytes, plan: _Plan, test_count: int) -> Transcript:
     )
     offset = 0
 
-    def draw(width: int, modulus: int) -> list[int | None]:
+    def draw(width: int, modulus: int) -> tuple[int, ...]:
         nonlocal offset
         start = offset
         offset += test_count * width
-        return [
+        return tuple([
             int.from_bytes(master[i : i + width], "big") % modulus
             for i in range(start, offset, width)
-        ]
+        ])
 
+    nothing = (None,) * test_count
     scalars = draw(scalar_bytes, curve.order)
-    windows = [None] * test_count
-    if window_bits is not None:
-        windows = draw(window_bytes, 1 << window_bits)
-    addends = [None] * test_count
-    if addend_bytes:
-        addends = draw(scalar_bytes, curve.order)
-    tests = tuple(
-        TestCase(index=i, scalar=scalars[i], window=windows[i], addend_scalar=addends[i])
-        for i in range(test_count)
-    )
-    return Transcript(commitment=commit(circuit_bytes), curve_name=curve.name, tests=tests)
+    windows = nothing if window_bits is None else draw(window_bytes, 1 << window_bits)
+    addend_scalars = draw(scalar_bytes, curve.order) if addend_bytes else nothing
+    return Transcript(commit(circuit_bytes), curve.name, scalars, windows, addend_scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +378,23 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     curve = named_curve(spec.curve)
     in_names = {r.name: r for r in circuit.inputs}
     out_names = {r.name: r for r in circuit.outputs}
+    roles: dict[str, str] = {}  # register name -> the role mapped to it
 
     def reg_for(role: str) -> str | None:
         name = spec.registers.get(role)
-        if name is not None and (name not in in_names or name not in out_names):
+        if name is None:
+            return None
+        if name not in in_names or name not in out_names:
             raise HarnessError(
                 f"register mapping mismatch: {role} -> {_shown(name)!r} is not an "
                 "input+output register of the circuit"
             )
+        if name in roles:
+            raise HarnessError(
+                f"register mapping mismatch: {role} -> {_shown(name)!r} is already "
+                f"mapped to {roles[name]}"
+            )
+        roles[name] = role
         return name
 
     # VerificationSpec requires both accumulator roles.
@@ -434,6 +411,11 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     window_bits = in_names[window_reg].width if window_reg else None
     addend_x = reg_for("addend_x")
     addend_y = reg_for("addend_y")
+    unmapped = [name for name in in_names if name not in roles]
+    if unmapped:
+        raise HarnessError(
+            f"register mapping mismatch: input register {_shown(unmapped[0])!r} has no role"
+        )
 
     base: CurvePoint | None = None
     if addend_x is None and spec.base_source == "generator":
@@ -450,18 +432,8 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
             raise HarnessError(f"base metadata {_shown(raw)!r} is not on curve {curve.name}")
 
     policy = circuit.metadata.get("exceptional", "correct")
-    return _Plan(
-        circuit=circuit,
-        curve=curve,
-        acc_x=acc_x,
-        acc_y=acc_y,
-        window_reg=window_reg,
-        window_bits=window_bits,
-        addend_x=addend_x,
-        addend_y=addend_y,
-        base=base,
-        policy=policy,
-    )
+    return _Plan(circuit, curve, acc_x, acc_y, window_reg, window_bits, addend_x, addend_y,
+                 base, policy)
 
 
 def _is_exceptional(plan: _Plan, accumulator: CurvePoint, addend: CurvePoint) -> bool:
@@ -509,17 +481,18 @@ def _transcript_cases(plan: _Plan, transcript: Transcript):
     # Small groups make thousands of tests share a few distinct inputs, so
     # the oracle runs once per distinct (scalar, window, addend scalar).
     memo: dict = {}
-    for case in transcript.tests:
-        entry: dict = {"index": case.index, "scalar": case.scalar}
-        if case.window is not None:
-            entry["window"] = case.window
-        if case.addend_scalar is not None:
-            entry["addend_scalar"] = case.addend_scalar
-        key = (case.scalar, case.window, case.addend_scalar)
+    columns = zip(transcript.scalars, transcript.windows, transcript.addend_scalars)
+    for index, key in enumerate(columns):
+        scalar, window, addend_scalar = key
+        entry: dict = {"index": index, "scalar": scalar}
+        if window is not None:
+            entry["window"] = window
+        if addend_scalar is not None:
+            entry["addend_scalar"] = addend_scalar
         if key not in memo:
-            accumulator = scalar_mul(case.scalar, plan.curve.generator, plan.curve)
-            addend = _addend_for(plan, case.window, case.addend_scalar)
-            memo[key] = _oracle_case(plan, accumulator, case.window, addend)
+            accumulator = scalar_mul(scalar, plan.curve.generator, plan.curve)
+            addend = _addend_for(plan, window, addend_scalar)
+            memo[key] = _oracle_case(plan, accumulator, window, addend)
         yield entry, memo[key]
 
 

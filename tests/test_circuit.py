@@ -547,6 +547,16 @@ def test_register_validation() -> None:
         Register("a", 3, 1)
     with pytest.raises(CircuitError, match="bad register range"):
         Register("a", -1, 0)
+    # exact types, so that serialize writes what parse reads back
+    for args, message in (
+        (("a", 0.0, 1.5), "register bound of type float, not int"),
+        (("a", 0, True), "register bound of type bool, not int"),
+        ((5, 0, 0), "register name of type int, not str"),
+        ((None, 0, 0), "register name of type NoneType, not str"),
+    ):
+        with pytest.raises(CircuitError) as excinfo:
+            Register(*args)
+        assert type(excinfo.value) is CircuitError and str(excinfo.value) == message
 
 
 def test_circuit_validation() -> None:
@@ -556,6 +566,22 @@ def test_circuit_validation() -> None:
         Circuit(qubit_count=1, inputs=(Register("a", 0, 1),))
     with pytest.raises(CircuitError, match="uses qubit 5 but the circuit has 1"):
         Circuit(qubit_count=1, gates=(Gate("X", (5,)),))
+    long_type = type("T" * 40, (int,), {})
+    for changes, message in (
+        ({"qubit_count": 2.0}, "qubit count of type float, not int"),
+        ({"qubit_count": True}, "qubit count of type bool, not int"),
+        ({"qubit_count": "3"}, "qubit count of type str, not int"),
+        ({"qubit_count": long_type(1)}, "qubit count of type " + "T" * 20 + "\u2026, not int"),
+        ({"classical_bit_count": 1.0}, "classical bit count of type float, not int"),
+        ({"metadata": {"a": 5}}, "metadata value for 'a' of type int, not str"),
+        ({"metadata": {5: "x"}}, "metadata key of type int, not str"),
+        ({"inputs": (("a", 0, 0),)}, "in register 0 is a tuple, not a Register"),
+        ({"outputs": (Register("a", 0, 0), "b")}, "out register 1 is a str, not a Register"),
+    ):
+        with pytest.raises(CircuitError) as excinfo:
+            Circuit(**{"qubit_count": 1, **changes})
+        assert type(excinfo.value) is CircuitError and str(excinfo.value) == message
+        assert excinfo.value.gate is None
 
 
 @pytest.mark.parametrize(

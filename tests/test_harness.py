@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -66,12 +67,10 @@ def test_scalar_stream_matches_independent_rederivation(
     assert transcript.curve_name == "toy-p11-b7"
     # order 12 fits one byte, so scalar i is just stream byte i mod 12
     stream = hashlib.shake_256(pointadd11_bytes).digest(16)
-    assert [t.scalar for t in transcript.tests] == [b % 12 for b in stream]
+    assert list(transcript.scalars) == [b % 12 for b in stream]
     # frozen pin so a drifted protocol cannot take the oracle down with it
-    assert [t.scalar for t in transcript.tests] == [
-        9, 3, 1, 3, 5, 2, 2, 4, 5, 0, 11, 6, 6, 8, 7, 9,
-    ]
-    assert all(t.window is None and t.addend_scalar is None for t in transcript.tests)
+    assert transcript.scalars == (9, 3, 1, 3, 5, 2, 2, 4, 5, 0, 11, 6, 6, 8, 7, 9)
+    assert transcript.windows == transcript.addend_scalars == (None,) * 16
 
 
 def test_window_values_are_drawn_after_all_scalars(
@@ -81,8 +80,9 @@ def test_window_values_are_drawn_after_all_scalars(
     spec = spec_for_circuit(windowed11_w2.circuit, test_count=count)
     transcript = derive_tests(windowed11_w2_bytes, spec)
     stream = hashlib.shake_256(windowed11_w2_bytes).digest(2 * count)
-    assert [t.scalar for t in transcript.tests] == [b % 12 for b in stream[:count]]
-    assert [t.window for t in transcript.tests] == [b % 4 for b in stream[count:]]
+    assert list(transcript.scalars) == [b % 12 for b in stream[:count]]
+    assert list(transcript.windows) == [b % 4 for b in stream[count:]]
+    assert transcript.addend_scalars == (None,) * count
 
 
 def test_measurement_bits_match_independent_rederivation(
@@ -103,7 +103,8 @@ def test_test_inputs_are_a_prefix_stable_sequence(
 ) -> None:
     short = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=20))
     long = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=50))
-    assert long.tests[:20] == short.tests
+    for column in ("scalars", "windows", "addend_scalars"):
+        assert getattr(long, column)[:20] == getattr(short, column)
     # measurement streams depend only on the commitment and the index
     a, b = short.measurement_bits(3), long.measurement_bits(3)
     assert [next(a) for _ in range(64)] == [next(b) for _ in range(64)]
@@ -115,8 +116,8 @@ def test_scalar_distribution_is_uniform_by_chi_square(
     spec = spec_for_circuit(pointadd11.circuit, test_count=600)
     transcript = derive_tests(pointadd11_bytes, spec)
     counts = [0] * 12
-    for t in transcript.tests:
-        counts[t.scalar] += 1
+    for scalar in transcript.scalars:
+        counts[scalar] += 1
     assert sum(counts) == 600
     expected = 600 / 12
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -131,8 +132,8 @@ def test_window_distribution_is_uniform_by_chi_square(
     spec = spec_for_circuit(windowed11_w2.circuit, test_count=400)
     transcript = derive_tests(windowed11_w2_bytes, spec)
     counts = [0] * 4
-    for t in transcript.tests:
-        counts[t.window] += 1
+    for window in transcript.windows:
+        counts[window] += 1
     expected = 400 / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     # 16.266 is the 99th percentile of chi-square with 3 degrees of freedom
@@ -388,7 +389,7 @@ def test_undefined_policy_skips_exceptional_inputs(pointadd11) -> None:
     assert report.passed
     transcript = derive_tests(raw, spec)
     # with base G, the chord rule breaks exactly on k in {0, 1, order-1}
-    expected_skips = sum(1 for t in transcript.tests if t.scalar in (0, 1, 11))
+    expected_skips = sum(1 for scalar in transcript.scalars if scalar in (0, 1, 11))
     assert report.data["skipped_exceptional"] == expected_skips
     assert expected_skips > 0
     for entry in report.data["tests"]:
@@ -433,6 +434,24 @@ def test_register_mapping_errors(pointadd11_bytes, windowed11_w2, windowed11_w2_
 
     with pytest.raises(ValueError, match="unknown curve"):
         verify(pointadd11_bytes, VerificationSpec(curve="no-such", test_count=5))
+
+    # refused before any test runs, in one line, not by the simulator
+    twice = VerificationSpec(
+        curve="toy-p11-b7",
+        test_count=5,
+        registers={"accumulator_x": "qx", "accumulator_y": "qx"},
+    )
+    roleless = VerificationSpec(curve="toy-p11-b7", test_count=5)  # no window role for k
+    for raw, spec, message in (
+        (pointadd11_bytes, twice,
+         "register mapping mismatch: accumulator_y -> 'qx' is already mapped to accumulator_x"),
+        (windowed11_w2_bytes, roleless,
+         "register mapping mismatch: input register 'k' has no role"),
+    ):
+        for run in (verify, verify_exhaustive, derive_tests):
+            with pytest.raises(HarnessError) as excinfo:
+                run(raw, spec)
+            assert str(excinfo.value) == message, run
 
 
 def test_a_respelled_circuit_is_refused_on_its_line(pointadd11, pointadd11_respellings):
@@ -497,6 +516,31 @@ def test_base_source_generator_overrides_metadata(toy11) -> None:
     assert report.data["failures"] == 30
 
 
+def _assert_rows_are_the_columns(report, transcript) -> None:
+    """A report's per-test inputs are the transcript's drawn columns; a row
+    leaves out a field whose column holds None."""
+    rows = report.data["tests"]
+    assert [row["index"] for row in rows] == list(range(len(transcript.scalars)))
+    for name, column in (
+        ("scalar", transcript.scalars),
+        ("window", transcript.windows),
+        ("addend_scalar", transcript.addend_scalars),
+    ):
+        assert [row.get(name) for row in rows] == list(column)
+        assert all((name in row) == (value is not None) for row, value in zip(rows, column))
+
+
+def test_windowed_report_rows_are_the_transcript_columns(
+    windowed11_w2, windowed11_w2_bytes
+) -> None:
+    spec = spec_for_circuit(windowed11_w2.circuit, test_count=40)
+    report = verify(windowed11_w2_bytes, spec)
+    transcript = derive_tests(windowed11_w2_bytes, spec)
+    assert report.passed and None not in transcript.windows
+    assert transcript.addend_scalars == (None,) * 40
+    _assert_rows_are_the_columns(report, transcript)
+
+
 def test_two_point_adder_path_uses_addend_scalars() -> None:
     # A gateless circuit with all four point registers: it "computes"
     # Q + A = Q, which is right exactly when A is the identity.
@@ -518,9 +562,10 @@ def test_two_point_adder_path_uses_addend_scalars() -> None:
     raw = text.encode()
     report = verify(raw, spec)
     transcript = derive_tests(raw, spec)
-    assert all(t.addend_scalar is not None for t in transcript.tests)
-    expected_failures = [t.index for t in transcript.tests if t.addend_scalar != 0]
+    assert None not in transcript.addend_scalars
+    expected_failures = [i for i, a in enumerate(transcript.addend_scalars) if a != 0]
     assert report.data["failure_indices"] == expected_failures
+    _assert_rows_are_the_columns(report, transcript)
     with pytest.raises(HarnessError, match="fixed-base and windowed circuits only"):
         verify_exhaustive(raw, spec)
 
@@ -596,13 +641,25 @@ class _CountingShake:
         return self._real.digest(length)
 
 
-def test_xof_stream_is_prefix_exact_and_hashes_linearly() -> None:
-    stream = harness._XofStream(b"seed")
-    stream._hash = counting = _CountingShake(b"seed")
-    sizes = [1, 7, 64, 0, 300, 5] + [32] * 9024
-    data = b"".join(stream.read(n) for n in sizes)
-    assert data == hashlib.shake_256(b"seed").digest(sum(sizes))
-    assert counting.hashed <= 4 * sum(sizes)
+def test_measurement_bits_are_prefix_exact_and_hash_linearly(
+    pointadd11, pointadd11_bytes, monkeypatch
+) -> None:
+    transcript = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=3))
+    seed = transcript._measurement_seed(2)
+    shakes: list[_CountingShake] = []
+
+    class CountingHashlib:
+        @staticmethod
+        def shake_256(data: bytes) -> _CountingShake:
+            shakes.append(_CountingShake(data))
+            return shakes[-1]
+
+    monkeypatch.setattr(harness, "hashlib", CountingHashlib)
+    count = 8 * 9024 * 32
+    bits = list(itertools.islice(transcript.measurement_bits(2), count))
+    raw = hashlib.shake_256(seed).digest(count // 8)
+    assert bits == [(byte >> shift) & 1 for byte in raw for shift in range(7, -1, -1)]
+    assert len(shakes) == 1 and shakes[0].hashed <= 4 * (count // 8)
 
 
 def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> None:
@@ -618,6 +675,7 @@ def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> 
     [
         ("test_count", 5.5, "'test_count' must be an integer, got float"),
         ("test_count", True, "'test_count' must be an integer, got bool"),
+        ("test_count", "5", "'test_count' must be an integer, got str"),
         ("registers", "qx", "'registers' must be an object mapping roles"),
         ("registers", {"accumulator_x": 1}, "'registers' must be an object mapping roles"),
         ("tolerated_failure_fraction", "0.01", "must be a number, got str"),
@@ -626,6 +684,7 @@ def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> 
         ("max_avg_non_clifford", "66", "must be a number or null, got str"),
         ("max_avg_non_clifford", float("inf"), "must be a number or null, got float"),
         ("max_qubits", False, "'max_qubits' must be an integer or null, got bool"),
+        ("max_qubits", "3", "'max_qubits' must be an integer or null, got str"),
         ("max_total_ops", [1], "'max_total_ops' must be an integer or null, got list"),
         ("allow_failures", 1, "'allow_failures' must be true or false, got int"),
         ("curve", None, "'curve' must be a string, got NoneType"),
@@ -633,10 +692,17 @@ def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> 
         ("test_count", 10**15, "test_count must be >= 0 and at most 131072, got 1000000000000000"),
     ],
 )
-def test_spec_from_dict_checks_field_types(field, value, message) -> None:
+@pytest.mark.parametrize(
+    "build",
+    [VerificationSpec.from_dict, lambda data: VerificationSpec(**data)],
+    ids=["from_dict", "constructor"],
+)
+def test_spec_from_dict_checks_field_types(build, field, value, message) -> None:
+    # from_dict and direct construction share one statement of the types
     data = {"curve": "toy-p11-b7", "test_count": 5, field: value}
-    with pytest.raises(HarnessError, match=re.escape(message)):
-        VerificationSpec.from_dict(data)
+    with pytest.raises(HarnessError) as excinfo:
+        build(data)
+    assert message in str(excinfo.value) and len(str(excinfo.value)) < 200
 
 
 def test_spec_from_dict_accepts_every_json_type_it_documents() -> None:
@@ -655,8 +721,11 @@ def test_spec_from_dict_accepts_every_json_type_it_documents() -> None:
 
 @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
 def test_spec_rejects_a_non_finite_average_bound(bound) -> None:
-    with pytest.raises(HarnessError, match="max_avg_non_clifford must be finite"):
+    with pytest.raises(HarnessError) as excinfo:
         VerificationSpec(curve="toy-p11-b7", test_count=5, max_avg_non_clifford=bound)
+    assert str(excinfo.value) == (
+        "spec field 'max_avg_non_clifford' must be a number or null, got float"
+    )
 
 
 def test_spec_side_errors_cut_long_strings(pointadd11_bytes) -> None:
