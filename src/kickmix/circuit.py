@@ -46,7 +46,9 @@ grinding margin.
 
 Structural rules enforced on every circuit:
 
-* every ``inputs``/``outputs`` entry is a :class:`Register` and every
+* ``inputs``, ``outputs`` and ``gates`` are tuples or lists (checked by
+  ``Circuit.__post_init__`` before it makes them tuples), ``metadata`` a
+  dict; every ``inputs``/``outputs`` entry is a :class:`Register` and every
   ``gates`` entry a :class:`Gate`; counts, register bounds, operands and
   classical bits are exact ints, names and metadata exact strs;
 * gate operands are distinct, in-range qubit indices;
@@ -60,7 +62,7 @@ Structural rules enforced on every circuit:
   ``correct`` or ``wraps`` (how the circuit treats exceptional inputs such
   as the identity or a doubling for point arithmetic).
 
-These rules live in :class:`Register` and :meth:`Circuit.validate` only; a
+These rules live in :class:`Register` and :class:`Circuit` only; a
 :class:`Gate` is a plain record, and :func:`parse` checks spelling and line
 order.  ``validate`` reports the first broken rule, checking the counts,
 the registers, the gates by position, then the metadata; :func:`parse`
@@ -250,9 +252,12 @@ class Circuit:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.inputs = tuple(self.inputs)
-        self.outputs = tuple(self.outputs)
-        self.gates = tuple(self.gates)
+        for name in ("inputs", "outputs", "gates"):
+            value = getattr(self, name)
+            if type(value) not in (tuple, list):
+                raise CircuitError(f"circuit {name} of type {_shown(type(value).__name__)}, "
+                                   "not tuple or list")
+            setattr(self, name, tuple(value))
         self.validate()
 
     def validate(self) -> None:
@@ -328,6 +333,7 @@ class Circuit:
             elif cb not in written:
                 raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
                                    "measurement writes it", gate=i)
+        _exact(self.metadata, dict, "metadata")
         for key, value in self.metadata.items():
             _exact(key, str, "metadata key")
             _exact(value, str, f"metadata value for {_shown(key)!r}")

@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -60,9 +60,9 @@ from .curve import (
     CurveParams, CurvePoint, encode_point, is_on_curve, named_curve, parse_point, point_add,
     point_neg, scalar_mul,
 )
-# run and check_phase_all_branches stay importable from here: the benchmark
-# in perfbench/ times the simulator layer by wrapping these names.
-from .sim import check_phase_all_branches, run, run_lanes  # noqa: F401
+# run, check_phase_all_branches and run_lanes stay importable from here: the
+# benchmark in perfbench/ times the simulator layer by wrapping these names.
+from .sim import _lane_pass, check_phase_all_branches, run, run_lanes  # noqa: F401
 
 __all__ = [
     "HarnessError",
@@ -274,12 +274,12 @@ def spec_for_circuit(circuit: Circuit, **overrides) -> VerificationSpec:
         registers["window"] = "k"
     overrides.setdefault("registers", registers)
     overrides.setdefault("security_bits", 40)
-    if "test_count" not in overrides:
-        eps = overrides.get("tolerated_failure_fraction", 0.01)
-        overrides["test_count"] = (
-            required_test_count(eps, overrides["security_bits"]) if eps > 0 else 0
-        )
-    return VerificationSpec(curve=curve_name, **overrides)
+    # The spec checks every override's type before the count is worked out.
+    spec = VerificationSpec(curve=curve_name, **{"test_count": 0, **overrides})
+    if "test_count" in overrides or spec.tolerated_failure_fraction == 0:
+        return spec
+    return replace(spec, test_count=required_test_count(spec.tolerated_failure_fraction,
+                                                        spec.security_bits))
 
 
 @dataclass(frozen=True)
@@ -537,13 +537,17 @@ def _failing(entry: dict) -> bool:
 
 def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
                fail_fast: bool) -> list[dict]:
-    """Fill in each (entry, oracle case) pair from lane-engine passes over
-    fixed-size chunks; m is the circuit's measurement count.
+    """Fill in each (entry, oracle case) pair from one lane-engine pass
+    (sim._lane_pass) per fixed-size chunk; m is the circuit's measurement
+    count.
 
-    With a transcript, each test is judged on its own sampled measurement
-    branch; without one (exhaustive mode), on every branch at once, with the
-    executed counts of the all-zeros branch.  fail_fast truncates after the
-    first failing entry."""
+    Outputs are judged once per slot, on the slot's first lane: a slot is
+    one distinct input, and the oracle's expected outputs are a function of
+    the inputs.  Each entry's sign and executed counts come straight from
+    the pass's per-lane columns.  With a transcript, each test is judged on
+    its own sampled measurement branch; without one (exhaustive mode), on
+    every branch at once, with the executed counts of the all-zeros branch.
+    fail_fast truncates after the first failing entry."""
     entries: list[dict] = []
     cases = iter(cases)
     while chunk := list(itertools.islice(cases, LANE_CHUNK)):
@@ -551,17 +555,21 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
         words = None
         if transcript is not None:
             words = [transcript.measurement_word(entry["index"], m) for entry, _ in ran]
-        lanes = run_lanes(circuit, [inputs for _, (inputs, _) in ran], words) if ran else []
-        for (entry, (_, expected)), lane in zip(ran, lanes):
+        lane_slot, reads, columns = _lane_pass(
+            circuit, [inputs for _, (inputs, _) in ran], words) if ran else ([], [], [[]] * 3)
+        output_ok: list[bool] = []  # per slot, judged on its first lane
+        for (entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
+            if s == len(output_ok):
+                output_ok.append(all(reads[s][1][name] == v for name, v in expected.items()))
             entry["skipped"] = False
-            entry["output_ok"] = all(lane.outputs[name] == v for name, v in expected.items())
+            entry["output_ok"] = output_ok[s]
             if transcript is None:
-                entry["phase_ok"] = lane.phase_always_plus_one
+                entry["phase_ok"] = reads[s][2]
                 entry["branches_covered"] = f"2^{m}"
             else:
-                entry["phase_ok"] = lane.phase == 1
-            entry["executed_total"] = lane.executed_total
-            entry["executed_non_clifford"] = lane.executed_non_clifford
+                entry["phase_ok"] = phase == 1
+            entry["executed_total"] = total
+            entry["executed_non_clifford"] = nc
         for entry, case in chunk:
             if case is None:
                 entry.update(_SKIPPED)

@@ -19,9 +19,10 @@ For circuits whose conditioned gates are all diagonal, the branch space
 factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
 :func:`run_lanes` makes that pass for many inputs at once, one bit per
-distinct input (a slot) in each qubit's int, and gives each lane's exact sign
-and executed counts on its own sampled branch, which a conditioned X/CX/CCX
-follows lane by lane, one slot per lane.  :func:`run` stays the reference.
+distinct input (a slot) in each qubit's int.  It reads outputs once per slot,
+and each lane's exact sign and executed counts on its own sampled branch as
+columns (which a conditioned X/CX/CCX follows lane by lane, one slot per
+lane); its LaneResults are the one-lane view.  :func:`run` stays the reference.
 """
 
 from __future__ import annotations
@@ -245,41 +246,13 @@ def _executed_count(by_kind: Counter, position: Mapping[int, int], kinds: Sequen
     return constant, list(masks.items())
 
 
-def run_lanes(
-    circuit: Circuit,
-    lane_inputs: Sequence[Mapping[str, int]],
-    words: Sequence[int] | None = None,
-) -> list[LaneResult]:
-    """Simulate many basis-state runs in one bitwise pass (bitslicing).
-
-    Lanes map to slots, one per distinct input: equal values of equal types
-    (so ``{"a": 1}`` and ``{"a": 1.0}`` never share, and a lane whose inputs
-    are invalid raises what it raises alone).  Each qubit is one int whose
-    bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]`` for every slot at
-    once, and outputs, final bits and defects are read out once per slot.
-    Data bits and defect planes depend only on the inputs, so each lane's
-    sign and executed counts come from its own stream word (below).
-
-    MX records the measured plane v_i and clears the qubit; diagonal gates
-    XOR their parity into a base plane, or into corr0_i / corr1_i when
-    conditioned on c_i = 0 / 1.
-    The sign on branch r is then (see :func:`check_phase_all_branches`)
-
-        zero-branch parity  XOR  XOR_i r_i & (v_i ^ corr0_i ^ corr1_i),
-
-    so a lane is clean on every branch iff its zero-branch parity and all
-    its defect bits v_i ^ corr0_i ^ corr1_i are 0.
-
-    words[j], when given, is lane j's measurement randomness: the first m
-    bits of its stream read as one big-endian int, so measurement i (in gate
-    order) is bit m-1-i.  The lane's phase and executed counts are exact on
-    that branch.  A conditioned X/CX/CCX then acts only on the lanes whose
-    own outcome matches its condition, so every lane follows its own branch
-    in a slot of its own (the slot of lane j is j), and the sign formula
-    still holds on it; the all-branch verdict does not (the branch space no
-    longer factorizes), so it is None and ().  Without words such a gate
-    raises ValueError.
-    """
+def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
+               words: Sequence[int] | None):
+    """The pass behind :func:`run_lanes`, in columns: (lane_slot, reads,
+    [phases, executed_total, executed_non_clifford]).  lane_slot[j] is lane
+    j's slot, numbered in order of first lane; reads[s] is slot s's
+    (final_bits, outputs, phase_always_plus_one, phase_defects), shared by
+    its lanes; each column holds one LaneResult field per lane."""
     by_kind = Counter(map(itemgetter(3, 0), circuit.gates))  # (condition, kind)
     m = sum(n for (_, kind), n in by_kind.items() if kind == "MX")
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
@@ -357,37 +330,74 @@ def run_lanes(
             defect_words[s] = defect_words.get(s, 0) | bit
             defects.setdefault(s, []).append(cb)
             plane ^= low
-    total0, total_steps = _executed_count(by_kind, position, GATE_KINDS)
-    nc0, nc_steps = _executed_count(by_kind, position, NON_CLIFFORD_KINDS)
 
-    read = []
+    reads = []
     for s in range(len(slots)):
         bits = tuple((plane >> s) & 1 for plane in q)
         outputs = {reg.name: _read_register(bits, reg.lo, reg.hi) for reg in circuit.outputs}
-        read.append((bits, outputs, (zero >> s) & 1, defect_words.get(s, 0),
-                     () if outcomes else tuple(defects.get(s, ()))))
+        verdict = None if outcomes else not (zero >> s) & 1 and s not in defect_words
+        reads.append((bits, outputs, verdict, () if outcomes else tuple(defects.get(s, ()))))
 
+    lanes = len(lane_slot)
+    columns = [[None] * lanes if words is None else [
+        -1 if (zero >> s) & 1 ^ ((w & defect_words.get(s, 0)).bit_count() & 1) else 1
+        for s, w in zip(lane_slot, words)
+    ]]
+    for kinds in (GATE_KINDS, NON_CLIFFORD_KINDS):
+        constant, steps = _executed_count(by_kind, position, kinds)
+        column = [constant] * lanes
+        for step, mask in () if words is None else steps:
+            column = [n + step * (w & mask).bit_count() for n, w in zip(column, words)]
+        columns.append(column)
+    return lane_slot, reads, columns
+
+
+def run_lanes(
+    circuit: Circuit,
+    lane_inputs: Sequence[Mapping[str, int]],
+    words: Sequence[int] | None = None,
+) -> list[LaneResult]:
+    """Simulate many basis-state runs in one bitwise pass (bitslicing).
+
+    Lanes map to slots, one per distinct input: equal values of equal types
+    (so ``{"a": 1}`` and ``{"a": 1.0}`` never share, and a lane whose inputs
+    are invalid raises what it raises alone).  Each qubit is one int whose
+    bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]`` for every slot at
+    once, and outputs, final bits and defects are read out once per slot.
+    Data bits and defect planes depend only on the inputs, so each lane's
+    sign and executed counts come from its own stream word (below).
+
+    MX records the measured plane v_i and clears the qubit; diagonal gates
+    XOR their parity into a base plane, or into corr0_i / corr1_i when
+    conditioned on c_i = 0 / 1.
+    The sign on branch r is then (see :func:`check_phase_all_branches`)
+
+        zero-branch parity  XOR  XOR_i r_i & (v_i ^ corr0_i ^ corr1_i),
+
+    so a lane is clean on every branch iff its zero-branch parity and all
+    its defect bits v_i ^ corr0_i ^ corr1_i are 0.
+
+    words[j], when given, is lane j's measurement randomness: the first m
+    bits of its stream read as one big-endian int, so measurement i (in gate
+    order) is bit m-1-i.  The lane's phase and executed counts are exact on
+    that branch.  A conditioned X/CX/CCX then acts only on the lanes whose
+    own outcome matches its condition, so every lane follows its own branch
+    in a slot of its own (the slot of lane j is j), and the sign formula
+    still holds on it; the all-branch verdict does not (the branch space no
+    longer factorizes), so it is None and ().  Without words such a gate
+    raises ValueError.
+
+    This is the one-lane view of the pass: a LaneResult per lane, with its
+    own copy of its slot's outputs.
+    """
+    lane_slot, reads, columns = _lane_pass(circuit, lane_inputs, words)
     results = []
-    for j, s in enumerate(lane_slot):
-        bits, outputs, zero_s, defect, phase_defects = read[s]
-        phase = None
-        total, nc = total0, nc0
-        if words is not None:
-            word = words[j]
-            phase = -1 if zero_s ^ ((word & defect).bit_count() & 1) else 1
-            total += sum(step * (word & mask).bit_count() for step, mask in total_steps)
-            nc += sum(step * (word & mask).bit_count() for step, mask in nc_steps)
-        results.append(
-            LaneResult(
-                outputs=dict(outputs),
-                phase=phase,
-                phase_always_plus_one=None if outcomes else not zero_s and not defect,
-                phase_defects=phase_defects,
-                executed_total=total,
-                executed_non_clifford=nc,
-                final_bits=bits,
-            )
-        )
+    for s, phase, total, nc in zip(lane_slot, *columns):
+        bits, outputs, verdict, phase_defects = reads[s]
+        results.append(LaneResult(outputs=dict(outputs), phase=phase,
+                                  phase_always_plus_one=verdict, phase_defects=phase_defects,
+                                  executed_total=total, executed_non_clifford=nc,
+                                  final_bits=bits))
     return results
 
 

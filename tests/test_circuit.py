@@ -577,11 +577,23 @@ def test_circuit_validation() -> None:
         ({"metadata": {5: "x"}}, "metadata key of type int, not str"),
         ({"inputs": (("a", 0, 0),)}, "in register 0 is a tuple, not a Register"),
         ({"outputs": (Register("a", 0, 0), "b")}, "out register 1 is a str, not a Register"),
+        ({"metadata": None}, "metadata of type NoneType, not dict"),
+        ({"metadata": [("a", "b")]}, "metadata of type list, not dict"),
+        ({"inputs": 5}, "circuit inputs of type int, not tuple or list"),
+        ({"outputs": 5}, "circuit outputs of type int, not tuple or list"),
+        ({"gates": 5}, "circuit gates of type int, not tuple or list"),
+        ({"gates": None}, "circuit gates of type NoneType, not tuple or list"),
+        ({"gates": iter(())}, "circuit gates of type tuple_iterator, not tuple or list"),
+        ({"inputs": {Register("a", 0, 0): 1}}, "circuit inputs of type dict, not tuple or list"),
+        ({"gates": type("G" * 40, (tuple,), {})()},
+         "circuit gates of type " + "G" * 20 + "\u2026, not tuple or list"),
     ):
         with pytest.raises(CircuitError) as excinfo:
             Circuit(**{"qubit_count": 1, **changes})
         assert type(excinfo.value) is CircuitError and str(excinfo.value) == message
         assert excinfo.value.gate is None
+    listed = Circuit(qubit_count=1, inputs=[Register("a", 0, 0)], gates=[Gate("X", (0,))])
+    assert listed.inputs == (Register("a", 0, 0),) and listed.gates == (Gate("X", (0,)),)
 
 
 @pytest.mark.parametrize(

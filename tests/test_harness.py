@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickmix import harness
+from kickmix import harness, sim
 from kickmix import (
     INFINITY,
+    Gate,
     HarnessError,
     ParseError,
     VerificationSpec,
@@ -41,6 +42,8 @@ from kickmix import (
     verify,
     verify_exhaustive,
 )
+
+from test_golden_reports import GOLDEN, conditioned_cx_circuit
 
 _SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -259,6 +262,24 @@ def test_spec_for_circuit_defaults(pointadd11, windowed11_w2) -> None:
     bare = parse("qubits 1\ncbits 0\n")
     with pytest.raises(HarnessError, match="names no curve"):
         spec_for_circuit(bare)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"tolerated_failure_fraction": "0.1"},
+         "spec field 'tolerated_failure_fraction' must be a number, got str"),
+        ({"security_bits": "40"}, "spec field 'security_bits' must be an integer, got str"),
+        ({"security_bits": 40.0}, "spec field 'security_bits' must be an integer, got float"),
+        ({"tolerated_failure_fraction": None},
+         "spec field 'tolerated_failure_fraction' must be a number, got NoneType"),
+    ],
+)
+def test_spec_for_circuit_checks_override_types_first(pointadd11, override, message) -> None:
+    # the spec's own type check runs before the test count is worked out
+    with pytest.raises(HarnessError) as excinfo:
+        spec_for_circuit(pointadd11.circuit, **override)
+    assert type(excinfo.value) is HarnessError and str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +650,57 @@ def test_reports_do_not_depend_on_the_lane_chunk_size(
     assert verify_exhaustive(mutated, exhaustive_spec).to_json_bytes() == (
         exhaustive.to_json_bytes()
     )
+
+
+def _replayed(circuit, monkeypatch):
+    """A 60-test report in 7-lane chunks, with each executed row's inputs,
+    oracle outputs and transcript."""
+    raw = serialize(circuit)
+    spec = spec_for_circuit(circuit, test_count=60)
+    monkeypatch.setattr(harness, "LANE_CHUNK", 7)
+    report = verify(raw, spec)
+    transcript = derive_tests(raw, spec)
+    cases = harness._transcript_cases(harness._resolve(parse(raw), spec), transcript)
+    return report, transcript, [(entry["index"], case) for entry, case in cases]
+
+
+def test_report_rows_equal_a_scalar_replay(pointadd11, monkeypatch) -> None:
+    """Outputs are judged once per slot and counts come from columns; every
+    executed row must still be what one sim.run on its own branch gives."""
+    p11 = pointadd11.circuit
+    fixed = conditioned_cx_circuit(p11)
+    cb = fixed.classical_bit_count - 1
+    broken = replace(fixed, gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
+    for circuit in (p11, mutate(p11, 5), broken):
+        report, transcript, cases = _replayed(circuit, monkeypatch)
+        rows = report.data["tests"]
+        assert [row["index"] for row in rows] == [index for index, _ in cases] == list(range(60))
+        for row, (index, (inputs, expected)) in zip(rows, cases):
+            scalar = sim.run(circuit, inputs, transcript.measurement_bits(index))
+            assert row["skipped"] is False
+            assert row["output_ok"] == all(scalar.outputs[k] == v for k, v in expected.items())
+            assert row["phase_ok"] == (scalar.phase == 1)
+            assert row["executed_total"] == scalar.executed_total
+            assert row["executed_non_clifford"] == scalar.executed_non_clifford
+        assert report.data["failure_indices"] == [
+            row["index"] for row in rows if not (row["output_ok"] and row["phase_ok"])
+        ]
+        # the mutant and the broken circuit fail some rows and pass others
+        assert 0 < report.data["failures"] < 60 if circuit is not p11 else report.passed
+
+
+def test_verify_builds_no_lane_result(pointadd11, monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a LaneResult")
+
+    monkeypatch.setattr(harness, "run_lanes", refuse)
+    monkeypatch.setattr(sim, "run_lanes", refuse)
+    monkeypatch.setattr(sim, "LaneResult", refuse)
+    p11 = pointadd11.circuit
+    assert verify(serialize(p11), spec_for_circuit(p11)).digest == GOLDEN["p11-transcript"]
+    conditioned = verify(serialize(conditioned_cx_circuit(p11)),
+                         spec_for_circuit(p11, test_count=300))
+    assert conditioned.digest == GOLDEN["p11-conditioned-cx"]
 
 
 class _CountingShake:

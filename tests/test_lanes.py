@@ -259,6 +259,26 @@ def test_lanes_with_equal_inputs_match_their_own_runs(case) -> None:
     assert run_lanes(circuit, inputs * 2, None if words is None else words * 2) == results * 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(pooled_lanes())
+def test_run_lanes_is_the_one_lane_view_of_the_pass(case) -> None:
+    """run_lanes[j] is lane j's slot read plus entry j of each column."""
+    circuit, inputs, words, _ = case
+    lane_slot, reads, columns = sim._lane_pass(circuit, inputs, words)
+    assert len(lane_slot) == len(inputs) and all(len(c) == len(inputs) for c in columns)
+    # slots are numbered in order of their first lane, which harness relies on
+    firsts = [s for j, s in enumerate(lane_slot) if s not in lane_slot[:j]]
+    assert firsts == list(range(len(reads)))
+    views = [
+        sim.LaneResult(outputs=reads[s][1], phase=phase, phase_always_plus_one=reads[s][2],
+                       phase_defects=reads[s][3], executed_total=total,
+                       executed_non_clifford=nc, final_bits=reads[s][0])
+        for s, phase, total, nc in zip(lane_slot, *columns)
+    ]
+    assert run_lanes(circuit, inputs, words) == views
+    assert run_lanes(circuit, [], []) == []
+
+
 def test_equal_inputs_are_simulated_once(monkeypatch) -> None:
     circuit = _conditioned_cx()
     seen = []
