@@ -77,6 +77,8 @@ registers, metadata) points at line 1.
 (:func:`parse` shares one per "KIND q q q", the builders one per kind and
 operands), and the classical bits of every gate.  Callers must not rely on
 gate or tuple identity.  A message stays one bounded line for any value.
+The same walk records the :class:`Facts` that every layer reads instead of
+recounting the gates; ``Circuit`` is frozen, so they cannot go stale.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -85,6 +87,7 @@ afterwards; ``qubit_count`` is the peak width.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -117,6 +120,7 @@ MAX_QUBITS = 1 << 16
 MAX_CBITS = 1 << 20
 _MAX_DIGITS = len(str(MAX_CBITS))  # no integer in a circuit file may exceed MAX_CBITS
 
+_NON_CLIFFORD = frozenset(NON_CLIFFORD_KINDS)
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
 
 
@@ -239,10 +243,39 @@ class StaticResources:
         return asdict(self)
 
 
-@dataclass
+class Facts(NamedTuple):
+    """What :meth:`Circuit.validate`'s walk learns of a valid circuit.
+    ``measured`` maps each MX bit to i, its index in gate order: bit m-1-i
+    of an m-bit outcome word.  ``executed`` holds, for all gates and then
+    CCX/CCZ, the count run on the all-zeros branch and (step, mask) pairs: a
+    branch runs step more per set bit of ``word & mask``."""
+
+    kinds: Counter[str]  # gates per kind
+    measured: dict[int, int]
+    conditioned_kinds: frozenset[str]
+    executed: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _executed(total: int, conditions: list, measured: dict[int, int]):
+    """(all-zeros count, ((step, mask), ...)) of ``total`` gates, of which
+    those conditioned have the given conditions."""
+    steps = [0] * len(measured)  # per measurement, in gate order
+    for cb, value in conditions:
+        total -= value
+        steps[measured[cb]] += 1 if value else -1
+    digits: dict[int, bytearray] = {}  # step -> its mask in binary: digit i is bit m-1-i
+    for i, step in enumerate(steps):
+        if step:
+            if step not in digits:
+                digits[step] = bytearray(b"0" * len(steps))
+            digits[step][i] = 49  # "1"
+    return total, tuple((step, int(mask, 2)) for step, mask in digits.items())
+
+
+@dataclass(frozen=True)
 class Circuit:
-    """A validated kickmix circuit.  Treat instances as immutable; derive
-    modified copies with ``dataclasses.replace`` (which re-validates)."""
+    """A validated kickmix circuit; derive modified copies with
+    ``dataclasses.replace``, which re-validates and records fresh facts."""
 
     qubit_count: int
     classical_bit_count: int = 0
@@ -250,6 +283,7 @@ class Circuit:
     outputs: tuple[Register, ...] = ()
     gates: tuple[Gate, ...] = ()
     metadata: dict[str, str] = field(default_factory=dict)
+    facts: Facts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("inputs", "outputs", "gates"):
@@ -257,10 +291,11 @@ class Circuit:
             if type(value) not in (tuple, list):
                 raise CircuitError(f"circuit {name} of type {_shown(type(value).__name__)}, "
                                    "not tuple or list")
-            setattr(self, name, tuple(value))
-        self.validate()
+            object.__setattr__(self, name, tuple(value))
+        object.__setattr__(self, "facts", self.validate())
 
-    def validate(self) -> None:
+    def validate(self) -> Facts:
+        """Check every rule in the module docstring; return the facts met on the way."""
         _exact(self.qubit_count, int, "qubit count")
         _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
@@ -298,7 +333,9 @@ class Circuit:
         # id of an operand tuple -> the kind _operand_error passed it with; the
         # tuple is alive in gates and holds exact ints, so it passes again
         checked: dict[int, str] = {}
-        written: set[int] = set()
+        written: dict[int, int] = {}  # measured bit -> measurement index
+        conditions, non_clifford = [], []  # of conditioned gates, and of CCX/CCZ among them
+        conditioned_kinds: set[str] = set()
         for i, (kind, qubits, cbit, condition) in enumerate(gates):
             if checked.get(id(qubits)) is not kind:
                 if error := _operand_error(i, kind, qubits, self.qubit_count):
@@ -329,10 +366,15 @@ class Circuit:
             if kind == "MX":
                 if cb in written:
                     raise CircuitError(f"gate {i} (MX): classical bit c{cb} written twice", gate=i)
-                written.add(cb)
+                written[cb] = len(written)
             elif cb not in written:
                 raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
                                    "measurement writes it", gate=i)
+            else:
+                conditions.append(condition)
+                if kind in _NON_CLIFFORD:
+                    non_clifford.append(condition)
+                conditioned_kinds.add(kind)
         _exact(self.metadata, dict, "metadata")
         for key, value in self.metadata.items():
             _exact(key, str, "metadata key")
@@ -348,17 +390,18 @@ class Circuit:
             raise CircuitError(
                 f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}"
             )
+        kinds = Counter(map(itemgetter(0), gates))
+        return Facts(kinds, written, frozenset(conditioned_kinds),
+                     (_executed(len(gates), conditions, written),
+                      _executed(kinds["CCX"] + kinds["CCZ"], non_clifford, written)))
 
 
 def static_resources(circuit: Circuit) -> StaticResources:
-    """Count peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements."""
-    kinds = list(map(itemgetter(0), circuit.gates))
-    return StaticResources(
-        qubit_count=circuit.qubit_count,
-        total_gate_count=len(kinds),
-        non_clifford_gate_count=sum(map(kinds.count, NON_CLIFFORD_KINDS)),
-        measurement_count=kinds.count("MX"),
-    )
+    """Peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements,
+    from the circuit's facts."""
+    kinds = circuit.facts.kinds
+    return StaticResources(circuit.qubit_count, len(circuit.gates),
+                           kinds["CCX"] + kinds["CCZ"], kinds["MX"])
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,10 @@ import dataclasses
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from .circuit import (
-    Circuit,
-    ParseError,
-    _shown,
-    parse,
-    serialize,
-    static_resources,
-)
+from .circuit import ParseError, _shown, parse, serialize, static_resources
 from .curve import _BUILTIN, CURVE_REGISTRY_ENV, CurveParams, CurvePoint, named_curve, parse_point
 from .harness import (
     HarnessError,
@@ -435,6 +427,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE
     resources = static_resources(circuit)
+    histogram = dict(sorted(circuit.facts.kinds.items()))
     if args.json:
         data = {
             "resources": resources.as_dict(),
@@ -444,7 +437,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             "metadata": dict(circuit.metadata),
         }
         if args.histogram:
-            data["histogram"] = _histogram(circuit)
+            data["histogram"] = histogram
         sys.stdout.write(_canonical_json(data).decode("ascii"))
         return 0
     for key, value in resources.as_dict().items():
@@ -456,13 +449,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     for key in sorted(circuit.metadata):
         print(f"meta {key}: {circuit.metadata[key]}")
     if args.histogram:
-        for kind, count in _histogram(circuit).items():
+        for kind, count in histogram.items():
             print(f"{kind}: {count}")
     return 0
-
-
-def _histogram(circuit: Circuit) -> dict[str, int]:
-    return dict(sorted(Counter(gate.kind for gate in circuit.gates).items()))
 
 
 # ---------------------------------------------------------------------------

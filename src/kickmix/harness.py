@@ -138,15 +138,16 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
         )
     lam = int(security_bits)
     if lam != security_bits or lam < 1:
-        raise ValueError(f"security_bits must be a positive integer, got {security_bits}")
+        raise ValueError(f"security_bits must be a positive integer, got {_shown(security_bits)}")
     rate = -math.log1p(-float(eps))  # -ln(1 - eps), accurate for small eps
-    estimate = lam * math.log(2) / rate if rate > 0 else math.inf
+    # a lam too long for a float is far over the ceiling below
+    estimate = lam * math.log(2) / rate if rate > 0 and lam.bit_length() < 1000 else math.inf
     power_bits = estimate * eps.denominator.bit_length()
     if power_bits > MAX_POWER_BITS:
         raise ValueError(
-            f"tolerated fraction {tolerated_fraction} at {security_bits} security bits "
-            f"needs exact powers of about {power_bits:.3g} bits, over the ceiling of "
-            f"{MAX_POWER_BITS}; raise the fraction or lower the security bits"
+            f"tolerated fraction {_shown(tolerated_fraction)} at {_shown(security_bits)} "
+            f"security bits needs exact powers of about {power_bits:.3g} bits, over the "
+            f"ceiling of {MAX_POWER_BITS}; raise the fraction or lower the security bits"
         )
     survive = 1 - eps
     bound = Fraction(1, 1 << lam)
@@ -216,6 +217,8 @@ class VerificationSpec:
             raise HarnessError("addend_x and addend_y must be mapped together")
         if not 0 <= self.tolerated_failure_fraction < 1:
             raise HarnessError("tolerated_failure_fraction must be in [0, 1)")
+        if self.security_bits < 1:
+            raise HarnessError(f"security_bits must be >= 1, got {_shown(self.security_bits)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -493,7 +496,7 @@ def _transcript_cases(plan: _Plan, transcript: Transcript):
             accumulator = scalar_mul(scalar, plan.curve.generator, plan.curve)
             addend = _addend_for(plan, window, addend_scalar)
             memo[key] = _oracle_case(plan, accumulator, window, addend)
-        yield entry, memo[key]
+        yield key, entry, memo[key]
 
 
 def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
@@ -509,8 +512,8 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
             }
             if window is not None:
                 entry["window"] = window
+            yield index, entry, _oracle_case(plan, accumulator, window, addend)
             index += 1
-            yield entry, _oracle_case(plan, accumulator, window, addend)
 
 
 # Lanes per engine pass.  A pass reads each slot (distinct input) out with
@@ -522,13 +525,8 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
 # and parsing a 94k-gate circuit at 14 MiB.
 LANE_CHUNK = 1024
 
-_SKIPPED = {
-    "skipped": True,
-    "output_ok": None,
-    "phase_ok": None,
-    "executed_total": 0,
-    "executed_non_clifford": 0,
-}
+_SKIPPED = {"skipped": True, "output_ok": None, "phase_ok": None,
+            "executed_total": 0, "executed_non_clifford": 0}
 
 
 def _failing(entry: dict) -> bool:
@@ -537,28 +535,30 @@ def _failing(entry: dict) -> bool:
 
 def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
                fail_fast: bool) -> list[dict]:
-    """Fill in each (entry, oracle case) pair from one lane-engine pass
-    (sim._lane_pass) per fixed-size chunk; m is the circuit's measurement
-    count.
+    """Fill in the entry of each (slot key, entry, oracle case) from one
+    lane-engine pass (sim._lane_pass) per fixed-size chunk; m is the
+    circuit's measurement count.
 
-    Outputs are judged once per slot, on the slot's first lane: a slot is
-    one distinct input, and the oracle's expected outputs are a function of
-    the inputs.  Each entry's sign and executed counts come straight from
-    the pass's per-lane columns.  With a transcript, each test is judged on
-    its own sampled measurement branch; without one (exhaustive mode), on
-    every branch at once, with the executed counts of the all-zeros branch.
+    Cases with one slot key (a transcript's memo key, or an exhaustive
+    case's index) share one oracle case, so a slot is one distinct input,
+    and outputs are judged once per slot, on its first lane.  Each entry's
+    sign and executed counts come straight from the pass's per-lane columns.
+    With a transcript, each test is judged on its own sampled measurement
+    branch; without one (exhaustive mode), on every branch at once, with the
+    executed counts of the all-zeros branch.
     fail_fast truncates after the first failing entry."""
     entries: list[dict] = []
     cases = iter(cases)
     while chunk := list(itertools.islice(cases, LANE_CHUNK)):
-        ran = [(entry, case) for entry, case in chunk if case is not None]
+        ran = [item for item in chunk if item[2] is not None]
         words = None
         if transcript is not None:
-            words = [transcript.measurement_word(entry["index"], m) for entry, _ in ran]
+            words = [transcript.measurement_word(entry["index"], m) for _, entry, _ in ran]
         lane_slot, reads, columns = _lane_pass(
-            circuit, [inputs for _, (inputs, _) in ran], words) if ran else ([], [], [[]] * 3)
+            circuit, [inputs for _, _, (inputs, _) in ran], words,
+            [key for key, _, _ in ran]) if ran else ([], [], [[]] * 3)
         output_ok: list[bool] = []  # per slot, judged on its first lane
-        for (entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
+        for (_, entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
             if s == len(output_ok):
                 output_ok.append(all(reads[s][1][name] == v for name, v in expected.items()))
             entry["skipped"] = False
@@ -570,7 +570,7 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
                 entry["phase_ok"] = phase == 1
             entry["executed_total"] = total
             entry["executed_non_clifford"] = nc
-        for entry, case in chunk:
+        for _, entry, case in chunk:
             if case is None:
                 entry.update(_SKIPPED)
             entries.append(entry)
@@ -795,7 +795,7 @@ def verify(
 ) -> VerificationReport:
     """Run the transcript-derived test set against the curve oracle.
 
-    Every test runs as one lane of a bit-sliced pass (sim.run_lanes) over
+    Every test runs as one lane of a bit-sliced pass (sim._lane_pass) over
     fixed-size chunks, in this process.  fail_fast truncates the report
     after the first failing test and is meant for mutation screening, not
     for final reports.

@@ -28,12 +28,10 @@ lane); its LaneResults are the one-lane view.  :func:`run` stays the reference.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .circuit import GATE_KINDS, NON_CLIFFORD_KINDS, Circuit, static_resources
+from .circuit import PERMUTATION_KINDS, Circuit, static_resources
 
 __all__ = [
     "RngExhausted",
@@ -218,57 +216,42 @@ def _lane_planes(circuit: Circuit, slot_inputs: Sequence[Mapping[str, int]]) -> 
     return planes
 
 
-def _executed_count(by_kind: Counter, position: Mapping[int, int], kinds: Sequence[str]):
-    """Executed gates of the given kinds as a constant plus per-measurement steps.
-
-    A gate conditioned on (c, v) runs iff measurement c came out v, so the
-    count on a branch is the all-zeros count plus, for every measurement
-    that came out 1, the gates it enables minus those it disables.  by_kind
-    counts the circuit's gates per (condition, kind).  Returns
-    (all-zeros count, [(step, mask of stream-word bits with that step)])."""
-    constant = 0
-    steps: dict[int, int] = {}
-    for (condition, kind), n in by_kind.items():
-        if kind not in kinds:
-            continue
-        if condition is None:
-            constant += n
-            continue
-        cb, value = condition
-        if not value:
-            constant += n
-            n = -n
-        steps[cb] = steps.get(cb, 0) + n
-    masks: dict[int, int] = {}
-    for cb, step in steps.items():
-        if step:
-            masks[step] = masks.get(step, 0) | (1 << position[cb])
-    return constant, list(masks.items())
+def _input_keys(lane_inputs: Sequence[Mapping[str, int]]) -> list:
+    """Each lane's slot key in :func:`run_lanes`: its input values with
+    their exact types, or its index when those are not hashable."""
+    keys = []
+    for j, inputs in enumerate(lane_inputs):
+        try:
+            key = tuple((k, type(v), v) for k, v in inputs.items())
+            hash(key)
+        except (AttributeError, TypeError):  # no hashable key: a slot of its own
+            key = j
+        keys.append(key)
+    return keys
 
 
 def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
-               words: Sequence[int] | None):
+               words: Sequence[int] | None, keys: Sequence | None = None):
     """The pass behind :func:`run_lanes`, in columns: (lane_slot, reads,
-    [phases, executed_total, executed_non_clifford]).  lane_slot[j] is lane
-    j's slot, numbered in order of first lane; reads[s] is slot s's
-    (final_bits, outputs, phase_always_plus_one, phase_defects), shared by
-    its lanes; each column holds one LaneResult field per lane."""
-    by_kind = Counter(map(itemgetter(3, 0), circuit.gates))  # (condition, kind)
-    m = sum(n for (_, kind), n in by_kind.items() if kind == "MX")
+    [phases, executed_total, executed_non_clifford]).  keys[j] is lane j's
+    slot key (lanes with equal keys must have equal inputs; None keys lanes
+    as run_lanes does).  lane_slot[j] is lane j's slot, numbered in order of
+    first lane; reads[s] is slot s's (final_bits, outputs,
+    phase_always_plus_one, phase_defects), shared by its lanes; each column
+    holds one LaneResult field per lane."""
+    facts = circuit.facts
+    top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
     # otherwise they and the defect planes depend only on the inputs.
-    per_lane = words is not None and any(
-        cond is not None and kind in ("X", "CX", "CCX") for cond, kind in by_kind
-    )
+    if words is not None and not facts.conditioned_kinds.isdisjoint(PERMUTATION_KINDS):
+        keys = range(len(lane_inputs))
+    elif keys is None:
+        keys = _input_keys(lane_inputs)
     slots: dict = {}  # slot key -> slot index, in order of first lane
     slot_inputs = []
     lane_slot = []
-    for j, inputs in enumerate(lane_inputs):
-        try:
-            key = j if per_lane else tuple((k, type(v), v) for k, v in inputs.items())
-            s = slots.setdefault(key, len(slots))
-        except (AttributeError, TypeError):  # no hashable key: a slot of its own
-            s = slots.setdefault(j, len(slots))
+    for inputs, key in zip(lane_inputs, keys):
+        s = slots.setdefault(key, len(slots))
         if s == len(slot_inputs):
             slot_inputs.append(inputs)
         lane_slot.append(s)
@@ -276,7 +259,6 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
     full = (1 << len(slots)) - 1
     base = 0
     measured: dict[int, int] = {}
-    position: dict[int, int] = {}
     corr: dict[tuple[int, int], int] = {}
     # cbit -> lanes whose own outcome is 1; filled iff a conditioned X/CX/CCX ran
     outcomes: dict[int, int] = {}
@@ -288,7 +270,6 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         elif kind == "X":
             flip = full
         elif kind == "MX":
-            position[cbit] = m - 1 - len(measured)
             measured[cbit] = q[qs[0]]
             q[qs[0]] = 0
             continue
@@ -312,7 +293,8 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
                     "not factorize; use run_all_measurement_branches instead"
                 )
             if cb not in outcomes:
-                outcomes[cb] = sum((w >> position[cb] & 1) << j for j, w in enumerate(words))
+                shift = top - facts.measured[cb]
+                outcomes[cb] = sum((w >> shift & 1) << j for j, w in enumerate(words))
             flip &= outcomes[cb] if value else outcomes[cb] ^ full
         q[qs[-1]] ^= flip
 
@@ -323,7 +305,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         c0 = corr.get((cb, 0), 0)
         zero ^= c0
         plane = measured[cb] ^ c0 ^ corr.get((cb, 1), 0)
-        bit = 1 << position[cb]
+        bit = 1 << (top - facts.measured[cb])
         while plane:
             low = plane & -plane
             s = low.bit_length() - 1
@@ -343,8 +325,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         -1 if (zero >> s) & 1 ^ ((w & defect_words.get(s, 0)).bit_count() & 1) else 1
         for s, w in zip(lane_slot, words)
     ]]
-    for kinds in (GATE_KINDS, NON_CLIFFORD_KINDS):
-        constant, steps = _executed_count(by_kind, position, kinds)
+    for constant, steps in facts.executed:
         column = [constant] * lanes
         for step, mask in () if words is None else steps:
             column = [n + step * (w & mask).bit_count() for n, w in zip(column, words)]

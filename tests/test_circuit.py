@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -25,10 +27,13 @@ from kickmix import (
     build_pointadd_permutation,
     build_temp_and,
     build_windowed_pointadd,
+    mutate,
     parse,
+    run,
     serialize,
     static_resources,
 )
+from kickmix.circuit import GATE_KINDS, NON_CLIFFORD_KINDS
 
 # The measured-uncompute AND gadget, serialized.  Frozen as the canonical
 # reference output: header lines in fixed order (qubits, cbits, sorted meta,
@@ -523,6 +528,7 @@ def test_circuit_refuses_the_first_bad_gate_or_round_trips(gates) -> None:
     else:
         assert bad is None
         assert parse(serialize(circuit)) == circuit
+        _assert_facts_hold(circuit)
 
 
 def test_circuit_refuses_an_entry_that_is_not_a_gate() -> None:
@@ -728,6 +734,7 @@ def test_random_circuits_round_trip_through_text() -> None:
         again = parse(raw)
         assert again == circuit, f"seed {seed}"
         assert serialize(again) == raw, f"seed {seed}"
+        _assert_facts_hold(circuit)
 
 
 def test_unicode_whitespace_and_line_breaks_are_refused() -> None:
@@ -871,3 +878,102 @@ def test_replace_on_a_copied_gate_revalidates() -> None:
         assert (str(excinfo.value), excinfo.value.gate) == (message, i)
     with pytest.raises(AttributeError):
         measure.cbit = 3  # type: ignore[misc]
+
+
+# ---------------------------------------------------------------------------
+# the facts validate records
+
+
+def _recount(circuit: Circuit) -> tuple:
+    """A circuit's facts counted from scratch over (condition, kind) pairs,
+    with each step mask as a dict entry: the count the lane pass once made
+    on every pass."""
+    by_kind = Counter(map(itemgetter(3, 0), circuit.gates))
+    order = [gate.cbit for gate in circuit.gates if gate.kind == "MX"]  # by position
+    executed = []
+    for kinds in (GATE_KINDS, NON_CLIFFORD_KINDS):
+        constant, steps, masks = 0, {}, {}
+        for (condition, kind), n in by_kind.items():
+            if kind in kinds and (condition is None or condition[1] == 0):
+                constant += n
+            if kind in kinds and condition is not None:
+                cb, value = condition
+                steps[cb] = steps.get(cb, 0) + (n if value else -n)
+        for cb, step in steps.items():
+            if step:
+                masks[step] = masks.get(step, 0) | 1 << (len(order) - 1 - order.index(cb))
+        executed.append((constant, masks))
+    conditioned = frozenset(kind for condition, kind in by_kind if condition is not None)
+    return (Counter(map(itemgetter(0), circuit.gates)), order, conditioned, executed)
+
+
+def _assert_facts_hold(circuit: Circuit) -> None:
+    facts = circuit.facts
+    assert list(facts.measured.values()) == list(range(len(facts.measured)))
+    executed = [(constant, dict(steps)) for constant, steps in facts.executed]
+    assert (facts.kinds, list(facts.measured), facts.conditioned_kinds, executed) == (
+        _recount(circuit)
+    )
+    kinds = [gate.kind for gate in circuit.gates]
+    assert static_resources(circuit) == StaticResources(
+        circuit.qubit_count, len(kinds), kinds.count("CCX") + kinds.count("CCZ"),
+        kinds.count("MX"),
+    )
+
+
+def test_facts_equal_a_recount_on_every_builder_output(toy11, toy61, toy1009) -> None:
+    reports = [
+        build_temp_and(), build_mod_add_const(4, 5, 11), build_lookup([5, 0, 7, 3]),
+        build_lookup([1, 2, 3, 4, 5, 6, 7, 0], entry_bits=4),
+        *(build_adder(width) for width in (1, 2, 5)),
+        *(build_pointadd_permutation(curve, curve.generator) for curve in (toy11, toy61, toy1009)),
+        *(build_windowed_pointadd(curve, curve.generator, w) for curve in (toy11, toy61)
+          for w in (1, 2)),
+    ]
+    for report in reports:
+        _assert_facts_hold(report.circuit)
+        assert report.predicted == static_resources(report.circuit)
+
+
+def test_facts_equal_a_recount_on_mutants(pointadd11, toy61) -> None:
+    windowed = build_windowed_pointadd(toy61, toy61.generator, 2).circuit
+    for circuit in (pointadd11.circuit, windowed):
+        for seed in range(50):
+            _assert_facts_hold(mutate(circuit, seed))
+
+
+def test_facts_of_conditions_on_zero_and_conditioned_non_clifford_gates() -> None:
+    circuit = parse(
+        "qubits 4\ncbits 3\nMX 0 -> c0\nMX 1 -> c1\nMX 2 -> c2\n"
+        "IF c0=0 CCX 1 2 3\nIF c0 CCZ 1 2 3\nIF c1=0 CCZ 0 1 2\nIF c1=0 CZ 0 1\n"
+        "IF c2 X 3\nCCX 0 1 2\n"
+    )
+    _assert_facts_hold(circuit)
+    facts = circuit.facts
+    assert facts.measured == {0: 0, 1: 1, 2: 2}
+    assert facts.conditioned_kinds == {"CCX", "CCZ", "CZ", "X"}
+    # c0's two gates cancel; c1 = 1 (word bit 1) skips two gates, c2 (bit 0) runs one
+    assert [(constant, dict(steps)) for constant, steps in facts.executed] == [
+        (7, {-2: 0b010, 1: 0b001}), (3, {-1: 0b010}),
+    ]
+    for word in range(8):
+        ran = run(circuit, {}, [word >> 2 & 1, word >> 1 & 1, word & 1])
+        counts = [constant + sum(step * (word & mask).bit_count() for step, mask in steps)
+                  for constant, steps in facts.executed]
+        assert counts == [ran.executed_total, ran.executed_non_clifford]
+
+
+def test_a_circuit_is_frozen_and_replace_records_fresh_facts() -> None:
+    circuit = parse("qubits 3\ncbits 2\nMX 0 -> c0\nMX 1 -> c1\nIF c0 CCX 0 1 2\n"
+                    "IF c1=0 CZ 1 2\n")
+    for name in ("qubit_count", "classical_bit_count", "inputs", "outputs", "gates",
+                 "metadata", "facts"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circuit, name, getattr(circuit, name))
+    trimmed = dataclasses.replace(circuit, gates=circuit.gates[:3])
+    _assert_facts_hold(trimmed)
+    assert trimmed.facts != circuit.facts
+    assert trimmed.facts.conditioned_kinds == {"CCX"}
+    assert static_resources(trimmed).total_gate_count == 3
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(circuit, facts=trimmed.facts)

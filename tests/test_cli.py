@@ -219,6 +219,20 @@ def test_verify_refuses_a_plan_too_costly_to_size(tmp_path, capsys) -> None:
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bits", [0, -3, 2**64, 10**400], ids=["0", "-3", "2^64", "10^400"])
+def test_verify_refuses_security_bits_out_of_range_in_one_line(tmp_path, capsys, bits) -> None:
+    circuit = _build_pointadd(tmp_path)
+    spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5, security_bits=bits)
+    capsys.readouterr()
+    assert main(["verify", str(circuit), "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    if bits < 1:
+        assert err == f"error: bad spec: security_bits must be >= 1, got {bits}\n"
+    else:
+        assert err.startswith(f"error: tolerated fraction 0.01 at {str(bits)[:20]}")
+
+
 def test_verify_reports_parse_failures(tmp_path, capsys) -> None:
     mangled = tmp_path / "mangled.kmx"
     mangled.write_text("qubits 2\ncbits 0\nBOGUS 0 1\n")

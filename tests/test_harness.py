@@ -282,6 +282,62 @@ def test_spec_for_circuit_checks_override_types_first(pointadd11, override, mess
     assert type(excinfo.value) is HarnessError and str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("bits", [0, -3, 2**64, 10**400], ids=["0", "-3", "2^64", "10^400"])
+def test_security_bits_out_of_range_is_one_short_line(pointadd11, pointadd11_bytes,
+                                                      bits) -> None:
+    """The spec refuses fewer than 1 bit; required_test_count refuses a value
+    it cannot size, one too long for a float included, echoing it cut."""
+    fields = {"curve": "toy-p11-b7", "test_count": 5, "security_bits": bits}
+    calls = (
+        lambda: verify(pointadd11_bytes, VerificationSpec(**fields)),
+        lambda: spec_for_circuit(pointadd11.circuit, security_bits=bits),
+        lambda: required_test_count(0.01, bits),
+    )
+    for n, call in enumerate(calls):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        message = str(excinfo.value)
+        assert "\n" not in message and len(message) < 200
+        if bits >= 1:
+            assert message.startswith(f"tolerated fraction 0.01 at {str(bits)[:20]}")
+            assert "over the ceiling" in message and (bits < 10**20 or "\u2026" in message)
+        elif n < 2:
+            assert type(excinfo.value) is HarnessError
+            assert message == f"security_bits must be >= 1, got {bits}"
+        else:
+            assert message == f"security_bits must be a positive integer, got {bits}"
+
+
+def test_the_harness_hands_each_lane_the_key_of_its_case(pointadd11, pointadd11_bytes,
+                                                        monkeypatch) -> None:
+    """Sampled lanes are keyed by their (scalar, window, addend scalar) draw,
+    exhaustive ones by case index, so no lane's inputs are made into a key."""
+    passes = []
+    lane_pass = sim._lane_pass
+
+    def spy(circuit, lane_inputs, words, keys=None):
+        passes.append(keys)
+        return lane_pass(circuit, lane_inputs, words, keys)
+
+    def refused(lane_inputs):
+        raise AssertionError("verify keyed lanes by their inputs")
+
+    spec = spec_for_circuit(pointadd11.circuit, test_count=300)
+    before = verify(pointadd11_bytes, spec).to_json_bytes()
+    monkeypatch.setattr(harness, "_lane_pass", spy)
+    monkeypatch.setattr(sim, "_input_keys", refused)
+    report = verify(pointadd11_bytes, spec)
+    assert report.to_json_bytes() == before
+    transcript = derive_tests(pointadd11_bytes, spec)
+    columns = zip(transcript.scalars, transcript.windows, transcript.addend_scalars)
+    ran = [key for key, row in zip(columns, report.data["tests"]) if not row["skipped"]]
+    assert passes == [ran]
+    passes.clear()
+    exhaustive = verify_exhaustive(pointadd11_bytes, replace(spec, tolerated_failure_fraction=0))
+    ran = [row["index"] for row in exhaustive.data["tests"] if not row["skipped"]]
+    assert passes == [ran] and len(set(ran)) == len(ran)
+
+
 # ---------------------------------------------------------------------------
 # verification runs
 
@@ -661,7 +717,7 @@ def _replayed(circuit, monkeypatch):
     report = verify(raw, spec)
     transcript = derive_tests(raw, spec)
     cases = harness._transcript_cases(harness._resolve(parse(raw), spec), transcript)
-    return report, transcript, [(entry["index"], case) for entry, case in cases]
+    return report, transcript, [(entry["index"], case) for _, entry, case in cases]
 
 
 def test_report_rows_equal_a_scalar_replay(pointadd11, monkeypatch) -> None:
