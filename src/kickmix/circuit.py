@@ -73,12 +73,17 @@ names the column of the first bad byte).  A refused line is quoted, cut to
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-``validate`` checks each operand tuple once, however many gates share it
-(:func:`parse` shares one per "KIND q q q", the builders one per kind and
-operands), and the classical bits of every gate.  Callers must not rely on
-gate or tuple identity.  A message stays one bounded line for any value.
-The same walk records the :class:`Facts` that every layer reads instead of
-recounting the gates; ``Circuit`` is frozen, so they cannot go stale.
+:func:`parse` reads the gate lines a chunk of whole lines at a time, by
+shape: it lifts out each classical-bit number ``c<k>`` spelled as above,
+which leaves the line's shape (a number spelled otherwise stays, and the
+shape is refused), matches each new shape once, and shares one Gate among
+identical lines and one operand tuple among the lines of one "KIND q q q"
+(the builders share one per kind and operands).  ``validate`` checks each
+operand tuple once, however many gates share it, and the classical bits of
+every gate.  Callers must not rely on gate or tuple identity.  A message
+stays one bounded line for any value.  The same walk records the
+:class:`Facts` that every layer reads instead of recounting the gates;
+``Circuit`` is frozen, so they cannot go stale.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -89,6 +94,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -433,6 +439,46 @@ def _core(kind: str, qubits: tuple[int, ...]) -> str:
     return " ".join((kind, *map(str, qubits)))
 
 
+# parse reads the gate lines a chunk of whole lines, at most _CHUNK
+# characters, at a time.  _LIFT splits out each classical-bit number c<k>
+# spelled as _NUM spells it; the rest, each number spelled c0, holds the
+# lines' shapes, which a circuit has few of.
+_CHUNK = 1 << 16
+_LIFT = re.compile(f"c{_NUM}(?![0-9])").split
+_gate = partial(tuple.__new__, Gate)  # Gate(*fields), without its Python-level __new__
+
+
+class _Shapes(dict):
+    """Gate-line shape -> its Gate, or None if no gate line has the shape;
+    for a shape that holds classical-bit numbers, (its Gates by number, the
+    maker of one from its number, pair), with a pair of numbers for IF and
+    ->.  The lines of one core share its Gate's kind and operand tuple."""
+
+    def __missing__(self, shape: str) -> Gate | tuple | None:
+        match = _GATE_LINE(shape)
+        if match is None:
+            return None
+        cb, zero, core, dest = match.groups()
+        gate = self.get(core)
+        if gate is None:
+            kind, *operands = core.split(" ")
+            qubits = tuple(map(int, operands))
+            if _core(kind, qubits) != core:
+                return None
+            gate = self[core] = Gate(kind, qubits)
+        if shape == core:
+            return gate
+        kind, qubits, value = gate.kind, gate.qubits, 0 if zero else 1
+        if dest is None:
+            entry = ({}, lambda k: _gate((kind, qubits, None, (int(k), value))), False)
+        elif cb is None:
+            entry = ({}, lambda k: _gate((kind, qubits, int(k), None)), False)
+        else:
+            entry = ({}, lambda ks: _gate((kind, qubits, int(ks[1]), (int(ks[0]), value))), True)
+        self[shape] = entry
+        return entry
+
+
 def _refused(expected: str, raw: str, lineno: int) -> ParseError:
     return ParseError(f"expected {expected}, got {_shown(raw)!r}", lineno)
 
@@ -482,31 +528,34 @@ def parse(text: str | bytes) -> Circuit:
                 raise ParseError(str(exc), lineno) from None
 
     header_lines = lineno
-    lines = text[header.end() :].split("\n")
-    lines.pop()  # the empty text after the final newline
+    shapes = _Shapes()
     gates: list[Gate] = []
-    # gate line text -> its Gate; a line's core is itself a gate line, so
-    # the lines of one core share its kind and operand tuple
-    line_gates: dict[str, Gate] = {}
-    for lineno, raw in enumerate(lines, start=header_lines + 1):
-        gate = line_gates.get(raw)
-        if gate is None:
-            match = _GATE_LINE(raw)
-            if match is None:
-                raise _refused("a gate line", raw, lineno)
-            cb, zero, core, dest = match.groups()
-            gate = line_gates.get(core)
+    pos = header.end()
+    while pos < len(text):
+        end = text.rfind("\n", pos, pos + _CHUNK) + 1
+        if end == 0:  # a line longer than a chunk; _shown shows 21 characters at most
+            raise _refused("a gate line", text[pos : pos + 21], lineno + 1)
+        chunk = text[pos:end]
+        parts = _LIFT(chunk)  # text, number, text, ..., number, text
+        numbers = iter(parts[1::2])
+        lines = "c0".join(parts[::2]).split("\n")
+        lines.pop()  # the empty text after the chunk's last newline
+        for shape in lines:
+            entry = shapes[shape]
+            if entry.__class__ is Gate:
+                gates.append(entry)
+                continue
+            if entry is None:
+                j = lines.index(shape)
+                raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1)
+            made, make, pair = entry
+            key = (next(numbers), next(numbers)) if pair else next(numbers)
+            gate = made.get(key)
             if gate is None:
-                kind, *operands = core.split(" ")
-                qubits = tuple(map(int, operands))
-                if _core(kind, qubits) != core:
-                    raise _refused("a gate line", raw, lineno)
-                gate = line_gates[core] = Gate(kind, qubits)
-            if raw != core:
-                cbit = None if dest is None else int(dest)
-                condition = None if cb is None else (int(cb), 0 if zero else 1)
-                gate = line_gates[raw] = Gate(gate.kind, gate.qubits, cbit, condition)
-        gates.append(gate)
+                gate = made[key] = make(key)
+            gates.append(gate)
+        lineno += len(lines)
+        pos = end
 
     try:
         return Circuit(

@@ -136,7 +136,10 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
             "tolerated fraction must be in (0, 1); for 0, enumerate the domain "
             "exhaustively instead of sampling"
         )
-    lam = int(security_bits)
+    try:
+        lam = int(security_bits)
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        lam = 0
     if lam != security_bits or lam < 1:
         raise ValueError(f"security_bits must be a positive integer, got {_shown(security_bits)}")
     rate = -math.log1p(-float(eps))  # -ln(1 - eps), accurate for small eps

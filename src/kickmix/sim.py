@@ -243,7 +243,8 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
     top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
     # otherwise they and the defect planes depend only on the inputs.
-    if words is not None and not facts.conditioned_kinds.isdisjoint(PERMUTATION_KINDS):
+    follows = not facts.conditioned_kinds.isdisjoint(PERMUTATION_KINDS)
+    if follows and words is not None:
         keys = range(len(lane_inputs))
     elif keys is None:
         keys = _input_keys(lane_inputs)
@@ -256,28 +257,39 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
             slot_inputs.append(inputs)
         lane_slot.append(s)
     q = _lane_planes(circuit, slot_inputs)
+    if follows and words is None:
+        i = next(i for i, g in enumerate(circuit.gates)
+                 if g.condition is not None and g.kind in PERMUTATION_KINDS)
+        raise ValueError(f"gate {i} is a conditioned {circuit.gates[i].kind}: branch space does "
+                         "not factorize; use run_all_measurement_branches instead")
     full = (1 << len(slots)) - 1
     base = 0
     measured: dict[int, int] = {}
     corr: dict[tuple[int, int], int] = {}
     # cbit -> lanes whose own outcome is 1; filled iff a conditioned X/CX/CCX ran
     outcomes: dict[int, int] = {}
-    for index, (kind, qs, cbit, cond) in enumerate(circuit.gates):
+    for kind, qs, cbit, cond in circuit.gates:
         if kind == "CCX":
-            flip = q[qs[0]] & q[qs[1]]
+            a, b, t = qs
+            flip = q[a] & q[b]
         elif kind == "CX":
-            flip = q[qs[0]]
+            a, t = qs
+            flip = q[a]
         elif kind == "X":
+            (t,) = qs
             flip = full
         elif kind == "MX":
-            measured[cbit] = q[qs[0]]
-            q[qs[0]] = 0
+            (a,) = qs
+            measured[cbit] = q[a]
+            q[a] = 0
             continue
         else:
             if kind == "CCZ":
-                parity = q[qs[0]] & q[qs[1]] & q[qs[2]]
+                a, b, c = qs
+                parity = q[a] & q[b] & q[c]
             elif kind == "CZ":
-                parity = q[qs[0]] & q[qs[1]]
+                a, b = qs
+                parity = q[a] & q[b]
             else:
                 parity = q[qs[0]]
             if cond is None:
@@ -285,18 +297,13 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
             else:
                 corr[cond] = corr.get(cond, 0) ^ parity
             continue
-        if cond is not None:
+        if cond is not None:  # words is not None: checked above
             cb, value = cond
-            if words is None:
-                raise ValueError(
-                    f"gate {index} is a conditioned {kind}: branch space does "
-                    "not factorize; use run_all_measurement_branches instead"
-                )
             if cb not in outcomes:
                 shift = top - facts.measured[cb]
                 outcomes[cb] = sum((w >> shift & 1) << j for j, w in enumerate(words))
             flip &= outcomes[cb] if value else outcomes[cb] ^ full
-        q[qs[-1]] ^= flip
+        q[t] ^= flip
 
     zero = base
     defect_words: dict[int, int] = {}

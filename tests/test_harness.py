@@ -182,6 +182,7 @@ def test_required_test_count_domain_errors() -> None:
         required_test_count(0.01, 0)
     with pytest.raises(ValueError, match="security_bits must be a positive integer"):
         required_test_count(0.01, 2.5)
+    assert required_test_count(0.01, 40.0) == 2759  # a float with an integer value
     # The exact powers would run to millions of bits: refused before the search.
     with pytest.raises(ValueError, match="over the ceiling"):
         required_test_count(0.0001, 1024)
@@ -193,6 +194,14 @@ def test_required_test_count_domain_errors() -> None:
         required_test_count(5e-324, 40)
     with pytest.raises(ValueError, match="over the ceiling"):
         required_test_count(Fraction(1, 10**400), 40)
+
+
+@pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_required_test_count_refuses_a_float_that_is_no_integer(bits) -> None:
+    with pytest.raises(ValueError) as excinfo:
+        required_test_count(0.01, bits)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"security_bits must be a positive integer, got {bits}"
 
 
 def test_achieved_security_bits() -> None:

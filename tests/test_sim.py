@@ -22,6 +22,7 @@ from kickmix import (
     parse,
     run,
     run_all_measurement_branches,
+    run_lanes,
     static_resources,
 )
 
@@ -158,6 +159,16 @@ def test_checker_rejects_conditioned_permutation_gates() -> None:
     circuit = _bare(2, 1, "MX 0 -> c0\nIF c0 X 1\n")
     with pytest.raises(ValueError, match="branch space does not factorize"):
         check_phase_all_branches(circuit, {"a": 0})
+    # the first conditioned X/CX/CCX is named, after conditioned diagonal gates
+    circuit = _bare(3, 2, "MX 0 -> c0\nIF c0 Z 1\nMX 1 -> c1\nX 2\nIF c1=0 CZ 0 2\n"
+                          "IF c0=0 CCX 0 1 2\nIF c1 X 0\n")
+    message = ("gate 5 is a conditioned CCX: branch space does not factorize; "
+               "use run_all_measurement_branches instead")
+    for call in (lambda: run_lanes(circuit, [{"a": 0}, {"a": 5}]),
+                 lambda: check_phase_all_branches(circuit, {"a": 3})):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def _random_diagonal_conditioned_circuit(rng: random.Random) -> Circuit:
