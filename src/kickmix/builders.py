@@ -388,32 +388,35 @@ def _iterate_addresses(em: _Emitter, address: Sequence[int], apply_leaf) -> None
     child indicator as a temporary product and measure it away afterwards;
     the root level reuses the top address bit itself (X-conjugated for the 0
     branch), which is why the tree costs 2^w - 2 CCX gates, not 2^w - 1."""
-    w = len(address)
-
-    def node(ctrl: int, depth: int, prefix: int) -> None:
-        if depth == w:
-            apply_leaf(ctrl, prefix)
-            return
-        bit = address[w - 1 - depth]
-        t = em.alloc()
-        em.emit("X", bit)
-        em.emit("CCX", ctrl, bit, t)
-        em.emit("X", bit)
-        node(t, depth + 1, prefix << 1)
-        em.emit("CX", ctrl, t)
-        node(t, depth + 1, (prefix << 1) | 1)
-        em.drop_temp_and(t, ctrl, bit)
-
-    msb = address[w - 1]
+    msb = address[-1]
     em.emit("X", msb)
-    if w == 1:
+    if len(address) == 1:
         apply_leaf(msb, 0)
         em.emit("X", msb)
         apply_leaf(msb, 1)
     else:
-        node(msb, 1, 0)
+        _address_node(em, address, apply_leaf, msb, 1, 0)
         em.emit("X", msb)
-        node(msb, 1, 1)
+        _address_node(em, address, apply_leaf, msb, 1, 1)
+
+
+def _address_node(em: _Emitter, address: Sequence[int], apply_leaf, ctrl: int,
+                  depth: int, prefix: int) -> None:
+    """The subtree of _iterate_addresses under ctrl: not a closure that names
+    itself, so the walk leaves no cycle holding the emitter and its gates."""
+    w = len(address)
+    if depth == w:
+        apply_leaf(ctrl, prefix)
+        return
+    bit = address[w - 1 - depth]
+    t = em.alloc()
+    em.emit("X", bit)
+    em.emit("CCX", ctrl, bit, t)
+    em.emit("X", bit)
+    _address_node(em, address, apply_leaf, t, depth + 1, prefix << 1)
+    em.emit("CX", ctrl, t)
+    _address_node(em, address, apply_leaf, t, depth + 1, (prefix << 1) | 1)
+    em.drop_temp_and(t, ctrl, bit)
 
 
 def build_lookup(

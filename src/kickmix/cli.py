@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -540,5 +541,16 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """The process entry (`python -m kickmix`, the `kickmix` script, this
+    module's guard).  What is imported by now lives until exit, so no
+    collection, the last one included, need walk it; no command leaves cyclic
+    garbage that grows with its input (tests/test_process_entry.py), so none
+    need run.  main() leaves the collector alone, for callers in process."""
+    gc.disable()
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

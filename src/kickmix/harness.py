@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .circuit import Circuit, _shown, parse, static_resources
 from .curve import (
@@ -316,8 +316,15 @@ class Transcript:
     def measurement_word(self, index: int, count: int) -> int:
         """The first count bits of test index's measurement stream as one
         big-endian int: the stream's first bit is the most significant."""
-        raw = hashlib.shake_256(self._measurement_seed(index)).digest((count + 7) // 8)
-        return int.from_bytes(raw, "big") >> (-count % 8)
+        return self.measurement_words((index,), count)[0]
+
+    def measurement_words(self, indices: Iterable[int], count: int) -> list[int]:
+        """measurement_word(index, count) for each index, with the seed
+        prefix decoded once."""
+        prefix, shake, word = bytes.fromhex(self.commitment), hashlib.shake_256, int.from_bytes
+        size, shift = (count + 7) // 8, -count % 8
+        return [word(shake(prefix + i.to_bytes(8, "big")).digest(size), "big") >> shift
+                for i in indices]
 
     def _measurement_seed(self, index: int) -> bytes:
         return bytes.fromhex(self.commitment) + index.to_bytes(8, "big")
@@ -556,7 +563,7 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
         ran = [item for item in chunk if item[2] is not None]
         words = None
         if transcript is not None:
-            words = [transcript.measurement_word(entry["index"], m) for _, entry, _ in ran]
+            words = transcript.measurement_words([entry["index"] for _, entry, _ in ran], m)
         lane_slot, reads, columns = _lane_pass(
             circuit, [inputs for _, _, (inputs, _) in ran], words,
             [key for key, _, _ in ran]) if ran else ([], [], [[]] * 3)

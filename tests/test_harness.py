@@ -807,6 +807,32 @@ def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> 
         assert transcript.measurement_word(2, count) == int("".join(map(str, prefix)) or "0", 2)
 
 
+def test_measurement_words_are_each_index_shake_prefix_hashed_once(
+    pointadd11, pointadd11_bytes, monkeypatch
+) -> None:
+    transcript = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=3))
+    indices = [0, 2, 7, 2**40 + 5]
+    for count in (0, 1, 7, 8, 9, 66, 200):
+        expected = [
+            int.from_bytes(hashlib.shake_256(transcript._measurement_seed(i)).digest(
+                (count + 7) // 8), "big") >> (-count % 8)
+            for i in indices
+        ]
+        words = [transcript.measurement_word(i, count) for i in indices]
+        shakes: list[_CountingShake] = []
+
+        class CountingHashlib:
+            @staticmethod
+            def shake_256(data: bytes) -> _CountingShake:
+                shakes.append(_CountingShake(data))
+                return shakes[-1]
+
+        monkeypatch.setattr(harness, "hashlib", CountingHashlib)
+        assert transcript.measurement_words(iter(indices), count) == words == expected
+        monkeypatch.undo()
+        assert [shake.hashed for shake in shakes] == [(count + 7) // 8] * len(indices)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
