@@ -24,7 +24,6 @@ of the temporary products above.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .circuit import (
@@ -34,6 +33,7 @@ from .circuit import (
     Gate,
     Register,
     StaticResources,
+    _Record,
     _shown,
     static_resources,
 )
@@ -69,8 +69,7 @@ MAX_MOD_ADD_WIDTH = 12
 MAX_POINT_WINDOW = 4
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(_Record):
     """A built circuit plus the builder's own resource prediction.
 
     The prediction must match a recount exactly; a builder with no closed
@@ -80,16 +79,16 @@ class BuildReport:
     lookup overhead enters the whole-derivation cost formulas.
     """
 
-    circuit: Circuit
-    predicted: StaticResources | None
-    construction: str
-    lookup_overhead_non_clifford: int | None = None
+    __slots__ = _fields = ("circuit", "predicted", "construction",
+                           "lookup_overhead_non_clifford")
 
-    def __post_init__(self) -> None:
-        actual = static_resources(self.circuit)
-        if self.predicted is None:  # no closed form: the recount is the record
-            object.__setattr__(self, "predicted", actual)
-        elif actual != self.predicted:
+    def __init__(self, circuit: Circuit, predicted: StaticResources | None, construction: str,
+                 lookup_overhead_non_clifford: int | None = None) -> None:
+        actual = static_resources(circuit)
+        if predicted is None:  # no closed form: the recount is the record
+            predicted = actual
+        self._set(circuit, predicted, construction, lookup_overhead_non_clifford)
+        if actual != self.predicted:
             raise CircuitError(
                 f"builder {self.construction!r} predicted {self.predicted}, "
                 f"emitted {actual}"
@@ -590,4 +589,4 @@ def mutate(circuit: Circuit, seed: int) -> Circuit:
         i = toggle_sites[rng.randrange(len(toggle_sites))]
         cb, val = gates[i].condition
         gates[i] = gates[i]._replace(condition=(cb, 1 - val))
-    return replace(circuit, gates=tuple(gates))
+    return circuit._replace(gates=tuple(gates))

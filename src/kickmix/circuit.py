@@ -47,7 +47,7 @@ grinding margin.
 Structural rules enforced on every circuit:
 
 * ``inputs``, ``outputs`` and ``gates`` are tuples or lists (checked by
-  ``Circuit.__post_init__`` before it makes them tuples), ``metadata`` a
+  ``Circuit.__init__`` before it makes them tuples), ``metadata`` a
   dict; every ``inputs``/``outputs`` entry is a :class:`Register` and every
   ``gates`` entry a :class:`Gate`; counts, register bounds, operands and
   classical bits are exact ints, names and metadata exact strs;
@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -210,15 +209,61 @@ def _operand_error(i: int, kind, qubits, qubit_count: int) -> str | None:
                     f"but the circuit has {_shown(qubit_count)}")
 
 
-@dataclass(frozen=True)
-class Register:
+class _Record:
+    """Base of the frozen records.  A record names its fields in ``_fields``
+    (its ``__slots__`` may hold more, never compared or shown); equality
+    (same type, equal fields), hash, repr, ``_replace`` and ``_asdict`` read
+    them off it.  Each record's ``__init__`` sets its slots with ``_set`` and
+    checks them; nothing can assign or delete one afterwards."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())  # a TypeError where a field is a dict
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A copy with some fields changed; __init__ checks it again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def _asdict(self) -> dict:
+        """The fields by name, each dict or list value a copy of its own."""
+        return {name: value.copy() if type(value) in (dict, list) else value
+                for name, value in zip(self._fields, self._values())}
+
+
+class Register(_Record):
     """A named inclusive qubit range lo..hi; lo is the least significant bit."""
 
-    name: str
-    lo: int
-    hi: int
+    __slots__ = _fields = ("name", "lo", "hi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, lo: int, hi: int) -> None:
+        self._set(name, lo, hi)
         _exact(self.name, str, "register name")
         if not self.name or not self.name.replace("_", "").isalnum():
             raise CircuitError(f"bad register name {_shown(self.name)!r}")
@@ -236,17 +281,18 @@ class Register:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True)
-class StaticResources:
+class StaticResources(_Record):
     """Whole-circuit static counts.  non_clifford counts CCX and CCZ gates."""
 
-    qubit_count: int
-    total_gate_count: int
-    non_clifford_gate_count: int
-    measurement_count: int
+    __slots__ = _fields = ("qubit_count", "total_gate_count", "non_clifford_gate_count",
+                           "measurement_count")
+
+    def __init__(self, qubit_count: int, total_gate_count: int, non_clifford_gate_count: int,
+                 measurement_count: int) -> None:
+        self._set(qubit_count, total_gate_count, non_clifford_gate_count, measurement_count)
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 class Facts(NamedTuple):
@@ -265,6 +311,8 @@ class Facts(NamedTuple):
 def _executed(total: int, conditions: list, measured: dict[int, int]):
     """(all-zeros count, ((step, mask), ...)) of ``total`` gates, of which
     those conditioned have the given conditions."""
+    if not conditions:
+        return total, ()
     steps = [0] * len(measured)  # per measurement, in gate order
     for cb, value in conditions:
         total -= value
@@ -278,26 +326,26 @@ def _executed(total: int, conditions: list, measured: dict[int, int]):
     return total, tuple((step, int(mask, 2)) for step, mask in digits.items())
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """A validated kickmix circuit; derive modified copies with
-    ``dataclasses.replace``, which re-validates and records fresh facts."""
+_NO_METADATA: dict[str, str] = {}  # Circuit's default, never stored: each gets a fresh {}
 
-    qubit_count: int
-    classical_bit_count: int = 0
-    inputs: tuple[Register, ...] = ()
-    outputs: tuple[Register, ...] = ()
-    gates: tuple[Gate, ...] = ()
-    metadata: dict[str, str] = field(default_factory=dict)
-    facts: Facts = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for name in ("inputs", "outputs", "gates"):
-            value = getattr(self, name)
+class Circuit(_Record):
+    """A validated kickmix circuit, a frozen :class:`_Record`; derive modified
+    copies with ``_replace``, which re-validates and records fresh facts.
+    ``facts`` is a slot but no field: it is never compared, shown or replaced."""
+
+    _fields = ("qubit_count", "classical_bit_count", "inputs", "outputs", "gates", "metadata")
+    __slots__ = (*_fields, "facts")
+
+    def __init__(self, qubit_count: int, classical_bit_count: int = 0,
+                 inputs: tuple[Register, ...] = (), outputs: tuple[Register, ...] = (),
+                 gates: tuple[Gate, ...] = (), metadata: dict[str, str] = _NO_METADATA) -> None:
+        for name, value in (("inputs", inputs), ("outputs", outputs), ("gates", gates)):
             if type(value) not in (tuple, list):
                 raise CircuitError(f"circuit {name} of type {_shown(type(value).__name__)}, "
                                    "not tuple or list")
-            object.__setattr__(self, name, tuple(value))
+        self._set(qubit_count, classical_bit_count, tuple(inputs), tuple(outputs), tuple(gates),
+                  {} if metadata is _NO_METADATA else metadata)
         object.__setattr__(self, "facts", self.validate())
 
     def validate(self) -> Facts:

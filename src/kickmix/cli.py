@@ -11,12 +11,10 @@ two-space indent, trailing newline); CSV is used only for plottable curves.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 from .circuit import ParseError, _shown, parse, serialize, static_resources
@@ -69,7 +67,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_file(path: str, what: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {what} {_shown(path)!r}: {exc.strerror}") from exc
 
@@ -262,7 +261,7 @@ def _from_section(cls, data, what: str, part: str = "section"):
     values it refuses are usage errors."""
     if not isinstance(data, dict):
         raise _UsageError(f"{what} {part} must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    unknown = sorted(set(data).difference(cls._fields))
     if unknown:
         raise _UsageError(_unknown(f"{what} field(s)", unknown))
     try:

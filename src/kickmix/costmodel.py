@@ -23,11 +23,10 @@ their decimal string so 2.5e10 * 1e-6 comes out as exactly 25000, not
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .circuit import _shown
+from .circuit import _Record, _shown
 
 __all__ = [
     "PointAddCost",
@@ -79,16 +78,13 @@ def _as_number(value: Fraction):
     return int(value) if value.denominator == 1 else _float(value)
 
 
-@dataclass(frozen=True)
-class PointAddCost:
+class PointAddCost(_Record):
     """Per-point-addition cost of one circuit design plus the run geometry."""
 
-    pa_toffoli: int
-    pa_qubits: int
-    n: int
-    w: int
+    __slots__ = _fields = ("pa_toffoli", "pa_qubits", "n", "w")
 
-    def __post_init__(self) -> None:
+    def __init__(self, pa_toffoli: int, pa_qubits: int, n: int, w: int) -> None:
+        self._set(pa_toffoli, pa_qubits, n, w)
         if self.pa_toffoli < 0 or self.pa_qubits < 0:
             raise ValueError("point-addition costs must be non-negative")
         if self.n < 1:
@@ -101,18 +97,17 @@ class PointAddCost:
             raise ValueError(f"window {_shown(self.w)} is above the ceiling of {MAX_WINDOW}")
 
 
-@dataclass(frozen=True)
-class MachineProfile:
+class MachineProfile(_Record):
     """Timing and magic-state parameters of one machine class."""
 
-    reaction_time: float
-    round_time: float
-    toffoli_overhead_fraction: float = 0.5
-    t_state_cost: int = 50_000
-    cultivation_qubits: int = 10_000
-    toffoli_to_t_factor: float = 1.0
+    __slots__ = _fields = ("reaction_time", "round_time", "toffoli_overhead_fraction",
+                           "t_state_cost", "cultivation_qubits", "toffoli_to_t_factor")
 
-    def __post_init__(self) -> None:
+    def __init__(self, reaction_time: float, round_time: float,
+                 toffoli_overhead_fraction: float = 0.5, t_state_cost: int = 50_000,
+                 cultivation_qubits: int = 10_000, toffoli_to_t_factor: float = 1.0) -> None:
+        self._set(reaction_time, round_time, toffoli_overhead_fraction, t_state_cost,
+                  cultivation_qubits, toffoli_to_t_factor)
         for name in (
             "reaction_time",
             "round_time",
@@ -126,31 +121,28 @@ class MachineProfile:
             raise ValueError("toffoli_overhead_fraction must be >= 0")
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(_Record):
     """One race against block confirmation."""
 
-    attack_time: float
-    mean_block_interval: float
-    signatures_required: int = 1
-    machines: int = 1
+    __slots__ = _fields = ("attack_time", "mean_block_interval", "signatures_required",
+                           "machines")
 
-    def __post_init__(self) -> None:
+    def __init__(self, attack_time: float, mean_block_interval: float,
+                 signatures_required: int = 1, machines: int = 1) -> None:
+        self._set(attack_time, mean_block_interval, signatures_required, machines)
         if _exact(self.attack_time) <= 0 or _exact(self.mean_block_interval) <= 0:
             raise ValueError("times must be strictly positive")
         if self.signatures_required < 1 or self.machines < 1:
             raise ValueError("signatures_required and machines must be >= 1")
 
 
-@dataclass(frozen=True)
-class WalletRecord:
+class WalletRecord(_Record):
     """A vulnerable balance and how many keys must fall to take it."""
 
-    balance: float
-    keys_required: int = 1
-    label: str = ""
+    __slots__ = _fields = ("balance", "keys_required", "label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, balance: float, keys_required: int = 1, label: str = "") -> None:
+        self._set(balance, keys_required, label)
         if _exact(self.balance) < 0:
             raise ValueError("balance must be >= 0")
         if self.keys_required < 1:

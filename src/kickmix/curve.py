@@ -22,9 +22,8 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
 
-from .circuit import _shown
+from .circuit import _Record, _shown
 
 __all__ = [
     "CurvePoint",
@@ -79,18 +78,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Record):
     """A point on a curve: affine coordinates, or the point at infinity.
 
     The identity is represented by x = y = None; use the module-level
     INFINITY constant rather than constructing it by hand.
     """
 
-    x: int | None
-    y: int | None
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: int | None, y: int | None) -> None:
+        self._set(x, y)
         if (self.x is None) != (self.y is None):
             raise ValueError("either both coordinates are None (infinity) or neither")
 
@@ -107,8 +105,7 @@ class CurvePoint:
 INFINITY = CurvePoint(None, None)
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(_Record):
     """Parameters of y^2 = x^3 + a*x + b over F_p with a distinguished generator.
 
     `order` is the order of the generator (the size of the subgroup it
@@ -117,15 +114,10 @@ class CurveParams:
     the curve, and that order * G is the identity.
     """
 
-    name: str
-    p: int
-    a: int
-    b: int
-    gx: int
-    gy: int
-    order: int
+    __slots__ = _fields = ("name", "p", "a", "b", "gx", "gy", "order")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, p: int, a: int, b: int, gx: int, gy: int, order: int) -> None:
+        self._set(name, p, a, b, gx, gy, order)
         if not is_probable_prime(self.p):
             raise ValueError(f"curve modulus {self.p} is not prime")
         if (4 * pow(self.a, 3, self.p) + 27 * pow(self.b, 2, self.p)) % self.p == 0:

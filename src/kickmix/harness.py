@@ -49,13 +49,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .circuit import Circuit, _shown, parse, static_resources
+from .circuit import Circuit, _Record, _shown, parse, static_resources
 from .curve import (
     CurveParams, CurvePoint, encode_point, is_on_curve, named_curve, parse_point, point_add,
     point_neg, scalar_mul,
@@ -170,8 +169,28 @@ def achieved_security_bits(tolerated_fraction, test_count: int) -> float:
     return -test_count * math.log2(1 - eps)
 
 
-@dataclass(frozen=True)
-class VerificationSpec:
+# The JSON type of each spec field, and how an error message names it;
+# VerificationSpec checks every field against it before anything else, and
+# its fields are these, in this order.
+_NULL = type(None)
+_SPEC_FIELDS = {
+    "curve": ((str,), "a string"),
+    "test_count": ((int,), "an integer"),
+    "registers": ((dict,), "an object mapping roles to register names"),
+    "base_source": ((str,), "a string"),
+    "tolerated_failure_fraction": ((int, float), "a number"),
+    "security_bits": ((int,), "an integer"),
+    "max_avg_non_clifford": ((int, float, _NULL), "a number or null"),
+    "max_qubits": ((int, _NULL), "an integer or null"),
+    "max_total_ops": ((int, _NULL), "an integer or null"),
+    "allow_failures": ((bool,), "true or false"),
+}
+
+
+_DEFAULT_REGISTERS = {"accumulator_x": "qx", "accumulator_y": "qy"}  # copied for each spec
+
+
+class VerificationSpec(_Record):
     """What to verify and under which budgets.
 
     registers maps roles (accumulator_x, accumulator_y, optional window,
@@ -181,20 +200,17 @@ class VerificationSpec:
     the *average executed* CCX+CCZ count per test; max_qubits and
     max_total_ops bound the static circuit width and gate count."""
 
-    curve: str
-    test_count: int
-    registers: dict[str, str] = field(
-        default_factory=lambda: {"accumulator_x": "qx", "accumulator_y": "qy"}
-    )
-    base_source: str = "metadata"
-    tolerated_failure_fraction: float = 0.01
-    security_bits: int = 128
-    max_avg_non_clifford: float | None = None
-    max_qubits: int | None = None
-    max_total_ops: int | None = None
-    allow_failures: bool = False
+    __slots__ = _fields = tuple(_SPEC_FIELDS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, curve: str, test_count: int,
+                 registers: dict[str, str] = _DEFAULT_REGISTERS, base_source: str = "metadata",
+                 tolerated_failure_fraction: float = 0.01, security_bits: int = 128,
+                 max_avg_non_clifford: float | None = None, max_qubits: int | None = None,
+                 max_total_ops: int | None = None, allow_failures: bool = False) -> None:
+        if registers is _DEFAULT_REGISTERS:
+            registers = dict(registers)
+        self._set(curve, test_count, registers, base_source, tolerated_failure_fraction,
+                  security_bits, max_avg_non_clifford, max_qubits, max_total_ops, allow_failures)
         for name, (types, what) in _SPEC_FIELDS.items():
             value = getattr(self, name)
             if not _fits(value, types):
@@ -224,7 +240,7 @@ class VerificationSpec:
             raise HarnessError(f"security_bits must be >= 1, got {_shown(self.security_bits)}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "VerificationSpec":
@@ -235,23 +251,6 @@ class VerificationSpec:
         if "curve" not in data or "test_count" not in data:
             raise HarnessError("spec requires at least curve and test_count")
         return cls(**data)
-
-
-# The JSON type of each spec field, and how an error message names it;
-# VerificationSpec checks every field against it before anything else.
-_NULL = type(None)
-_SPEC_FIELDS = {
-    "curve": ((str,), "a string"),
-    "test_count": ((int,), "an integer"),
-    "registers": ((dict,), "an object mapping roles to register names"),
-    "base_source": ((str,), "a string"),
-    "tolerated_failure_fraction": ((int, float), "a number"),
-    "security_bits": ((int,), "an integer"),
-    "max_avg_non_clifford": ((int, float, _NULL), "a number or null"),
-    "max_qubits": ((int, _NULL), "an integer or null"),
-    "max_total_ops": ((int, _NULL), "an integer or null"),
-    "allow_failures": ((bool,), "true or false"),
-}
 
 
 def _fits(value, types: tuple) -> bool:
@@ -275,7 +274,7 @@ def spec_for_circuit(circuit: Circuit, **overrides) -> VerificationSpec:
     curve_name = overrides.pop("curve", circuit.metadata.get("curve"))
     if curve_name is None:
         raise HarnessError("circuit metadata names no curve; pass one explicitly")
-    registers = {"accumulator_x": "qx", "accumulator_y": "qy"}
+    registers = dict(_DEFAULT_REGISTERS)
     if any(reg.name == "k" for reg in circuit.inputs):
         registers["window"] = "k"
     overrides.setdefault("registers", registers)
@@ -284,22 +283,21 @@ def spec_for_circuit(circuit: Circuit, **overrides) -> VerificationSpec:
     spec = VerificationSpec(curve=curve_name, **{"test_count": 0, **overrides})
     if "test_count" in overrides or spec.tolerated_failure_fraction == 0:
         return spec
-    return replace(spec, test_count=required_test_count(spec.tolerated_failure_fraction,
-                                                        spec.security_bits))
+    return spec._replace(test_count=required_test_count(spec.tolerated_failure_fraction,
+                                                         spec.security_bits))
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(_Record):
     """Commitment plus the drawn test inputs, one column per draw: test i
     drives scalars[i], windows[i] and addend_scalars[i], each None where the
     circuit has no window or addend register.  See the module docstring for
     the byte-exact derivation rules."""
 
-    commitment: str
-    curve_name: str
-    scalars: tuple[int, ...]
-    windows: tuple[int | None, ...]
-    addend_scalars: tuple[int | None, ...]
+    __slots__ = _fields = ("commitment", "curve_name", "scalars", "windows", "addend_scalars")
+
+    def __init__(self, commitment: str, curve_name: str, scalars: tuple[int, ...],
+                 windows: tuple[int | None, ...], addend_scalars: tuple[int | None, ...]) -> None:
+        self._set(commitment, curve_name, scalars, windows, addend_scalars)
 
     def measurement_bits(self, index: int) -> Iterator[int]:
         """Endless bits of test index's stream: bytes in order, bits most
@@ -371,20 +369,17 @@ def _derive(circuit_bytes: bytes, plan: _Plan, test_count: int) -> Transcript:
 # verification
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(_Record):
     """Resolved circuit/spec pairing shared by every test."""
 
-    circuit: Circuit
-    curve: CurveParams
-    acc_x: str
-    acc_y: str
-    window_reg: str | None
-    window_bits: int | None
-    addend_x: str | None
-    addend_y: str | None
-    base: CurvePoint | None
-    policy: str
+    __slots__ = _fields = ("circuit", "curve", "acc_x", "acc_y", "window_reg", "window_bits",
+                           "addend_x", "addend_y", "base", "policy")
+
+    def __init__(self, circuit: Circuit, curve: CurveParams, acc_x: str, acc_y: str,
+                 window_reg: str | None, window_bits: int | None, addend_x: str | None,
+                 addend_y: str | None, base: CurvePoint | None, policy: str) -> None:
+        self._set(circuit, curve, acc_x, acc_y, window_reg, window_bits, addend_x, addend_y,
+                  base, policy)
 
 
 def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
@@ -589,12 +584,17 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
     return entries
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Everything verify() decided, and its canonical bytes, sealed once."""
+class VerificationReport(_Record):
+    """Everything verify() decided, and its canonical bytes, sealed once.
+    Both are compared; the repr shows only the data."""
 
-    data: dict
-    sealed: bytes = field(repr=False)
+    __slots__ = _fields = ("data", "sealed")
+
+    def __init__(self, data: dict, sealed: bytes) -> None:
+        self._set(data, sealed)
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(data={self.data!r})"
 
     @property
     def verdict(self) -> str:

@@ -28,10 +28,9 @@ lane); its LaneResults are the one-lane view.  :func:`run` stays the reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .circuit import PERMUTATION_KINDS, Circuit, static_resources
+from .circuit import PERMUTATION_KINDS, Circuit, _Record, static_resources
 
 __all__ = [
     "RngExhausted",
@@ -51,8 +50,7 @@ class RngExhausted(RuntimeError):
     """The injected randomness ran out before the last measurement."""
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     """Outcome of one simulated run.
 
     outputs maps each output register name to its integer value;
@@ -60,12 +58,14 @@ class RunResult:
     final_bits is the raw qubit vector for diagnostics.
     """
 
-    outputs: dict[str, int]
-    phase: int
-    measurements: tuple[int | None, ...]
-    executed_total: int
-    executed_non_clifford: int
-    final_bits: tuple[int, ...]
+    __slots__ = _fields = ("outputs", "phase", "measurements", "executed_total",
+                           "executed_non_clifford", "final_bits")
+
+    def __init__(self, outputs: dict[str, int], phase: int, measurements: tuple[int | None, ...],
+                 executed_total: int, executed_non_clifford: int,
+                 final_bits: tuple[int, ...]) -> None:
+        self._set(outputs, phase, measurements, executed_total, executed_non_clifford,
+                  final_bits)
 
 
 def _initial_bits(circuit: Circuit, inputs: Mapping[str, int]) -> list[int]:
@@ -183,8 +183,7 @@ def run_all_measurement_branches(
     ]
 
 
-@dataclass(frozen=True)
-class LaneResult:
+class LaneResult(_Record):
     """One lane of :func:`run_lanes`.
 
     outputs and final_bits hold on every measurement branch.
@@ -197,13 +196,15 @@ class LaneResult:
     without a stream word.
     """
 
-    outputs: dict[str, int]
-    phase: int | None
-    phase_always_plus_one: bool | None
-    phase_defects: tuple[int, ...]
-    executed_total: int
-    executed_non_clifford: int
-    final_bits: tuple[int, ...]
+    __slots__ = _fields = ("outputs", "phase", "phase_always_plus_one", "phase_defects",
+                           "executed_total", "executed_non_clifford", "final_bits")
+
+    def __init__(self, outputs: dict[str, int], phase: int | None,
+                 phase_always_plus_one: bool | None, phase_defects: tuple[int, ...],
+                 executed_total: int, executed_non_clifford: int,
+                 final_bits: tuple[int, ...]) -> None:
+        self._set(outputs, phase, phase_always_plus_one, phase_defects, executed_total,
+                  executed_non_clifford, final_bits)
 
 
 def _lane_planes(circuit: Circuit, slot_inputs: Sequence[Mapping[str, int]]) -> list[int]:

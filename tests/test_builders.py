@@ -9,7 +9,6 @@ the closed-form checker, which test_sim.py validates independently.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 
@@ -590,7 +589,7 @@ def _gate_line(gate: Gate) -> str:
 
 
 def _plain_serialize(circuit) -> bytes:
-    header = serialize(dataclasses.replace(circuit, gates=()))
+    header = serialize(circuit._replace(gates=()))
     return header + "".join(_gate_line(g) + "\n" for g in circuit.gates).encode("ascii")
 
 

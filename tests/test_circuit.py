@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -407,7 +406,7 @@ def test_replace_on_a_gate_revalidates() -> None:
         ({"condition": (0, 2)}, "bad condition (0, 2)"),
     ):
         with pytest.raises(CircuitError) as excinfo:
-            dataclasses.replace(circuit, gates=(*_MEASURED[:1], gate._replace(**changes)))
+            circuit._replace(gates=(*_MEASURED[:1], gate._replace(**changes)))
         assert (str(excinfo.value), excinfo.value.gate) == (message, 1)
     with pytest.raises(AttributeError):
         gate.kind = "X"  # type: ignore[misc]
@@ -686,12 +685,12 @@ def test_metadata_values_hold_no_line_break(separator: str) -> None:
 
 def test_replace_gates_revalidates_and_keeps_headers() -> None:
     circuit = build_temp_and().circuit
-    trimmed = dataclasses.replace(circuit, gates=circuit.gates[:1])
+    trimmed = circuit._replace(gates=circuit.gates[:1])
     assert trimmed.metadata == circuit.metadata
     assert trimmed.inputs == circuit.inputs
     assert len(trimmed.gates) == 1
     with pytest.raises(CircuitError):
-        dataclasses.replace(circuit, gates=(Gate("X", (99,)),))
+        circuit._replace(gates=(Gate("X", (99,)),))
 
 
 def _random_circuit(rng: random.Random) -> Circuit:
@@ -874,7 +873,7 @@ def test_replace_on_a_copied_gate_revalidates() -> None:
         gates = list(circuit.gates)
         gates[i] = gates[i]._replace(**changes)
         with pytest.raises(CircuitError) as excinfo:
-            dataclasses.replace(circuit, gates=gates)
+            circuit._replace(gates=gates)
         assert (str(excinfo.value), excinfo.value.gate) == (message, i)
     with pytest.raises(AttributeError):
         measure.cbit = 3  # type: ignore[misc]
@@ -968,12 +967,12 @@ def test_a_circuit_is_frozen_and_replace_records_fresh_facts() -> None:
                     "IF c1=0 CZ 1 2\n")
     for name in ("qubit_count", "classical_bit_count", "inputs", "outputs", "gates",
                  "metadata", "facts"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(circuit, name, getattr(circuit, name))
-    trimmed = dataclasses.replace(circuit, gates=circuit.gates[:3])
+    trimmed = circuit._replace(gates=circuit.gates[:3])
     _assert_facts_hold(trimmed)
     assert trimmed.facts != circuit.facts
     assert trimmed.facts.conditioned_kinds == {"CCX"}
     assert static_resources(trimmed).total_gate_count == 3
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(circuit, facts=trimmed.facts)
+    with pytest.raises(TypeError, match="facts"):
+        circuit._replace(facts=trimmed.facts)

@@ -265,13 +265,13 @@ def test_environment_registry_merges_extra_curves(tmp_path, monkeypatch) -> None
 
 def test_named_curve_validates_once_per_name_and_fields(tmp_path, monkeypatch) -> None:
     checked = []
-    post_init = CurveParams.__post_init__
+    init = CurveParams.__init__
 
-    def counting_post_init(self):
-        checked.append((self.name, self.p))
-        post_init(self)
+    def counting_init(self, **fields):  # _checked_curve passes every field by name
+        checked.append((fields["name"], fields["p"]))
+        init(self, **fields)
 
-    monkeypatch.setattr(CurveParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(CurveParams, "__init__", counting_init)
     curve_module._checked_curve.cache_clear()
     assert named_curve("toy-p61") is named_curve("toy-p61-b7")
     assert checked == [("toy-p61-b7", 61)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -51,8 +50,7 @@ def conditioned_cx_circuit(circuit):
         Gate("CX", (0, anc), condition=(cb, 1)),
         Gate("X", (anc,), condition=(cb, 1)),
     )
-    return replace(
-        circuit,
+    return circuit._replace(
         qubit_count=anc + 1,
         classical_bit_count=cb + 1,
         gates=circuit.gates + extra,
@@ -61,7 +59,7 @@ def conditioned_cx_circuit(circuit):
 
 def _cases(pointadd11, pointadd61, windowed11_w2):
     p11 = pointadd11.circuit
-    undefined = replace(p11, metadata={**p11.metadata, "exceptional": "undefined"})
+    undefined = p11._replace(metadata={**p11.metadata, "exceptional": "undefined"})
     two_point = parse(
         "qubits 16\ncbits 0\n"
         "in qx 0..3\nin qy 4..7\nin ax 8..11\nin ay 12..15\n"
@@ -80,7 +78,7 @@ def _cases(pointadd11, pointadd61, windowed11_w2):
     mutant5 = mutate(p11, 5)
     # Window value 0 and 1 both add the identity, so every input is exceptional.
     identity_w1 = build_windowed_pointadd(named_curve(p11.metadata["curve"]), INFINITY, 1).circuit
-    identity_w1 = replace(identity_w1, metadata={**identity_w1.metadata, "exceptional": "undefined"})
+    identity_w1 = identity_w1._replace(metadata={**identity_w1.metadata, "exceptional": "undefined"})
     return {
         "p11-transcript": (p11, spec_for_circuit(p11), "verify"),
         "p61-exhaustive": (pointadd61.circuit, _exhaustive_spec(pointadd61.circuit), "exhaustive"),
@@ -218,7 +216,7 @@ def test_conditioned_cx_reports_do_not_depend_on_the_lane_chunk_size(
     fixed = conditioned_cx_circuit(pointadd11.circuit)
     cb = fixed.classical_bit_count - 1
     # flips qx bit 0 on exactly the tests whose last outcome is 1
-    broken = replace(fixed, gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
+    broken = fixed._replace(gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
     spec = spec_for_circuit(pointadd11.circuit, test_count=300)
     runs = [(serialize(c), fail_fast) for c in (fixed, broken) for fail_fast in (False, True)]
     before = [verify(raw, spec, fail_fast=fail_fast).to_json_bytes() for raw, fail_fast in runs]

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -342,7 +341,7 @@ def test_the_harness_hands_each_lane_the_key_of_its_case(pointadd11, pointadd11_
     ran = [key for key, row in zip(columns, report.data["tests"]) if not row["skipped"]]
     assert passes == [ran]
     passes.clear()
-    exhaustive = verify_exhaustive(pointadd11_bytes, replace(spec, tolerated_failure_fraction=0))
+    exhaustive = verify_exhaustive(pointadd11_bytes, spec._replace(tolerated_failure_fraction=0))
     ran = [row["index"] for row in exhaustive.data["tests"] if not row["skipped"]]
     assert passes == [ran] and len(set(ran)) == len(ran)
 
@@ -465,8 +464,7 @@ def test_allow_failures_tolerates_the_declared_fraction(
 
 
 def test_undefined_policy_skips_exceptional_inputs(pointadd11) -> None:
-    relaxed = replace(
-        pointadd11.circuit,
+    relaxed = pointadd11.circuit._replace(
         metadata={**pointadd11.circuit.metadata, "exceptional": "undefined"},
     )
     raw = serialize(relaxed)
@@ -488,8 +486,7 @@ def test_all_tests_skipped_emits_a_warning(toy11) -> None:
     # identity base + undefined policy: the addend is always the identity,
     # so every drawn input is exceptional and nothing runs
     report_build = build_windowed_pointadd(toy11, INFINITY, 1)
-    relaxed = replace(
-        report_build.circuit,
+    relaxed = report_build.circuit._replace(
         metadata={**report_build.circuit.metadata, "exceptional": "undefined"},
     )
     raw = serialize(relaxed)
@@ -735,7 +732,7 @@ def test_report_rows_equal_a_scalar_replay(pointadd11, monkeypatch) -> None:
     p11 = pointadd11.circuit
     fixed = conditioned_cx_circuit(p11)
     cb = fixed.classical_bit_count - 1
-    broken = replace(fixed, gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
+    broken = fixed._replace(gates=fixed.gates + (Gate("X", (0,), condition=(cb, 1)),))
     for circuit in (p11, mutate(p11, 5), broken):
         report, transcript, cases = _replayed(circuit, monkeypatch)
         rows = report.data["tests"]

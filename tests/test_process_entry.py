@@ -252,3 +252,37 @@ def test_the_console_script_and_the_module_guard_are_the_same_entry() -> None:
     scripts = text.partition("[project.scripts]\n")[2].partition("\n\n")[0]
     assert scripts == 'kickmix = "kickmix.cli:run"'
     assert Path(cli.__file__).read_text().endswith('\nif __name__ == "__main__":\n    run()\n')
+
+
+# The stdlib modules no kickmix command needs: dataclasses alone pulls in
+# inspect, ast, dis and tokenize, about 4 ms before a record is declared.
+_UNLOADED = ("dataclasses", "inspect", "pathlib")
+_CHILD = """\
+import json, sys
+import kickmix.cli as cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.argv[2:]).intersection(sys.modules))]))
+"""
+
+
+def test_a_process_runs_every_command_without_dataclasses_inspect_or_pathlib(
+    inputs, pointadd11, pointadd11_bytes, tmp_path
+) -> None:
+    circuit, spec, report = tmp_path / "p11.kmx", tmp_path / "spec.json", tmp_path / "report.json"
+    circuit.write_bytes(pointadd11_bytes)
+    spec.write_text(json.dumps(spec_for_circuit(pointadd11.circuit).to_dict()))
+    argvs = [
+        ["verify", str(circuit), "--spec", str(spec), "-o", str(report)],
+        ["build", "pointadd", "-o", str(tmp_path / "built.kmx"), *_P11],
+        ["inspect", str(circuit), "--json"],
+        ["estimate", inputs["small-scenario.json"], "-o", str(tmp_path / "estimate.json")],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    # -S: no site hook, which on some hosts imports pathlib from a .pth file
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _CHILD, json.dumps(argvs), *_UNLOADED],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+    assert json.loads(report.read_bytes())["report_digest"] == GOLDEN["p11-transcript"]
