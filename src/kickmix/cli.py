@@ -399,13 +399,7 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
     points = []
     for i in range(steps + 1):
         t = lo + (hi - lo) * i / steps
-        scenario = costmodel.AttackScenario(
-            attack_time=t,
-            mean_block_interval=attack.mean_block_interval,
-            signatures_required=attack.signatures_required,
-            machines=attack.machines,
-        )
-        points.append((t, costmodel.onspend_success(scenario)))
+        points.append((t, costmodel.onspend_success(attack._replace(attack_time=t))))
     return points
 
 

@@ -78,6 +78,12 @@ def _as_number(value: Fraction):
     return int(value) if value.denominator == 1 else _float(value)
 
 
+def _integer(name: str, value) -> None:
+    """Refuse a count that is not exactly an int (a bool included)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {_shown(value, repr)}")
+
+
 class PointAddCost(_Record):
     """Per-point-addition cost of one circuit design plus the run geometry."""
 
@@ -85,12 +91,14 @@ class PointAddCost(_Record):
 
     def __init__(self, pa_toffoli: int, pa_qubits: int, n: int, w: int) -> None:
         self._set(pa_toffoli, pa_qubits, n, w)
+        _integer("pa_toffoli", self.pa_toffoli)
+        _integer("pa_qubits", self.pa_qubits)
         if self.pa_toffoli < 0 or self.pa_qubits < 0:
             raise ValueError("point-addition costs must be non-negative")
+        _integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"bit length must be >= 1, got {_shown(self.n)}")
-        if not isinstance(self.w, int):
-            raise ValueError(f"window must be an integer, got {_shown(self.w)}")
+        _integer("window", self.w)
         if self.w < 0:
             raise ValueError(f"window must be >= 0, got {_shown(self.w)}")
         if self.w > MAX_WINDOW:
@@ -132,6 +140,8 @@ class AttackScenario(_Record):
         self._set(attack_time, mean_block_interval, signatures_required, machines)
         if _exact(self.attack_time) <= 0 or _exact(self.mean_block_interval) <= 0:
             raise ValueError("times must be strictly positive")
+        _integer("signatures_required", self.signatures_required)
+        _integer("machines", self.machines)
         if self.signatures_required < 1 or self.machines < 1:
             raise ValueError("signatures_required and machines must be >= 1")
 
@@ -145,6 +155,7 @@ class WalletRecord(_Record):
         self._set(balance, keys_required, label)
         if _exact(self.balance) < 0:
             raise ValueError("balance must be >= 0")
+        _integer("keys_required", self.keys_required)
         if self.keys_required < 1:
             raise ValueError("keys_required must be >= 1")
 
@@ -225,12 +236,16 @@ def primed_attack_time(full_runtime):
     return _as_number(total / 2)
 
 
-def t_production_rate(machine: MachineProfile):
-    """T states per second: cultivation_qubits / (t_state_cost * round_time)."""
-    rate = _exact(machine.cultivation_qubits) / (
+def _t_rate(machine: MachineProfile) -> Fraction:
+    """The exact T rate that t_production_rate states."""
+    return _exact(machine.cultivation_qubits) / (
         _exact(machine.t_state_cost) * _exact(machine.round_time)
     )
-    return _as_number(rate)
+
+
+def t_production_rate(machine: MachineProfile):
+    """T states per second: cultivation_qubits / (t_state_cost * round_time)."""
+    return _as_number(_t_rate(machine))
 
 
 def t_factory_qubits(t_rate, machine: MachineProfile):
@@ -247,10 +262,7 @@ def magic_limited_key_time(toffoli: int, machine: MachineProfile):
     if toffoli < 0:
         raise ValueError("toffoli count must be >= 0")
     t_states = _exact(toffoli) * _exact(machine.toffoli_to_t_factor)
-    rate = _exact(machine.cultivation_qubits) / (
-        _exact(machine.t_state_cost) * _exact(machine.round_time)
-    )
-    return _as_number(t_states / rate)
+    return _as_number(t_states / _t_rate(machine))
 
 
 def onspend_success(scenario: AttackScenario) -> float:

@@ -59,9 +59,9 @@ from .curve import (
     CurveParams, CurvePoint, encode_point, is_on_curve, named_curve, parse_point, point_add,
     point_neg, scalar_mul,
 )
-# run, check_phase_all_branches and run_lanes stay importable from here: the
-# benchmark in perfbench/ times the simulator layer by wrapping these names.
-from .sim import _lane_pass, check_phase_all_branches, run, run_lanes  # noqa: F401
+# run and check_phase_all_branches stay importable from here: the benchmark
+# in perfbench/ times the simulator layer by wrapping these names.
+from .sim import _lane_pass, check_phase_all_branches, run  # noqa: F401
 
 __all__ = [
     "HarnessError",
@@ -501,7 +501,7 @@ def _transcript_cases(plan: _Plan, transcript: Transcript):
             accumulator = scalar_mul(scalar, plan.curve.generator, plan.curve)
             addend = _addend_for(plan, window, addend_scalar)
             memo[key] = _oracle_case(plan, accumulator, window, addend)
-        yield key, entry, memo[key]
+        yield entry, memo[key]
 
 
 def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
@@ -517,7 +517,7 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
             }
             if window is not None:
                 entry["window"] = window
-            yield index, entry, _oracle_case(plan, accumulator, window, addend)
+            yield entry, _oracle_case(plan, accumulator, window, addend)
             index += 1
 
 
@@ -540,14 +540,14 @@ def _failing(entry: dict) -> bool:
 
 def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
                fail_fast: bool) -> list[dict]:
-    """Fill in the entry of each (slot key, entry, oracle case) from one
-    lane-engine pass (sim._lane_pass) per fixed-size chunk; m is the
-    circuit's measurement count.
+    """Fill in the entry of each (entry, oracle case) from one lane-engine
+    pass (sim._lane_pass) per fixed-size chunk; m is the circuit's
+    measurement count.
 
-    Cases with one slot key (a transcript's memo key, or an exhaustive
-    case's index) share one oracle case, so a slot is one distinct input,
-    and outputs are judged once per slot, on its first lane.  Each entry's
-    sign and executed counts come straight from the pass's per-lane columns.
+    Cases that share one oracle case (a transcript's memoized draw) share
+    its inputs object and so one slot; each exhaustive case has its own.
+    Outputs are judged once per slot, on its first lane.  Each entry's sign
+    and executed counts come straight from the pass's per-lane columns.
     With a transcript, each test is judged on its own sampled measurement
     branch; without one (exhaustive mode), on every branch at once, with the
     executed counts of the all-zeros branch.
@@ -555,15 +555,14 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
     entries: list[dict] = []
     cases = iter(cases)
     while chunk := list(itertools.islice(cases, LANE_CHUNK)):
-        ran = [item for item in chunk if item[2] is not None]
+        ran = [item for item in chunk if item[1] is not None]
         words = None
         if transcript is not None:
-            words = transcript.measurement_words([entry["index"] for _, entry, _ in ran], m)
+            words = transcript.measurement_words([entry["index"] for entry, _ in ran], m)
         lane_slot, reads, columns = _lane_pass(
-            circuit, [inputs for _, _, (inputs, _) in ran], words,
-            [key for key, _, _ in ran]) if ran else ([], [], [[]] * 3)
+            circuit, [inputs for _, (inputs, _) in ran], words) if ran else ([], [], [[]] * 3)
         output_ok: list[bool] = []  # per slot, judged on its first lane
-        for (_, entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
+        for (entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
             if s == len(output_ok):
                 output_ok.append(all(reads[s][1][name] == v for name, v in expected.items()))
             entry["skipped"] = False
@@ -575,7 +574,7 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
                 entry["phase_ok"] = phase == 1
             entry["executed_total"] = total
             entry["executed_non_clifford"] = nc
-        for _, entry, case in chunk:
+        for entry, case in chunk:
             if case is None:
                 entry.update(_SKIPPED)
             entries.append(entry)

@@ -18,11 +18,12 @@ runs reproducible and lets callers enumerate outcome branches exhaustively.
 For circuits whose conditioned gates are all diagonal, the branch space
 factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
-:func:`run_lanes` makes that pass for many inputs at once, one bit per
-distinct input (a slot) in each qubit's int.  It reads outputs once per slot,
-and each lane's exact sign and executed counts on its own sampled branch as
-columns (which a conditioned X/CX/CCX follows lane by lane, one slot per
-lane); its LaneResults are the one-lane view.  :func:`run` stays the reference.
+:func:`run_lanes` makes that pass for many inputs at once, one bit per slot
+in each qubit's int; lanes share a slot exactly when they hold one inputs
+object.  It reads outputs once per slot, and each lane's exact sign and
+executed counts on its own sampled branch as columns (which a conditioned
+X/CX/CCX follows lane by lane, one slot per lane); its LaneResults are the
+one-lane view.  :func:`run` stays the reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .circuit import PERMUTATION_KINDS, Circuit, _Record, static_resources
+from .circuit import PERMUTATION_KINDS, Circuit, _Record
 
 __all__ = [
     "RngExhausted",
@@ -170,7 +171,7 @@ def run_all_measurement_branches(
     circuits with more than branch_limit measurements (2^m branches); sample
     with :func:`run` or use :func:`check_phase_all_branches` instead.
     """
-    m = static_resources(circuit).measurement_count
+    m = len(circuit.facts.measured)
     if m > branch_limit:
         raise ValueError(
             f"{m} measurements give 2^{m} branches, beyond the limit of "
@@ -217,43 +218,28 @@ def _lane_planes(circuit: Circuit, slot_inputs: Sequence[Mapping[str, int]]) -> 
     return planes
 
 
-def _input_keys(lane_inputs: Sequence[Mapping[str, int]]) -> list:
-    """Each lane's slot key in :func:`run_lanes`: its input values with
-    their exact types, or its index when those are not hashable."""
-    keys = []
-    for j, inputs in enumerate(lane_inputs):
-        try:
-            key = tuple((k, type(v), v) for k, v in inputs.items())
-            hash(key)
-        except (AttributeError, TypeError):  # no hashable key: a slot of its own
-            key = j
-        keys.append(key)
-    return keys
-
-
 def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
-               words: Sequence[int] | None, keys: Sequence | None = None):
+               words: Sequence[int] | None):
     """The pass behind :func:`run_lanes`, in columns: (lane_slot, reads,
-    [phases, executed_total, executed_non_clifford]).  keys[j] is lane j's
-    slot key (lanes with equal keys must have equal inputs; None keys lanes
-    as run_lanes does).  lane_slot[j] is lane j's slot, numbered in order of
-    first lane; reads[s] is slot s's (final_bits, outputs,
-    phase_always_plus_one, phase_defects), shared by its lanes; each column
-    holds one LaneResult field per lane."""
+    [phases, executed_total, executed_non_clifford]).  lane_slot[j] is lane
+    j's slot, numbered in order of first lane; reads[s] is slot s's
+    (final_bits, outputs, phase_always_plus_one, phase_defects), shared by
+    its lanes; each column holds one LaneResult field per lane."""
     facts = circuit.facts
     top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
     # otherwise they and the defect planes depend only on the inputs.
     follows = not facts.conditioned_kinds.isdisjoint(PERMUTATION_KINDS)
-    if follows and words is not None:
-        keys = range(len(lane_inputs))
-    elif keys is None:
-        keys = _input_keys(lane_inputs)
-    slots: dict = {}  # slot key -> slot index, in order of first lane
+    # A lane shares a slot only with lanes that hold its very inputs object:
+    # every key is the id of an object that slot_inputs holds for the whole
+    # pass, so a later lane can match it only by being that same object.
+    # Lanes that follow their own branches key their slots by lane index.
+    own = follows and words is not None
+    slots: dict[int, int] = {}  # slot key -> slot index, in order of first lane
     slot_inputs = []
     lane_slot = []
-    for inputs, key in zip(lane_inputs, keys):
-        s = slots.setdefault(key, len(slots))
+    for j, inputs in enumerate(lane_inputs):
+        s = slots.setdefault(j if own else id(inputs), len(slot_inputs))
         if s == len(slot_inputs):
             slot_inputs.append(inputs)
         lane_slot.append(s)
@@ -263,7 +249,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
                  if g.condition is not None and g.kind in PERMUTATION_KINDS)
         raise ValueError(f"gate {i} is a conditioned {circuit.gates[i].kind}: branch space does "
                          "not factorize; use run_all_measurement_branches instead")
-    full = (1 << len(slots)) - 1
+    full = (1 << len(slot_inputs)) - 1
     base = 0
     measured: dict[int, int] = {}
     corr: dict[tuple[int, int], int] = {}
@@ -322,7 +308,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
             plane ^= low
 
     reads = []
-    for s in range(len(slots)):
+    for s in range(len(slot_inputs)):
         bits = tuple((plane >> s) & 1 for plane in q)
         outputs = {reg.name: _read_register(bits, reg.lo, reg.hi) for reg in circuit.outputs}
         verdict = None if outcomes else not (zero >> s) & 1 and s not in defect_words
@@ -348,11 +334,12 @@ def run_lanes(
 ) -> list[LaneResult]:
     """Simulate many basis-state runs in one bitwise pass (bitslicing).
 
-    Lanes map to slots, one per distinct input: equal values of equal types
-    (so ``{"a": 1}`` and ``{"a": 1.0}`` never share, and a lane whose inputs
-    are invalid raises what it raises alone).  Each qubit is one int whose
-    bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]`` for every slot at
-    once, and outputs, final bits and defects are read out once per slot.
+    Lanes map to slots, one per distinct inputs object: lanes that hold one
+    mapping share its slot, and equal mappings held apart get one each (so a
+    lane whose inputs are invalid raises what it raises alone).  Each qubit
+    is one int whose bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]``
+    for every slot at once, and outputs, final bits and defects are read out
+    once per slot.
     Data bits and defect planes depend only on the inputs, so each lane's
     sign and executed counts come from its own stream word (below).
 

@@ -689,6 +689,43 @@ def test_estimate_refuses_a_section_of_the_wrong_json_type(tmp_path, capsys) -> 
         assert err.endswith(shown)
 
 
+def _raw_ecdlp(field: str, raw: str) -> str:
+    fields = {"pa_toffoli": "1000", "pa_qubits": "100", "n": "256", "w": "4", field: raw}
+    return '{"ecdlp": {%s}}' % ", ".join(f'"{k}": {v}' for k, v in fields.items())
+
+
+_RAW_ATTACK = '"attack": {"attack_time": 100.0, "mean_block_interval": 600'
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        (_raw_ecdlp("n", "256.5"), "bad ecdlp section: n must be an integer, got 256.5"),
+        (_raw_ecdlp("pa_qubits", "1.5"),
+         "bad ecdlp section: pa_qubits must be an integer, got 1.5"),
+        (_raw_ecdlp("w", "true"), "bad ecdlp section: window must be an integer, got True"),
+        (_raw_ecdlp("pa_toffoli", '"5"'),
+         "bad ecdlp section: pa_toffoli must be an integer, got '5'"),
+        (_raw_ecdlp("pa_toffoli", "1e400"),
+         "bad ecdlp section: pa_toffoli must be an integer, got inf"),
+        ("{%s, \"machines\": 1.5}}" % _RAW_ATTACK,
+         "bad attack section: machines must be an integer, got 1.5"),
+        ("{%s, \"signatures_required\": false}}" % _RAW_ATTACK,
+         "bad attack section: signatures_required must be an integer, got False"),
+        ("{%s}, \"wallets\": [{\"balance\": 1, \"keys_required\": 1.5}]}" % _RAW_ATTACK,
+         "bad wallet entry: keys_required must be an integer, got 1.5"),
+    ],
+)
+def test_estimate_refuses_a_count_that_is_not_an_integer(tmp_path, capsys, text,
+                                                         shown) -> None:
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert err == f"error: {shown}\n"
+
+
 def test_estimate_bounds_the_success_sweep_steps(tmp_path, capsys) -> None:
     attack = {"attack_time": 100.0, "mean_block_interval": 600}
     success_csv = tmp_path / "s.csv"

@@ -316,34 +316,37 @@ def test_security_bits_out_of_range_is_one_short_line(pointadd11, pointadd11_byt
             assert message == f"security_bits must be a positive integer, got {bits}"
 
 
-def test_the_harness_hands_each_lane_the_key_of_its_case(pointadd11, pointadd11_bytes,
-                                                        monkeypatch) -> None:
-    """Sampled lanes are keyed by their (scalar, window, addend scalar) draw,
-    exhaustive ones by case index, so no lane's inputs are made into a key."""
+def test_the_harness_hands_each_draw_one_inputs_object(pointadd11, pointadd11_bytes,
+                                                       monkeypatch) -> None:
+    """Sampled lanes hold one mapping object per distinct (scalar, window,
+    addend scalar) draw, and exhaustive ones one each, so a lane's slot is
+    its draw (or case)."""
     passes = []
     lane_pass = sim._lane_pass
 
-    def spy(circuit, lane_inputs, words, keys=None):
-        passes.append(keys)
-        return lane_pass(circuit, lane_inputs, words, keys)
-
-    def refused(lane_inputs):
-        raise AssertionError("verify keyed lanes by their inputs")
+    def spy(circuit, lane_inputs, words):
+        passes.append(lane_inputs)
+        return lane_pass(circuit, lane_inputs, words)
 
     spec = spec_for_circuit(pointadd11.circuit, test_count=300)
     before = verify(pointadd11_bytes, spec).to_json_bytes()
     monkeypatch.setattr(harness, "_lane_pass", spy)
-    monkeypatch.setattr(sim, "_input_keys", refused)
     report = verify(pointadd11_bytes, spec)
     assert report.to_json_bytes() == before
     transcript = derive_tests(pointadd11_bytes, spec)
     columns = zip(transcript.scalars, transcript.windows, transcript.addend_scalars)
-    ran = [key for key, row in zip(columns, report.data["tests"]) if not row["skipped"]]
-    assert passes == [ran]
+    draws = [draw for draw, row in zip(columns, report.data["tests"]) if not row["skipped"]]
+    [lane_inputs] = passes
+    assert len(lane_inputs) == len(draws) > len(set(draws))
+    objects = {}
+    for draw, inputs in zip(draws, lane_inputs):
+        assert objects.setdefault(draw, inputs) is inputs
+    assert len(set(map(id, objects.values()))) == len(objects)
     passes.clear()
     exhaustive = verify_exhaustive(pointadd11_bytes, spec._replace(tolerated_failure_fraction=0))
-    ran = [row["index"] for row in exhaustive.data["tests"] if not row["skipped"]]
-    assert passes == [ran] and len(set(ran)) == len(ran)
+    [lane_inputs] = passes
+    ran = [row for row in exhaustive.data["tests"] if not row["skipped"]]
+    assert len(set(map(id, lane_inputs))) == len(lane_inputs) == len(ran)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +726,7 @@ def _replayed(circuit, monkeypatch):
     report = verify(raw, spec)
     transcript = derive_tests(raw, spec)
     cases = harness._transcript_cases(harness._resolve(parse(raw), spec), transcript)
-    return report, transcript, [(entry["index"], case) for _, entry, case in cases]
+    return report, transcript, [(entry["index"], case) for entry, case in cases]
 
 
 def test_report_rows_equal_a_scalar_replay(pointadd11, monkeypatch) -> None:
@@ -755,7 +758,6 @@ def test_verify_builds_no_lane_result(pointadd11, monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a LaneResult")
 
-    monkeypatch.setattr(harness, "run_lanes", refuse)
     monkeypatch.setattr(sim, "run_lanes", refuse)
     monkeypatch.setattr(sim, "LaneResult", refuse)
     p11 = pointadd11.circuit

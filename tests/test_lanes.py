@@ -93,10 +93,14 @@ def lanes(draw, conditioned_permutations: bool = False):
     circuit = draw(circuits(conditioned_permutations))
     m = _measurements(circuit)
     count = draw(st.integers(1, 70))
+    # Lanes draw from a pool of mapping objects, so some share one (a slot of
+    # several lanes) and some hold equal values apart.
     values = draw(st.lists(st.integers(0, (1 << circuit.qubit_count) - 1),
+                           min_size=1, max_size=count))
+    inputs = draw(st.lists(st.sampled_from([{"a": v} for v in values]),
                            min_size=count, max_size=count))
     words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=count, max_size=count))
-    return circuit, [{"a": v} for v in values], words
+    return circuit, inputs, words
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,19 +223,20 @@ def _conditions_a_permutation(circuit: Circuit) -> bool:
 
 @st.composite
 def pooled_lanes(draw):
-    """Lanes drawn with repeats from a pool of at most three inputs; words are
-    drawn whenever a conditioned X/CX/CCX needs them, and otherwise maybe."""
+    """Lanes drawn with repeats from a pool of at most three mapping objects
+    (two may hold equal values); words are drawn whenever a conditioned
+    X/CX/CCX needs them, and otherwise maybe."""
     circuit = draw(circuits(conditioned_permutations=True))
     m = _measurements(circuit)
     pool = draw(st.lists(st.integers(0, (1 << circuit.qubit_count) - 1),
-                         min_size=1, max_size=3, unique=True))
-    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+                         min_size=1, max_size=3))
+    inputs = draw(st.lists(st.sampled_from([{"a": v} for v in pool]), min_size=1, max_size=40))
     words = None
     if _conditions_a_permutation(circuit) or draw(st.booleans()):
         words = draw(st.lists(st.integers(0, (1 << m) - 1),
-                              min_size=len(values), max_size=len(values)))
-    order = draw(st.permutations(range(len(values))))
-    return circuit, [{"a": v} for v in values], words, order
+                              min_size=len(inputs), max_size=len(inputs)))
+    order = draw(st.permutations(range(len(inputs))))
+    return circuit, inputs, words, order
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,6 +274,13 @@ def test_run_lanes_is_the_one_lane_view_of_the_pass(case) -> None:
     # slots are numbered in order of their first lane, which harness relies on
     firsts = [s for j, s in enumerate(lane_slot) if s not in lane_slot[:j]]
     assert firsts == list(range(len(reads)))
+    # lanes share a slot iff they hold one mapping, unless each follows its own branch
+    if words is None or not _conditions_a_permutation(circuit):
+        assert [[s == t for t in lane_slot] for s in lane_slot] == [
+            [a is b for b in inputs] for a in inputs
+        ]
+    else:
+        assert lane_slot == list(range(len(inputs)))
     views = [
         sim.LaneResult(outputs=reads[s][1], phase=phase, phase_always_plus_one=reads[s][2],
                        phase_defects=reads[s][3], executed_total=total,
@@ -279,7 +291,7 @@ def test_run_lanes_is_the_one_lane_view_of_the_pass(case) -> None:
     assert run_lanes(circuit, [], []) == []
 
 
-def test_equal_inputs_are_simulated_once(monkeypatch) -> None:
+def test_a_shared_inputs_object_is_simulated_once(monkeypatch) -> None:
     circuit = _conditioned_cx()
     seen = []
     initial_bits = sim._initial_bits
@@ -291,19 +303,25 @@ def test_equal_inputs_are_simulated_once(monkeypatch) -> None:
     monkeypatch.setattr(sim, "_initial_bits", counting)
     plain = Circuit(qubit_count=3, classical_bit_count=0, inputs=circuit.inputs,
                     outputs=circuit.outputs, gates=(Gate("CX", (0, 2)),))
-    inputs = [{"a": v % 3} for v in range(30)]
+    pool = [{"a": v} for v in range(3)]
+    inputs = [pool[v % 3] for v in range(30)]
     lanes = run_lanes(plain, inputs, [0] * 30)
     assert seen == [0, 1, 2]
     assert [lane.outputs for lane in lanes] == [run(plain, i, []).outputs for i in inputs]
     lanes[0].outputs["a"] = 99
     assert lanes[3].outputs == {"a": 0}
+    # Equal values in distinct mappings get a slot each, with identical results.
+    seen.clear()
+    apart = run_lanes(plain, [{"a": v % 3} for v in range(30)], [0] * 30)
+    assert seen == [v % 3 for v in range(30)]
+    assert apart == run_lanes(plain, inputs, [0] * 30)
     # A conditioned CX follows each lane's own outcome, so every lane is its own slot.
     seen.clear()
     run_lanes(circuit, inputs, [v % 2 for v in range(30)])
     assert len(seen) == 30
 
 
-def test_slots_are_keyed_on_exact_values_and_types() -> None:
+def test_a_lane_with_bad_inputs_raises_what_it_raises_alone() -> None:
     circuit = Circuit(qubit_count=2, classical_bit_count=0, inputs=(Register("a", 0, 1),),
                       outputs=(Register("a", 0, 1),), gates=(Gate("CX", (0, 1)),))
     for bad in ({"a": 1.0}, {"a": [1]}, {"a": 1, "b": 0}, {"a": 4}):
@@ -312,6 +330,6 @@ def test_slots_are_keyed_on_exact_values_and_types() -> None:
         with pytest.raises(alone.type) as after:
             run_lanes(circuit, [{"a": 1}, {"a": 0}, bad, {"a": 1}])
         assert str(after.value) == str(alone.value)
-    # True == 1, but a bool lane keeps a slot of its own and runs like int 1.
+    # True == 1, but a bool lane in its own mapping has its own slot and runs like int 1.
     flags = run_lanes(circuit, [{"a": 1}, {"a": True}], [0, 0])
     assert flags[0] == flags[1] and flags[1].outputs == {"a": 3}
