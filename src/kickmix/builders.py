@@ -33,6 +33,7 @@ from .circuit import (
     Gate,
     Register,
     StaticResources,
+    _made,
     _Record,
     _shown,
     static_resources,
@@ -109,15 +110,19 @@ class _Emitter:
     bits.  qubit watermark == peak circuit width.
 
     Each (kind, operands) gets one unconditioned Gate, reused by its repeats;
-    an MX or a conditioned gate reuses its operand tuple.  Every rule is
-    checked at :meth:`finish`, by :meth:`Circuit.validate`."""
+    an MX or a conditioned gate reuses its operand tuple.  The emitter
+    records the gates' program as it goes (see ``circuit._lower``), and
+    :meth:`finish` hands it to the validation walk, which checks every rule."""
 
     def __init__(self, fixed_qubits: int):
         self.gates: list[Gate] = []
         self.cbits = 0
         self.watermark = fixed_qubits
         self._free: list[int] = []
-        self._plain: dict[tuple[str, tuple[int, ...]], Gate] = {}
+        self._plain: dict[tuple[str, tuple[int, ...]], int] = {}  # -> its index in _table
+        self._table: list[Gate] = []  # the unconditioned Gate of each (kind, operands)
+        self._index: list[int] = []  # each gate's (kind, operands)
+        self._walked: list[int] = []  # the positions of MX and conditioned gates
 
     def alloc(self) -> int:
         if self._free:
@@ -132,11 +137,15 @@ class _Emitter:
     def emit(
         self, kind: str, *qubits: int, cond: tuple[int, int] | None = None, cbit: int | None = None
     ) -> None:
-        gate = self._plain.get((kind, qubits))
-        if gate is None:
-            gate = self._plain[kind, qubits] = Gate(kind, qubits)
-        if cbit is not None or cond is not None:
+        j = self._plain.get((kind, qubits))
+        if j is None:
+            j = self._plain[kind, qubits] = len(self._table)
+            self._table.append(Gate(kind, qubits))
+        gate = self._table[j]
+        if cbit is not None or cond is not None or kind == "MX":
+            self._walked.append(len(self.gates))
             gate = Gate(gate.kind, gate.qubits, cbit, cond)
+        self._index.append(j)
         self.gates.append(gate)
 
     def measure(self, qubit: int) -> int:
@@ -252,13 +261,13 @@ class _Emitter:
     ) -> BuildReport:
         """The emitted gates as a circuit at watermark width, paired with the
         prediction (a recount when the builder has no closed form)."""
-        circuit = Circuit(
-            qubit_count=self.watermark,
-            classical_bit_count=self.cbits,
-            inputs=registers,
-            outputs=registers if outputs is None else outputs,
-            gates=tuple(self.gates),
-            metadata={"construction": construction, **metadata},
+        circuit = _made(
+            (self.gates, self._table, self._index, self._walked, iter(())),
+            self.watermark,
+            self.cbits,
+            registers,
+            registers if outputs is None else outputs,
+            {"construction": construction, **metadata},
         )
         return BuildReport(
             circuit=circuit,

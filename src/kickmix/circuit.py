@@ -73,17 +73,22 @@ names the column of the first bad byte).  A refused line is quoted, cut to
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-:func:`parse` reads the gate lines a chunk of whole lines at a time, by
-shape: it lifts out each classical-bit number ``c<k>`` spelled as above,
-which leaves the line's shape (a number spelled otherwise stays, and the
-shape is refused), matches each new shape once, and shares one Gate among
-identical lines and one operand tuple among the lines of one "KIND q q q"
-(the builders share one per kind and operands).  ``validate`` checks each
-operand tuple once, however many gates share it, and the classical bits of
-every gate.  Callers must not rely on gate or tuple identity.  A message
-stays one bounded line for any value.  The same walk records the
-:class:`Facts` that every layer reads instead of recounting the gates;
-``Circuit`` is frozen, so they cannot go stale.
+Every circuit is checked as a *program*: a table of distinct gate shapes
+in order of first use, each gate's index in it, and the positions of the
+gates that are MX or write or read a classical bit.  :func:`parse` reads
+the gate lines a chunk of whole lines at a time into one: it lifts out each
+classical-bit number ``c<k>`` spelled as above, which leaves the line's
+shape (a number spelled otherwise stays, and the shape is refused), and
+matches each new shape once.  The builders record theirs as they emit,
+and ``Circuit(...)`` lowers its gate list into one.  The validation walk
+then checks each (kind, operand tuple) once, at its first gate, and the
+classical-bit rules at each gate that has a bit, in gate order; it makes a
+parsed line's Gate there from its shape and numbers.  Identical lines share
+one Gate, and the lines of one "KIND q q q" one operand tuple (the builders
+share one per kind and operands); callers must not rely on gate or tuple
+identity.  A message stays one bounded line for any value.  The same walk
+records the :class:`Facts` that every layer reads instead of recounting the
+gates; ``Circuit`` is frozen, so they cannot go stale.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -94,7 +99,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import partial
-from operator import itemgetter
+from itertools import compress
 from typing import NamedTuple
 
 __all__ = [
@@ -187,6 +192,12 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
     cbit: int | None = None
     condition: tuple[int, int] | None = None
+
+
+def _bit_out_of_range(cb: int, i: int, kind: str, cbit_count: int) -> CircuitError:
+    """The error of gate ``i`` that writes or reads classical bit ``cb``."""
+    return CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
+                        f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}", gate=i)
 
 
 def _operand_error(i: int, kind, qubits, qubit_count: int) -> str | None:
@@ -296,9 +307,10 @@ class StaticResources(_Record):
 
 
 class Facts(NamedTuple):
-    """What :meth:`Circuit.validate`'s walk learns of a valid circuit.
-    ``measured`` maps each MX bit to i, its index in gate order: bit m-1-i
-    of an m-bit outcome word.  ``executed`` holds, for all gates and then
+    """What :meth:`Circuit.validate`'s walk of a valid circuit's program
+    learns: ``kinds`` from the count of each shape, the rest from the gates
+    that have a classical bit.  ``measured`` maps each MX bit to i, its index
+    in MX order: bit m-1-i of an m-bit outcome word.  ``executed`` holds, for all gates and then
     CCX/CCZ, the count run on the all-zeros branch and (step, mask) pairs: a
     branch runs step more per set bit of ``word & mask``."""
 
@@ -350,6 +362,11 @@ class Circuit(_Record):
 
     def validate(self) -> Facts:
         """Check every rule in the module docstring; return the facts met on the way."""
+        return self._validate(None)
+
+    def _validate(self, program: tuple | None) -> Facts:
+        """:meth:`validate`, walking ``program`` (see :func:`_lower`), or
+        that of ``gates`` when it is None."""
         _exact(self.qubit_count, int, "qubit count")
         _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
@@ -380,21 +397,42 @@ class Circuit(_Record):
                         f"{min(overlap)} already covered by another {spec_name} register"
                     )
                 used.update(reg.qubits)
-        gates, cbit_count = self.gates, self.classical_bit_count
-        if not set(map(type, gates)) <= {Gate}:
-            i, bad = next((i, g) for i, g in enumerate(gates) if type(g) is not Gate)
-            raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate", gate=i)
-        # id of an operand tuple -> the kind _operand_error passed it with; the
-        # tuple is alive in gates and holds exact ints, so it passes again
-        checked: dict[int, str] = {}
+        if program is None:
+            if not set(map(type, self.gates)) <= {Gate}:
+                i, bad = next((i, g) for i, g in enumerate(self.gates) if type(g) is not Gate)
+                raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate",
+                                   gate=i)
+            program = _lower(self.gates)
+        gates, table, index, positions, numbers = program
+        # each (kind, operand tuple) once, at its first gate: table is in order of first use
+        stop, checked = len(gates), {}  # id of an operand tuple -> the kind it passed with
+        for j, (kind, qubits, _, _) in enumerate(table):
+            if checked.get(id(qubits)) is not kind:
+                if _operand_error(j, kind, qubits, self.qubit_count):
+                    stop = index.index(j)  # the bits of the gates before it are checked first
+                    break
+                checked[id(qubits)] = kind
+        cbit_count = self.classical_bit_count
         written: dict[int, int] = {}  # measured bit -> measurement index
         conditions, non_clifford = [], []  # of conditioned gates, and of CCX/CCZ among them
         conditioned_kinds: set[str] = set()
-        for i, (kind, qubits, cbit, condition) in enumerate(gates):
-            if checked.get(id(qubits)) is not kind:
-                if error := _operand_error(i, kind, qubits, self.qubit_count):
-                    raise CircuitError(error, gate=i)
-                checked[id(qubits)] = kind
+        made: dict[Gate, Gate] = {}  # a parsed IF line's Gate, shared by identical lines
+        for i in positions:
+            if i >= stop:
+                break
+            gate = gates[i]
+            if gate is not None:
+                kind, qubits, cbit, condition = gate
+            else:  # a parsed line: its shape's Gate, with the line's number in its place
+                kind, qubits, cbit, condition = table[index[i]]
+                if condition is None:
+                    cbit = next(numbers)
+                    gates[i] = _gate((kind, qubits, cbit, None))
+                elif cbit is None:
+                    condition = (next(numbers), condition[1])
+                    gate = _gate((kind, qubits, None, condition))
+                    gates[i] = made.setdefault(gate, gate)
+                # else both: "IF ... -> c<k>" breaks a rule below, whatever its numbers
             if kind == "MX":
                 if cbit is None:
                     raise CircuitError("MX requires a destination classical bit", gate=i)
@@ -402,33 +440,30 @@ class Circuit(_Record):
                     raise CircuitError(f"bad MX destination {_shown(cbit, repr)}", gate=i)
                 if condition is not None:
                     raise CircuitError("measurements cannot be conditioned", gate=i)
-                cb = cbit  # the classical bit the gate writes or reads
+                if cbit >= cbit_count:
+                    raise _bit_out_of_range(cbit, i, kind, cbit_count)
+                if cbit in written:
+                    raise CircuitError(f"gate {i} (MX): classical bit c{cbit} written twice",
+                                       gate=i)
+                written[cbit] = len(written)
             elif cbit is not None:
                 raise CircuitError(f"{kind} does not write a classical bit", gate=i)
-            elif condition is None:
-                continue  # the gate writes and reads no classical bit
             elif (type(condition) is not tuple or len(condition) != 2
                   or type(condition[0]) is not int or condition[0] < 0
                   or type(condition[1]) is not int or condition[1] not in (0, 1)):
                 raise CircuitError(f"bad condition {_shown(condition, repr)}", gate=i)
-            else:
-                cb = condition[0]
-            if cb >= cbit_count:
-                raise CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
-                                   f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}",
-                                   gate=i)
-            if kind == "MX":
-                if cb in written:
-                    raise CircuitError(f"gate {i} (MX): classical bit c{cb} written twice", gate=i)
-                written[cb] = len(written)
-            elif cb not in written:
-                raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
+            elif condition[0] >= cbit_count:
+                raise _bit_out_of_range(condition[0], i, kind, cbit_count)
+            elif condition[0] not in written:
+                raise CircuitError(f"gate {i} ({kind}): condition on c{condition[0]} before any "
                                    "measurement writes it", gate=i)
             else:
                 conditions.append(condition)
                 if kind in _NON_CLIFFORD:
                     non_clifford.append(condition)
                 conditioned_kinds.add(kind)
+        if stop < len(gates):
+            raise CircuitError(_operand_error(stop, *table[j][:2], self.qubit_count), gate=stop)
         _exact(self.metadata, dict, "metadata")
         for key, value in self.metadata.items():
             _exact(key, str, "metadata key")
@@ -444,10 +479,48 @@ class Circuit(_Record):
             raise CircuitError(
                 f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}"
             )
-        kinds = Counter(map(itemgetter(0), gates))
+        kinds: Counter[str] = Counter()
+        for j, count in Counter(index).items():
+            kinds[table[j].kind] += count
         return Facts(kinds, written, frozenset(conditioned_kinds),
                      (_executed(len(gates), conditions, written),
                       _executed(kinds["CCX"] + kinds["CCZ"], non_clifford, written)))
+
+
+def _lower(gates) -> tuple:
+    """The program of a list of Gates, in one pass: (gates, table, index,
+    positions, numbers).  ``table`` holds the first Gate of each operand
+    tuple and kind, keyed by identity as the walk checks them, in order of
+    first use, and ``index[i]`` is gate i's entry; ``positions`` are the
+    gates that are MX or have a classical bit, in order (any iterable).  A parse's gates hold None
+    where the walk makes the Gate from its shape in ``table`` and the next
+    of ``numbers``."""
+    table: list[Gate] = []
+    index: list[int] = []
+    positions: list[int] = []
+    cores: dict[int, int] = {}  # id of an operand tuple -> its latest entry in table
+    for i, gate in enumerate(gates):
+        kind, qubits, cbit, condition = gate
+        j = cores.get(id(qubits))
+        if j is None or table[j].kind is not kind:
+            j = cores[id(qubits)] = len(table)
+            table.append(gate)
+        index.append(j)
+        if cbit is not None or condition is not None or kind == "MX":
+            positions.append(i)
+    return gates, table, index, positions, iter(())
+
+
+def _made(program: tuple, qubit_count: int, classical_bit_count: int,
+          inputs: tuple[Register, ...], outputs: tuple[Register, ...],
+          metadata: dict[str, str]) -> Circuit:
+    """The Circuit of ``program``'s gates, which its validation walk completes."""
+    circuit = Circuit.__new__(Circuit)
+    circuit._set(qubit_count, classical_bit_count, inputs, outputs, (), metadata)
+    facts = circuit._validate(program)
+    object.__setattr__(circuit, "gates", tuple(program[0]))
+    object.__setattr__(circuit, "facts", facts)
+    return circuit
 
 
 def static_resources(circuit: Circuit) -> StaticResources:
@@ -497,34 +570,34 @@ _gate = partial(tuple.__new__, Gate)  # Gate(*fields), without its Python-level 
 
 
 class _Shapes(dict):
-    """Gate-line shape -> its Gate, or None if no gate line has the shape;
-    for a shape that holds classical-bit numbers, (its Gates by number, the
-    maker of one from its number, pair), with a pair of numbers for IF and
-    ->.  The lines of one core share its Gate's kind and operand tuple."""
+    """Gate-line shape -> its index in ``table``, which holds each shape's
+    Gate; a shape that holds classical-bit numbers has cbit 0 for "-> c<k>"
+    and condition (0, value) for "IF c<k>[=0]" in their places.  The shapes
+    of one core share its kind and operand tuple.  A refused shape raises
+    KeyError."""
 
-    def __missing__(self, shape: str) -> Gate | tuple | None:
+    def __init__(self) -> None:
+        self.table: list[Gate] = []
+        self.cores: dict[str, Gate] = {}  # "KIND q q q" -> its Gate
+
+    def __missing__(self, shape: str) -> int:
         match = _GATE_LINE(shape)
         if match is None:
-            return None
+            raise KeyError(shape)
         cb, zero, core, dest = match.groups()
-        gate = self.get(core)
+        gate = self.cores.get(core)
         if gate is None:
             kind, *operands = core.split(" ")
             qubits = tuple(map(int, operands))
             if _core(kind, qubits) != core:
-                return None
-            gate = self[core] = Gate(kind, qubits)
-        if shape == core:
-            return gate
-        kind, qubits, value = gate.kind, gate.qubits, 0 if zero else 1
-        if dest is None:
-            entry = ({}, lambda k: _gate((kind, qubits, None, (int(k), value))), False)
-        elif cb is None:
-            entry = ({}, lambda k: _gate((kind, qubits, int(k), None)), False)
-        else:
-            entry = ({}, lambda ks: _gate((kind, qubits, int(ks[1]), (int(ks[0]), value))), True)
-        self[shape] = entry
-        return entry
+                raise KeyError(shape)
+            gate = self.cores[core] = Gate(kind, qubits)
+        if shape != core:
+            gate = Gate(gate.kind, gate.qubits, None if dest is None else 0,
+                        None if cb is None else (0, 0 if zero else 1))
+        self[shape] = len(self.table)
+        self.table.append(gate)
+        return self[shape]
 
 
 def _refused(expected: str, raw: str, lineno: int) -> ParseError:
@@ -577,7 +650,8 @@ def parse(text: str | bytes) -> Circuit:
 
     header_lines = lineno
     shapes = _Shapes()
-    gates: list[Gate] = []
+    index: list[int] = []  # each gate line's shape
+    numbers: list[str] = []  # the classical-bit numbers, in line order
     pos = header.end()
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1
@@ -585,35 +659,27 @@ def parse(text: str | bytes) -> Circuit:
             raise _refused("a gate line", text[pos : pos + 21], lineno + 1)
         chunk = text[pos:end]
         parts = _LIFT(chunk)  # text, number, text, ..., number, text
-        numbers = iter(parts[1::2])
         lines = "c0".join(parts[::2]).split("\n")
         lines.pop()  # the empty text after the chunk's last newline
-        for shape in lines:
-            entry = shapes[shape]
-            if entry.__class__ is Gate:
-                gates.append(entry)
-                continue
-            if entry is None:
-                j = lines.index(shape)
-                raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1)
-            made, make, pair = entry
-            key = (next(numbers), next(numbers)) if pair else next(numbers)
-            gate = made.get(key)
-            if gate is None:
-                gate = made[key] = make(key)
-            gates.append(gate)
+        try:
+            index += map(shapes.__getitem__, lines)
+        except KeyError as exc:
+            j = lines.index(exc.args[0])
+            raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1) from None
+        numbers += parts[1::2]
         lineno += len(lines)
         pos = end
 
+    # A line that holds a number gets its Gate in the walk, and MX lines are
+    # walked too; the walk reads the positions and numbers as far as it goes.
+    table = shapes.table
+    plain = [gate if gate.cbit is None and gate.condition is None else None for gate in table]
+    walked = [gate is None or gate.kind == "MX" for gate in plain]
+    positions = compress(range(len(index)), map(walked.__getitem__, index))
     try:
-        return Circuit(
-            qubit_count=int(qubit_count),
-            classical_bit_count=int(cbit_count),
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            gates=tuple(gates),
-            metadata=metadata,
-        )
+        return _made((list(map(plain.__getitem__, index)), table, index, positions,
+                      map(int, numbers)),
+                     int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs), metadata)
     except CircuitError as exc:
         lineno = 1 if exc.gate is None else header_lines + exc.gate + 1
         raise ParseError(str(exc), lineno) from None

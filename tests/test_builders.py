@@ -594,16 +594,11 @@ def _plain_serialize(circuit) -> bytes:
 
 
 class _FreshEmitter(builders_module._Emitter):
-    """The emitter with one fresh Gate per call."""
+    """The emitter with one fresh Gate, and operand tuple, per call."""
 
-    def emit(self, kind, *qubits, cond=None):
-        self.gates.append(Gate(kind, tuple(qubits), condition=cond))
-
-    def measure(self, qubit):
-        cb = self.cbits
-        self.cbits += 1
-        self.gates.append(Gate("MX", (qubit,), cbit=cb))
-        return cb
+    def emit(self, kind, *qubits, cond=None, cbit=None):
+        super().emit(kind, *qubits, cond=cond, cbit=cbit)
+        self.gates[-1] = Gate(kind, tuple(qubits), cbit, cond)
 
 
 @pytest.mark.parametrize("call", [row[0] for row in _BUILDER_PINS],
