@@ -171,6 +171,19 @@ def test_verify_exhaustive_mode(tmp_path, capsys) -> None:
     assert json.loads(capsys.readouterr().out)["mode"] == "exhaustive"
 
 
+@pytest.mark.parametrize("extra", ["X 13", "CX 0 13"])
+def test_verify_fails_a_qubit_left_set_outside_the_outputs(tmp_path, capsys, extra) -> None:
+    circuit = _build_pointadd(tmp_path)
+    dirty = tmp_path / "dirty.kmx"
+    dirty.write_bytes(circuit.read_bytes() + f"{extra}\n".encode())
+    sampled = _write_spec(tmp_path, curve="toy-p11-b7", test_count=2759)
+    assert main(["verify", str(dirty), "--spec", str(sampled)]) == 1
+    exhaustive = _write_spec(tmp_path, curve="toy-p11-b7", test_count=0,
+                             tolerated_failure_fraction=0)
+    assert main(["verify", str(dirty), "--spec", str(exhaustive), "--exhaustive"]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
 def test_verify_parallel_reports_are_byte_identical(tmp_path) -> None:
     circuit = _build_pointadd(tmp_path)
     spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=40)
@@ -415,6 +428,44 @@ def test_estimate_usage_errors(tmp_path, capsys) -> None:
     )
     assert main(["estimate", str(path)]) == 2
     assert "unknown machine field(s): warp_speed" in capsys.readouterr().err
+
+
+_MACHINE = {"reaction_time": 1e-5, "round_time": 1e-6}
+_ATTACK = {"attack_time": 540, "mean_block_interval": 600}
+
+
+_NOT_A_NUMBER = [
+    ({"machine": {**_MACHINE, "round_time": True}},
+     "bad machine section: round_time must be a real number, got True"),
+    ({"machine": {**_MACHINE, "t_state_cost": True}},
+     "bad machine section: t_state_cost must be an integer, got True"),
+    ({"machine": {**_MACHINE, "cultivation_qubits": 1.5}},
+     "bad machine section: cultivation_qubits must be an integer, got 1.5"),
+    ({"machine": {**_MACHINE, "toffoli_overhead_fraction": False}},
+     "bad machine section: toffoli_overhead_fraction must be a real number, got False"),
+    ({"machine": {**_MACHINE, "toffoli_to_t_factor": True}},
+     "bad machine section: toffoli_to_t_factor must be a real number, got True"),
+    ({"machine": _MACHINE, "t_rate": True}, "t_rate must be a real number, got True"),
+    ({"attack": {**_ATTACK, "attack_time": True}},
+     "bad attack section: attack_time must be a real number, got True"),
+    ({"attack": {**_ATTACK, "mean_block_interval": True}},
+     "bad attack section: mean_block_interval must be a real number, got True"),
+    ({"attack": _ATTACK, "wallets": [{"balance": True}]},
+     "bad wallet entry: balance must be a real number, got True"),
+    ({"attack": _ATTACK, "wallets": [{"balance": 1, "label": 5}]},
+     "bad wallet entry: label must be a string, got 5"),
+    ({"attack": _ATTACK, "wallets": [{"balance": 1, "label": None}]},
+     "bad wallet entry: label must be a string, got None"),
+]
+
+
+@pytest.mark.parametrize("scenario, message", _NOT_A_NUMBER,
+                         ids=[message.split(": ")[-1] for _, message in _NOT_A_NUMBER])
+def test_estimate_refuses_a_bool_or_a_fraction_where_a_field_needs_a_number(
+    tmp_path, capsys, scenario, message
+) -> None:
+    assert main(["estimate", str(_write_scenario(tmp_path, scenario))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +877,7 @@ def test_estimate_beyond_the_float_range(tmp_path, capsys) -> None:
         {"wallets": [{"balance": 1e308, "keys_required": 10}],
          "attack": {"attack_time": 1e308, "mean_block_interval": 1}},
         {"machine": {"reaction_time": 1, "round_time": 1e-308,
-                     "cultivation_qubits": 1e308, "t_state_cost": 3}},
+                     "cultivation_qubits": 10**308, "t_state_cost": 3}},
     ):
         path = _write_scenario(tmp_path, scenario)
         assert main(["estimate", str(path), "-o", str(tmp_path / "out.json")]) == 2

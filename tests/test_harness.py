@@ -690,6 +690,39 @@ def test_exhaustive_windowed_covers_the_product_domain(
     assert windows == {0, 1, 2, 3}
 
 
+def _with_lines(data: bytes, *lines: str) -> bytes:
+    """A canonical circuit with gate lines appended."""
+    return data + "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("extra, sampled_failures, exhaustive_failures",
+                         [("X 13", 2759, 12), ("CX 0 13", 1384, 6)])
+def test_a_qubit_left_set_outside_the_outputs_fails(
+    pointadd11, pointadd11_bytes, extra, sampled_failures, exhaustive_failures
+) -> None:
+    """p11's outputs are qubits 0..7; qubit 13 is an ancilla, which a clean
+    run leaves at 0 on every input and branch."""
+    assert [(r.lo, r.hi) for r in pointadd11.circuit.outputs] == [(0, 3), (4, 7)]
+    dirty = _with_lines(pointadd11_bytes, extra)
+    sampled = verify(dirty, spec_for_circuit(pointadd11.circuit))
+    exhaustive = verify_exhaustive(dirty, spec_for_circuit(
+        pointadd11.circuit, test_count=0, tolerated_failure_fraction=0))
+    for report, failures in ((sampled, sampled_failures), (exhaustive, exhaustive_failures)):
+        assert not report.passed
+        assert report.data["failures"] == failures
+        for entry in report.data["tests"]:
+            assert entry["phase_ok"] is True  # only the ancilla tells
+
+
+def test_a_copy_of_any_output_bit_in_any_ancilla_fails(pointadd11, pointadd11_bytes) -> None:
+    spec = spec_for_circuit(pointadd11.circuit, test_count=0, tolerated_failure_fraction=0)
+    assert pointadd11.circuit.qubit_count == 14
+    for out in range(8):
+        for ancilla in range(8, 14):
+            report = verify_exhaustive(_with_lines(pointadd11_bytes, f"CX {out} {ancilla}"), spec)
+            assert not report.passed, (out, ancilla)
+
+
 # ---------------------------------------------------------------------------
 # lane chunks, streams, and spec types
 
