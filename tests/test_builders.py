@@ -616,6 +616,17 @@ def test_shared_gates_match_fresh_gates_and_plain_lines(call, monkeypatch) -> No
     assert fresh == shared
 
 
+@pytest.mark.parametrize("call", [row[0] for row in _BUILDER_PINS],
+                         ids=[_pin_id(row) for row in _BUILDER_PINS])
+def test_the_three_programs_of_a_circuit_give_its_facts(call) -> None:
+    """The emitter's program, the parse's and the lowering of the gate list
+    each give the circuit the same facts."""
+    built = _build(call).circuit
+    parsed = parse(serialize(built))
+    assert parsed == built
+    assert parsed.facts == built.facts == built.validate() == parsed.validate()
+
+
 def test_mutants_serialize_as_plain_lines(windowed11_w2) -> None:
     for circuit in (build_adder(6).circuit, windowed11_w2.circuit):
         toggled = 0

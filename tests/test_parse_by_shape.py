@@ -141,13 +141,26 @@ def test_builder_circuits_parse_as_the_reference(pointadd11_bytes, p61w2_bytes) 
 
 def _number_edit(spelled: str):
     """An edit that spells the line's first classical-bit number otherwise."""
-    def edit(line: str) -> str:
+    def edit(line: str, *_) -> str:
         return re.sub("c([0-9]+)", lambda m: "c" + spelled.format(m[1]), line, count=1)
     return edit
 
 
-# edit name -> line -> the edited line; those that keep a gate line in its
-# canonical spelling (or spell no number to edit) parse as before
+def _operand(line: str) -> str:
+    """The first operand of a gate line, or 0 if it has none."""
+    return (_core_of(line).split(" ")[1:] or ["0"])[0]
+
+
+def _bit_equal_to_cbits(line: str, _, cbits: int) -> str:
+    if re.search("c[0-9]", line):
+        return re.sub("c[0-9]+", f"c{cbits}", line, count=1)
+    return f"IF c{cbits} {line}"
+
+
+# edit name -> (line, qubit count, classical bit count) -> the edited line;
+# those that keep a gate line in its canonical spelling (or spell no number
+# to edit) parse as before, and those from "bit = cbits" on keep it and
+# break a gate rule
 _EDITS = {
     "leading zero": _number_edit("0{}"),
     "8 digits": _number_edit("12345678"),
@@ -155,21 +168,33 @@ _EDITS = {
     "non-ASCII digit": _number_edit("\u0663"),
     "plus": _number_edit("+{}"),
     "underscore": _number_edit("1_{}"),
-    "extra c token": lambda line: line + " c1",
-    "extra c number": lambda line: line.replace(" ", " c2 ", 1),
-    "IF on MX": lambda line: f"IF c0 MX 1 -> c{len(line)}",
-    "-> on non-MX": lambda line: _core_of(line) + " -> c3",
-    "=0": lambda line: line.replace(" ", "=0 ", 1) if line.startswith("IF") else line + "=0",
-    "=1": lambda line: line.replace(" ", "=1 ", 1) if line.startswith("IF") else line + "=1",
-    "too long": lambda line: _core_of(line) + " 1" * 30,
-    "longer than a chunk": lambda line: "CX 1" + " 1" * circuit_module._CHUNK,
-    "unknown kind": lambda line: "Q" + line,
-    "no operands": lambda line: line.split(" ")[0],
+    "extra c token": lambda line, *_: line + " c1",
+    "extra c number": lambda line, *_: line.replace(" ", " c2 ", 1),
+    "IF on MX": lambda line, *_: f"IF c0 MX 1 -> c{len(line)}",
+    "-> on non-MX": lambda line, *_: _core_of(line) + " -> c3",
+    "=0": lambda line, *_: line.replace(" ", "=0 ", 1) if line.startswith("IF") else line + "=0",
+    "=1": lambda line, *_: line.replace(" ", "=1 ", 1) if line.startswith("IF") else line + "=1",
+    "too long": lambda line, *_: _core_of(line) + " 1" * 30,
+    "longer than a chunk": lambda line, *_: "CX 1" + " 1" * circuit_module._CHUNK,
+    "unknown kind": lambda line, *_: "Q" + line,
+    "no operands": lambda line, *_: line.split(" ")[0],
+    "bit = cbits": _bit_equal_to_cbits,
+    "MX into c0": lambda line, *_: f"MX {_operand(line)} -> c0",
+    "IF on the last bit": lambda line, _, cbits: f"IF c{max(cbits - 1, 0)} {_core_of(line)}",
+    "MX without ->": lambda line, *_: f"MX {_operand(line)}",
+    "qubit = qubits": lambda line, qubits, _: re.sub(
+        "[0-9]+( -> c[0-9]+)?$", lambda m: f"{qubits}{m[1] or ''}", line),
+    "CX q q": lambda line, *_: "CX {0} {0}".format(_operand(line)),
 }
 
 
 def _core_of(line: str) -> str:
     return re.sub("^IF c[^ ]* ", "", line).split(" -> ")[0]
+
+
+def _counts(text: str) -> tuple[int, int]:
+    """The qubit and classical bit counts of a canonical file."""
+    return tuple(map(int, _HEADER(text).group(1, 2)))
 
 
 @st.composite
@@ -206,8 +231,9 @@ def _edited(draw, p11: bytes, p61w2: bytes) -> bytes:
         near = draw(st.integers(at - 40, at + 40) | st.integers(first_gate, len(lines) - 1))
         edits.append((min(max(near, first_gate), len(lines) - 1),
                       draw(st.sampled_from(sorted(_EDITS)))))
+    counts = _counts(data.decode())
     for where, name in edits:
-        lines[where] = _EDITS[name](lines[where])
+        lines[where] = _EDITS[name](lines[where], *counts)
     return "".join(line + "\n" for line in lines).encode()
 
 
@@ -229,17 +255,19 @@ def _chunk_lines(data: bytes) -> tuple[list[str], int, int]:
 
 
 @pytest.mark.parametrize("second", sorted(_EDITS))
-@pytest.mark.parametrize("first", ["leading zero", "5000 digits", "unknown kind", "IF on MX"])
+@pytest.mark.parametrize("first", ["leading zero", "5000 digits", "unknown kind", "IF on MX",
+                                   "qubit = qubits", "MX into c0"])
 def test_errors_on_both_sides_of_a_chunk_boundary(p61w2_bytes, first, second) -> None:
     """Two edited lines around the first chunk boundary of p61w2 and, in
     either order, two next to each other within one chunk."""
     lines, first_gate, boundary = _chunk_lines(p61w2_bytes)
     assert first_gate < boundary < len(lines)
+    counts = _counts(p61w2_bytes.decode())
     for a, b in ((boundary - 1, boundary), (boundary, boundary - 1), (boundary - 2, boundary + 3),
                  (first_gate + 5, first_gate + 6), (first_gate + 6, first_gate + 5)):
         edited = list(lines)
-        edited[a] = _EDITS[first](edited[a])
-        edited[b] = _EDITS[second](edited[b])
+        edited[a] = _EDITS[first](edited[a], *counts)
+        edited[b] = _EDITS[second](edited[b], *counts)
         _assert_parsed_as_the_reference("".join(line + "\n" for line in edited).encode())
 
 
