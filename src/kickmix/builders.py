@@ -110,9 +110,9 @@ class _Emitter:
     bits.  qubit watermark == peak circuit width.
 
     Each (kind, operands) gets one unconditioned Gate, reused by its repeats;
-    an MX or a conditioned gate reuses its operand tuple.  The emitter
-    records the gates' program as it goes (see ``circuit._lower``), and
-    :meth:`finish` hands it to the validation walk, which checks every rule."""
+    an MX or a conditioned gate reuses its operand tuple.  The gates'
+    program (``circuit._lower``) is recorded as they come, and :meth:`finish`
+    hands it to the validation walk."""
 
     def __init__(self, fixed_qubits: int):
         self.gates: list[Gate] = []
@@ -120,9 +120,7 @@ class _Emitter:
         self.watermark = fixed_qubits
         self._free: list[int] = []
         self._plain: dict[tuple[str, tuple[int, ...]], int] = {}  # -> its index in _table
-        self._table: list[Gate] = []  # the unconditioned Gate of each (kind, operands)
-        self._index: list[int] = []  # each gate's (kind, operands)
-        self._walked: list[int] = []  # the positions of MX and conditioned gates
+        self._table, self._index, self._walked = [], [], []  # the program but its gates
 
     def alloc(self) -> int:
         if self._free:
@@ -137,9 +135,8 @@ class _Emitter:
     def emit(
         self, kind: str, *qubits: int, cond: tuple[int, int] | None = None, cbit: int | None = None
     ) -> None:
-        j = self._plain.get((kind, qubits))
-        if j is None:
-            j = self._plain[kind, qubits] = len(self._table)
+        j = self._plain.setdefault((kind, qubits), len(self._table))
+        if j == len(self._table):
             self._table.append(Gate(kind, qubits))
         gate = self._table[j]
         if cbit is not None or cond is not None or kind == "MX":
@@ -261,14 +258,10 @@ class _Emitter:
     ) -> BuildReport:
         """The emitted gates as a circuit at watermark width, paired with the
         prediction (a recount when the builder has no closed form)."""
-        circuit = _made(
-            (self.gates, self._table, self._index, self._walked, iter(())),
-            self.watermark,
-            self.cbits,
-            registers,
-            registers if outputs is None else outputs,
-            {"construction": construction, **metadata},
-        )
+        circuit = _made(self.watermark, self.cbits, registers,
+                        registers if outputs is None else outputs,
+                        (self.gates, self._table, self._index, self._walked, iter(())),
+                        {"construction": construction, **metadata})
         return BuildReport(
             circuit=circuit,
             predicted=predicted,

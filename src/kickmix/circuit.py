@@ -73,22 +73,18 @@ names the column of the first bad byte).  A refused line is quoted, cut to
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-Every circuit is checked as a *program*: a table of distinct gate shapes
-in order of first use, each gate's index in it, and the positions of the
-gates that are MX or write or read a classical bit.  :func:`parse` reads
-the gate lines a chunk of whole lines at a time into one: it lifts out each
-classical-bit number ``c<k>`` spelled as above, which leaves the line's
-shape (a number spelled otherwise stays, and the shape is refused), and
-matches each new shape once.  The builders record theirs as they emit,
-and ``Circuit(...)`` lowers its gate list into one.  The validation walk
-then checks each (kind, operand tuple) once, at its first gate, and the
-classical-bit rules at each gate that has a bit, in gate order; it makes a
-parsed line's Gate there from its shape and numbers.  Identical lines share
-one Gate, and the lines of one "KIND q q q" one operand tuple (the builders
-share one per kind and operands); callers must not rely on gate or tuple
-identity.  A message stays one bounded line for any value.  The same walk
-records the :class:`Facts` that every layer reads instead of recounting the
-gates; ``Circuit`` is frozen, so they cannot go stale.
+:func:`parse` reads the gate lines a chunk of whole lines at a time, by
+shape: it lifts out each classical-bit number ``c<k>`` spelled as above,
+which leaves the line's shape (a number spelled otherwise stays, and the
+shape is refused), and matches each new shape once.  The shapes, each
+line's shape and the numbers are a *program*, as the builders record and
+``Circuit(...)`` lowers a gate list; its walk checks each (kind, operand
+tuple) once, at its first gate, and the classical-bit rules at each gate
+with a bit, in gate order, and makes a parsed line's Gate there (identical
+IF lines share one).  Callers must not rely on gate or tuple identity.  A
+message stays one bounded line for any value.  The walk records the
+:class:`Facts` that every layer reads instead of recounting the gates;
+``Circuit`` is frozen, so they cannot go stale.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -192,12 +188,6 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
     cbit: int | None = None
     condition: tuple[int, int] | None = None
-
-
-def _bit_out_of_range(cb: int, i: int, kind: str, cbit_count: int) -> CircuitError:
-    """The error of gate ``i`` that writes or reads classical bit ``cb``."""
-    return CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
-                        f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}", gate=i)
 
 
 def _operand_error(i: int, kind, qubits, qubit_count: int) -> str | None:
@@ -307,12 +297,11 @@ class StaticResources(_Record):
 
 
 class Facts(NamedTuple):
-    """What :meth:`Circuit.validate`'s walk of a valid circuit's program
-    learns: ``kinds`` from the count of each shape, the rest from the gates
-    that have a classical bit.  ``measured`` maps each MX bit to i, its index
-    in MX order: bit m-1-i of an m-bit outcome word.  ``executed`` holds, for all gates and then
-    CCX/CCZ, the count run on the all-zeros branch and (step, mask) pairs: a
-    branch runs step more per set bit of ``word & mask``."""
+    """What the validation walk learns of a valid circuit; ``kinds`` from the
+    count of each shape.  ``measured`` maps each MX bit to i, its index in MX
+    order: bit m-1-i of an m-bit outcome word.  ``executed`` holds, for all
+    gates and then CCX/CCZ, the count run on the all-zeros branch and (step,
+    mask) pairs: a branch runs step more per set bit of ``word & mask``."""
 
     kinds: Counter[str]  # gates per kind
     measured: dict[int, int]
@@ -365,8 +354,7 @@ class Circuit(_Record):
         return self._validate(None)
 
     def _validate(self, program: tuple | None) -> Facts:
-        """:meth:`validate`, walking ``program`` (see :func:`_lower`), or
-        that of ``gates`` when it is None."""
+        """:meth:`validate` of ``program`` (see :func:`_lower`), or of ``gates``."""
         _exact(self.qubit_count, int, "qubit count")
         _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
@@ -388,31 +376,22 @@ class Circuit(_Record):
                 if reg.hi >= self.qubit_count:
                     raise CircuitError(
                         f"{spec_name} register {_shown(reg.name)!r} range {_shown(reg.lo)}.."
-                        f"{_shown(reg.hi)} exceeds qubit count {_shown(self.qubit_count)}"
-                    )
+                        f"{_shown(reg.hi)} exceeds qubit count {_shown(self.qubit_count)}")
                 overlap = used.intersection(reg.qubits)
                 if overlap:
                     raise CircuitError(
                         f"{spec_name} register {_shown(reg.name)!r} overlaps qubit "
-                        f"{min(overlap)} already covered by another {spec_name} register"
-                    )
+                        f"{min(overlap)} already covered by another {spec_name} register")
                 used.update(reg.qubits)
-        if program is None:
-            if not set(map(type, self.gates)) <= {Gate}:
-                i, bad = next((i, g) for i, g in enumerate(self.gates) if type(g) is not Gate)
-                raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate",
-                                   gate=i)
-            program = _lower(self.gates)
-        gates, table, index, positions, numbers = program
-        # each (kind, operand tuple) once, at its first gate: table is in order of first use
-        stop, checked = len(gates), {}  # id of an operand tuple -> the kind it passed with
-        for j, (kind, qubits, _, _) in enumerate(table):
+        gates, table, index, positions, numbers = program or _lower(self.gates)
+        # each (kind, operand tuple) once, at its first gate; checked: tuple id -> kind
+        stop, checked, cbit_count = len(gates), {}, self.classical_bit_count
+        for j, (kind, qubits, _, _) in enumerate(table):  # in order of first use
             if checked.get(id(qubits)) is not kind:
                 if _operand_error(j, kind, qubits, self.qubit_count):
                     stop = index.index(j)  # the bits of the gates before it are checked first
                     break
                 checked[id(qubits)] = kind
-        cbit_count = self.classical_bit_count
         written: dict[int, int] = {}  # measured bit -> measurement index
         conditions, non_clifford = [], []  # of conditioned gates, and of CCX/CCZ among them
         conditioned_kinds: set[str] = set()
@@ -420,19 +399,15 @@ class Circuit(_Record):
         for i in positions:
             if i >= stop:
                 break
-            gate = gates[i]
-            if gate is not None:
-                kind, qubits, cbit, condition = gate
-            else:  # a parsed line: its shape's Gate, with the line's number in its place
-                kind, qubits, cbit, condition = table[index[i]]
+            kind, qubits, cbit, condition = gates[i] or table[index[i]]
+            if gates[i] is None:  # a parsed line: its shape's Gate, with the line's number in
                 if condition is None:
                     cbit = next(numbers)
                     gates[i] = _gate((kind, qubits, cbit, None))
-                elif cbit is None:
+                elif cbit is None:  # else both: "IF ... -> c<k>" breaks a rule below
                     condition = (next(numbers), condition[1])
                     gate = _gate((kind, qubits, None, condition))
                     gates[i] = made.setdefault(gate, gate)
-                # else both: "IF ... -> c<k>" breaks a rule below, whatever its numbers
             if kind == "MX":
                 if cbit is None:
                     raise CircuitError("MX requires a destination classical bit", gate=i)
@@ -440,22 +415,25 @@ class Circuit(_Record):
                     raise CircuitError(f"bad MX destination {_shown(cbit, repr)}", gate=i)
                 if condition is not None:
                     raise CircuitError("measurements cannot be conditioned", gate=i)
-                if cbit >= cbit_count:
-                    raise _bit_out_of_range(cbit, i, kind, cbit_count)
-                if cbit in written:
-                    raise CircuitError(f"gate {i} (MX): classical bit c{cbit} written twice",
-                                       gate=i)
-                written[cbit] = len(written)
+                cb = cbit  # the classical bit the gate writes or reads
             elif cbit is not None:
                 raise CircuitError(f"{kind} does not write a classical bit", gate=i)
             elif (type(condition) is not tuple or len(condition) != 2
                   or type(condition[0]) is not int or condition[0] < 0
                   or type(condition[1]) is not int or condition[1] not in (0, 1)):
                 raise CircuitError(f"bad condition {_shown(condition, repr)}", gate=i)
-            elif condition[0] >= cbit_count:
-                raise _bit_out_of_range(condition[0], i, kind, cbit_count)
-            elif condition[0] not in written:
-                raise CircuitError(f"gate {i} ({kind}): condition on c{condition[0]} before any "
+            else:
+                cb = condition[0]
+            if cb >= cbit_count:
+                raise CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
+                                   f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}",
+                                   gate=i)
+            if kind == "MX":
+                if cb in written:
+                    raise CircuitError(f"gate {i} (MX): classical bit c{cb} written twice", gate=i)
+                written[cb] = len(written)
+            elif cb not in written:
+                raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
                                    "measurement writes it", gate=i)
             else:
                 conditions.append(condition)
@@ -471,14 +449,11 @@ class Circuit(_Record):
             if not key or any(ch.isspace() for ch in key):
                 raise CircuitError(f"bad metadata key {_shown(key)!r}")
             if value != value.strip() or value.splitlines() != [value]:
-                raise CircuitError(
-                    f"bad metadata value for {_shown(key)!r}: {_shown(value)!r}"
-                )
+                raise CircuitError(f"bad metadata value for {_shown(key)!r}: {_shown(value)!r}")
         policy = self.metadata.get("exceptional")
         if policy is not None and policy not in EXCEPTIONAL_POLICIES:
             raise CircuitError(
-                f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}"
-            )
+                f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}")
         kinds: Counter[str] = Counter()
         for j, count in Counter(index).items():
             kinds[table[j].kind] += count
@@ -488,38 +463,32 @@ class Circuit(_Record):
 
 
 def _lower(gates) -> tuple:
-    """The program of a list of Gates, in one pass: (gates, table, index,
-    positions, numbers).  ``table`` holds the first Gate of each operand
-    tuple and kind, keyed by identity as the walk checks them, in order of
-    first use, and ``index[i]`` is gate i's entry; ``positions`` are the
-    gates that are MX or have a classical bit, in order (any iterable).  A parse's gates hold None
-    where the walk makes the Gate from its shape in ``table`` and the next
-    of ``numbers``."""
-    table: list[Gate] = []
-    index: list[int] = []
-    positions: list[int] = []
-    cores: dict[int, int] = {}  # id of an operand tuple -> its latest entry in table
-    for i, gate in enumerate(gates):
-        kind, qubits, cbit, condition = gate
+    """A gate list's program, in one pass: (gates, table, index, positions,
+    numbers).  ``table`` holds a Gate of each shape (here each operand tuple
+    and kind, by identity) in order of first use, gate i has shape
+    ``index[i]``, and ``positions`` are the gates that are MX or have a
+    classical bit.  The walk makes a parse's None gates from ``numbers``."""
+    if not set(map(type, gates)) <= {Gate}:
+        i, bad = next((i, g) for i, g in enumerate(gates) if type(g) is not Gate)
+        raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate", gate=i)
+    table, index, positions, cores = [], [], [], {}  # cores: id of an operand tuple -> entry
+    for i, (kind, qubits, cbit, condition) in enumerate(gates):
         j = cores.get(id(qubits))
         if j is None or table[j].kind is not kind:
             j = cores[id(qubits)] = len(table)
-            table.append(gate)
+            table.append(gates[i])
         index.append(j)
         if cbit is not None or condition is not None or kind == "MX":
             positions.append(i)
     return gates, table, index, positions, iter(())
 
 
-def _made(program: tuple, qubit_count: int, classical_bit_count: int,
-          inputs: tuple[Register, ...], outputs: tuple[Register, ...],
-          metadata: dict[str, str]) -> Circuit:
-    """The Circuit of ``program``'s gates, which its validation walk completes."""
+def _made(qubit_count, classical_bit_count, inputs, outputs, program, metadata) -> Circuit:
+    """``Circuit(...)`` of the gates of ``program``, which the validation walk completes."""
     circuit = Circuit.__new__(Circuit)
     circuit._set(qubit_count, classical_bit_count, inputs, outputs, (), metadata)
-    facts = circuit._validate(program)
+    object.__setattr__(circuit, "facts", circuit._validate(program))
     object.__setattr__(circuit, "gates", tuple(program[0]))
-    object.__setattr__(circuit, "facts", facts)
     return circuit
 
 
@@ -571,14 +540,12 @@ _gate = partial(tuple.__new__, Gate)  # Gate(*fields), without its Python-level 
 
 class _Shapes(dict):
     """Gate-line shape -> its index in ``table``, which holds each shape's
-    Gate; a shape that holds classical-bit numbers has cbit 0 for "-> c<k>"
-    and condition (0, value) for "IF c<k>[=0]" in their places.  The shapes
-    of one core share its kind and operand tuple.  A refused shape raises
-    KeyError."""
+    Gate, with cbit 0 for "-> c<k>" and condition (0, value) for "IF c<k>"
+    in a number's place.  The shapes of one core share its kind and operand
+    tuple.  A refused shape raises KeyError."""
 
     def __init__(self) -> None:
-        self.table: list[Gate] = []
-        self.cores: dict[str, Gate] = {}  # "KIND q q q" -> its Gate
+        self.table, self.cores = [], {}  # cores: "KIND q q q" -> its Gate
 
     def __missing__(self, shape: str) -> int:
         match = _GATE_LINE(shape)
@@ -670,16 +637,14 @@ def parse(text: str | bytes) -> Circuit:
         lineno += len(lines)
         pos = end
 
-    # A line that holds a number gets its Gate in the walk, and MX lines are
-    # walked too; the walk reads the positions and numbers as far as it goes.
     table = shapes.table
     plain = [gate if gate.cbit is None and gate.condition is None else None for gate in table]
     walked = [gate is None or gate.kind == "MX" for gate in plain]
-    positions = compress(range(len(index)), map(walked.__getitem__, index))
+    program = (list(map(plain.__getitem__, index)), table, index,
+               compress(range(len(index)), map(walked.__getitem__, index)), map(int, numbers))
     try:
-        return _made((list(map(plain.__getitem__, index)), table, index, positions,
-                      map(int, numbers)),
-                     int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs), metadata)
+        return _made(int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs), program,
+                     metadata)
     except CircuitError as exc:
         lineno = 1 if exc.gate is None else header_lines + exc.gate + 1
         raise ParseError(str(exc), lineno) from None

@@ -55,8 +55,10 @@ __all__ = [
 MAX_WINDOW = 4096
 
 
-def _exact(value) -> Fraction:
-    """Decimal-faithful Fraction: 0.1 means exactly 1/10."""
+def _exact(value, name: str = "a value") -> Fraction:
+    """Decimal-faithful Fraction: 0.1 means exactly 1/10; a bool is no number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -83,12 +85,6 @@ def _integer(name: str, value) -> None:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {_shown(value, repr)}")
 
-
-def _real(name: str, value) -> Fraction:
-    """A real-valued field as an exact Fraction; a bool is no number."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return _exact(value)
 
 
 class PointAddCost(_Record):
@@ -125,16 +121,11 @@ class MachineProfile(_Record):
                   cultivation_qubits, toffoli_to_t_factor)
         _integer("t_state_cost", self.t_state_cost)
         _integer("cultivation_qubits", self.cultivation_qubits)
-        for name in (
-            "reaction_time",
-            "round_time",
-            "t_state_cost",
-            "cultivation_qubits",
-            "toffoli_to_t_factor",
-        ):
-            if _real(name, getattr(self, name)) <= 0:
+        for name in ("reaction_time", "round_time", "t_state_cost", "cultivation_qubits",
+                     "toffoli_to_t_factor"):
+            if _exact(getattr(self, name), name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if _real("toffoli_overhead_fraction", self.toffoli_overhead_fraction) < 0:
+        if _exact(self.toffoli_overhead_fraction, "toffoli_overhead_fraction") < 0:
             raise ValueError("toffoli_overhead_fraction must be >= 0")
 
 
@@ -147,8 +138,8 @@ class AttackScenario(_Record):
     def __init__(self, attack_time: float, mean_block_interval: float,
                  signatures_required: int = 1, machines: int = 1) -> None:
         self._set(attack_time, mean_block_interval, signatures_required, machines)
-        if (_real("attack_time", self.attack_time) <= 0
-                or _real("mean_block_interval", self.mean_block_interval) <= 0):
+        if (_exact(self.attack_time, "attack_time") <= 0
+                or _exact(self.mean_block_interval, "mean_block_interval") <= 0):
             raise ValueError("times must be strictly positive")
         _integer("signatures_required", self.signatures_required)
         _integer("machines", self.machines)
@@ -163,7 +154,7 @@ class WalletRecord(_Record):
 
     def __init__(self, balance: float, keys_required: int = 1, label: str = "") -> None:
         self._set(balance, keys_required, label)
-        if _real("balance", self.balance) < 0:
+        if _exact(self.balance, "balance") < 0:
             raise ValueError("balance must be >= 0")
         if type(self.label) is not str:
             raise ValueError(f"label must be a string, got {_shown(self.label, repr)}")
@@ -262,7 +253,7 @@ def t_production_rate(machine: MachineProfile):
 
 def t_factory_qubits(t_rate, machine: MachineProfile):
     """Qubits needed to sustain a T rate: rate * t_state_cost * round_time."""
-    if _real("t_rate", t_rate) < 0:
+    if _exact(t_rate, "t_rate") < 0:
         raise ValueError("t_rate must be >= 0")
     qubits = _exact(t_rate) * _exact(machine.t_state_cost) * _exact(machine.round_time)
     return _as_number(qubits)

@@ -19,12 +19,10 @@ needs nothing but the file to reproduce the exact test set:
   order or in parallel without changing a single outcome.
 
 Test i drives the circuit with the point k_i * G and compares the simulated
-output registers with the oracle sum; every other qubit, input-only
-registers included, must end at 0 (a copy left in an ancilla is garbage
-entangled with the outputs).  The verdict also requires the run to end with
-phase +1 and the declared resource bounds to hold.  Inputs the
-circuit's metadata declares undefined-by-contract (identity / inverse /
-doubling cases) are skipped and counted, never silently passed.
+output registers with the oracle sum, and every other qubit with 0; the verdict
+also requires the run to end with phase +1 and the declared resource bounds to
+hold.  Inputs the circuit's metadata declares undefined-by-contract (identity /
+inverse / doubling cases) are skipped and counted, never silently passed.
 
 A circuit wrong on at least a fraction eps of its domain slips past N
 random tests with probability at most (1 - eps)^N;
@@ -548,16 +546,15 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
 
     Cases that share one oracle case (a transcript's memoized draw) share
     its inputs object and so one slot; each exhaustive case has its own.
-    Outputs are judged once per slot, on its first lane: the output
-    registers against the oracle, and every other qubit against 0.  Each entry's sign
-    and executed counts come straight from the pass's per-lane columns.
-    With a transcript, each test is judged on its own sampled measurement
-    branch; without one (exhaustive mode), on every branch at once, with the
-    executed counts of the all-zeros branch.
+    Outputs are judged once per slot, on its first lane, and every qubit
+    outside them must end at 0.  Each entry's sign and executed counts come
+    straight from the pass's per-lane columns.  With a transcript, each test
+    is judged on its own sampled measurement branch; without one (exhaustive
+    mode), on every branch at once, with the executed counts of the
+    all-zeros branch.
     fail_fast truncates after the first failing entry."""
     entries: list[dict] = []
-    outside = [q for q in range(circuit.qubit_count)
-               if not any(reg.lo <= q <= reg.hi for reg in circuit.outputs)]
+    outside = set(range(circuit.qubit_count)).difference(*(r.qubits for r in circuit.outputs))
     cases = iter(cases)
     while chunk := list(itertools.islice(cases, LANE_CHUNK)):
         ran = [item for item in chunk if item[1] is not None]
@@ -569,9 +566,8 @@ def _run_cases(circuit: Circuit, m: int, cases, transcript: Transcript | None,
         output_ok: list[bool] = []  # per slot, judged on its first lane
         for (entry, (_, expected)), s, phase, total, nc in zip(ran, lane_slot, *columns):
             if s == len(output_ok):
-                bits, outputs = reads[s][:2]
-                output_ok.append(all(outputs[name] == v for name, v in expected.items())
-                                 and not any(bits[q] for q in outside))
+                output_ok.append(all(reads[s][1][name] == v for name, v in expected.items())
+                                 and not any(reads[s][0][q] for q in outside))
             entry["skipped"] = False
             entry["output_ok"] = output_ok[s]
             if transcript is None:
