@@ -120,7 +120,7 @@ class _Emitter:
         self.watermark = fixed_qubits
         self._free: list[int] = []
         self._plain: dict[tuple[str, tuple[int, ...]], int] = {}  # -> its index in _table
-        self._table, self._index, self._walked = [], [], []  # the program but its gates
+        self._table, self._index, self._walked = [], [], []  # with self.gates, the program
 
     def alloc(self) -> int:
         if self._free:

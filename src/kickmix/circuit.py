@@ -95,7 +95,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 __all__ = [
@@ -618,7 +618,7 @@ def parse(text: str | bytes) -> Circuit:
     header_lines = lineno
     shapes = _Shapes()
     index: list[int] = []  # each gate line's shape
-    numbers: list[int] = []  # the classical-bit numbers, in line order
+    numbers: list[str] = []  # per chunk, its numbers joined by spaces; the walk converts them
     pos = header.end()
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1
@@ -633,7 +633,7 @@ def parse(text: str | bytes) -> Circuit:
         except KeyError as exc:
             j = lines.index(exc.args[0])
             raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1) from None
-        numbers += map(int, parts[1::2])
+        numbers.append(" ".join(parts[1::2]))
         lineno += len(lines)
         pos = end
 
@@ -641,7 +641,8 @@ def parse(text: str | bytes) -> Circuit:
     plain = [gate if gate.cbit is None and gate.condition is None else None for gate in table]
     walked = [gate is None or gate.kind == "MX" for gate in plain]
     program = (list(map(plain.__getitem__, index)), table, index,
-               compress(range(len(index)), map(walked.__getitem__, index)), iter(numbers))
+               compress(range(len(index)), map(walked.__getitem__, index)),
+               map(int, chain.from_iterable(map(str.split, numbers))))
     try:
         return _made(int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs), program,
                      metadata)

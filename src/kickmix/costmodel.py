@@ -86,7 +86,6 @@ def _integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {_shown(value, repr)}")
 
 
-
 class PointAddCost(_Record):
     """Per-point-addition cost of one circuit design plus the run geometry."""
 
