@@ -120,7 +120,7 @@ class _Emitter:
         self.watermark = fixed_qubits
         self._free: list[int] = []
         self._plain: dict[tuple[str, tuple[int, ...]], int] = {}  # -> its index in _table
-        self._table, self._index, self._walked = [], [], []  # with self.gates, the program
+        self._table, self._index, self._positions = [], [], []  # with self.gates, the program
 
     def alloc(self) -> int:
         if self._free:
@@ -140,7 +140,7 @@ class _Emitter:
             self._table.append(Gate(kind, qubits))
         gate = self._table[j]
         if cbit is not None or cond is not None or kind == "MX":
-            self._walked.append(len(self.gates))
+            self._positions.append(len(self.gates))
             gate = Gate(gate.kind, gate.qubits, cbit, cond)
         self._index.append(j)
         self.gates.append(gate)
@@ -260,7 +260,7 @@ class _Emitter:
         prediction (a recount when the builder has no closed form)."""
         circuit = _made(self.watermark, self.cbits, registers,
                         registers if outputs is None else outputs,
-                        (self.gates, self._table, self._index, self._walked, iter(())),
+                        (self.gates, self._table, self._index, self._positions, iter(())),
                         {"construction": construction, **metadata})
         return BuildReport(
             circuit=circuit,

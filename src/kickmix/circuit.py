@@ -388,7 +388,7 @@ class Circuit(_Record):
         stop, checked, cbit_count = len(gates), {}, self.classical_bit_count
         for j, (kind, qubits, _, _) in enumerate(table):  # in order of first use
             if checked.get(id(qubits)) is not kind:
-                if _operand_error(j, kind, qubits, self.qubit_count):
+                if _operand_error(j, kind, qubits, self.qubit_count):  # message: below
                     stop = index.index(j)  # the bits of the gates before it are checked first
                     break
                 checked[id(qubits)] = kind
