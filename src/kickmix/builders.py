@@ -36,6 +36,7 @@ from .circuit import (
     _made,
     _Record,
     _shown,
+    _split,
     static_resources,
 )
 from .curve import (
@@ -106,21 +107,23 @@ class BuildReport(_Record):
 
 
 class _Emitter:
-    """Accumulates gates; allocates ancilla qubits (LIFO reuse) and classical
-    bits.  qubit watermark == peak circuit width.
+    """Accumulates gates as a program (``circuit.Program``); allocates
+    ancilla qubits (LIFO reuse) and classical bits.  qubit watermark == peak
+    circuit width.
 
-    Each (kind, operands) gets one unconditioned Gate, reused by its repeats;
-    an MX or a conditioned gate reuses its operand tuple.  The gates'
-    program (``circuit._lower``) is recorded as they come, and :meth:`finish`
-    hands it to the validation walk."""
+    Each (kind, operands) gets one operand tuple, shared by the shapes of
+    its gates, and each shape one Gate; :meth:`finish` hands the program to
+    the validation walk."""
 
     def __init__(self, fixed_qubits: int):
-        self.gates: list[Gate] = []
         self.cbits = 0
         self.watermark = fixed_qubits
         self._free: list[int] = []
-        self._plain: dict[tuple[str, tuple[int, ...]], int] = {}  # -> its index in _table
-        self._table, self._index, self._positions = [], [], []  # with self.gates, the program
+        self._cores: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}  # -> operand tuple
+        self._shapes: dict[tuple, int] = {}  # (kind, operands, cbit, condition) -> its entry
+        self._table: list[Gate] = []
+        self._index: list[int] = []
+        self._numbers: list[int] = []
 
     def alloc(self) -> int:
         if self._free:
@@ -135,15 +138,18 @@ class _Emitter:
     def emit(
         self, kind: str, *qubits: int, cond: tuple[int, int] | None = None, cbit: int | None = None
     ) -> None:
-        j = self._plain.setdefault((kind, qubits), len(self._table))
+        if cbit is not None or cond is not None:
+            cbit, cond, number = _split(cbit, cond)
+            if number is None:  # a shape of its own, which the walk refuses
+                self._index.append(len(self._table))
+                self._table.append(Gate(kind, qubits, cbit, cond))
+                return
+            self._numbers.append(number)
+        j = self._shapes.setdefault((kind, qubits, cbit, cond), len(self._table))
         if j == len(self._table):
-            self._table.append(Gate(kind, qubits))
-        gate = self._table[j]
-        if cbit is not None or cond is not None or kind == "MX":
-            self._positions.append(len(self.gates))
-            gate = Gate(gate.kind, gate.qubits, cbit, cond)
+            qubits = self._cores.setdefault((kind, qubits), qubits)
+            self._table.append(Gate(kind, qubits, cbit, cond))
         self._index.append(j)
-        self.gates.append(gate)
 
     def measure(self, qubit: int) -> int:
         self.cbits += 1
@@ -260,7 +266,7 @@ class _Emitter:
         prediction (a recount when the builder has no closed form)."""
         circuit = _made(self.watermark, self.cbits, registers,
                         registers if outputs is None else outputs,
-                        (self.gates, self._table, self._index, self._positions, iter(())),
+                        self._table, self._index, [self._numbers],
                         {"construction": construction, **metadata})
         return BuildReport(
             circuit=circuit,

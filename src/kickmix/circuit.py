@@ -73,18 +73,24 @@ names the column of the first bad byte).  A refused line is quoted, cut to
 rule points at the gate's line; a rule that belongs to no one gate (counts,
 registers, metadata) points at line 1.
 
-:func:`parse` reads the gate lines a chunk of whole lines at a time, by
-shape: it lifts out each classical-bit number ``c<k>`` spelled as above,
-which leaves the line's shape (a number spelled otherwise stays, and the
-shape is refused), and matches each new shape once.  The shapes, each
-line's shape and the numbers are a *program*, as the builders record and
-``Circuit(...)`` lowers a gate list; its walk checks each (kind, operand
-tuple) once, at its first gate, and the classical-bit rules at each gate
-with a bit, in gate order, and makes a parsed line's Gate there (identical
-IF lines share one).  Callers must not rely on gate or tuple identity.  A
-message stays one bounded line for any value.  The walk records the
-:class:`Facts` that every layer reads instead of recounting the gates;
-``Circuit`` is frozen, so they cannot go stale.
+A circuit is its *program* (:class:`Program`): the table of gate shapes,
+each gate's shape, and the classical-bit numbers in gate order, a shape
+holding 0 in its number's place.  :func:`parse` makes it a chunk of whole
+lines at a time: it lifts out each classical-bit number ``c<k>`` spelled as
+above, which leaves the line's shape (a number spelled otherwise stays, and
+the shape is refused), and matches each new shape once.  The builders
+record it as they emit, and ``Circuit(...)`` lowers a gate list into it.
+One walk checks each shape once (its (kind, operand tuple) and its bit
+fields), then the classical-bit rules at each gate with a bit, in gate
+order, from its shape and number; it makes no Gate, and converts a parse's
+numbers a chunk at a time as it reaches them.  A message stays one bounded
+line for any value.  The walk records the :class:`Facts` that every layer
+reads instead of recounting the gates; ``Circuit`` is frozen, so they
+cannot go stale.  The lane pass, :func:`serialize` and
+:func:`static_resources` read the program and the facts.  ``gates`` is a
+view of the program, built when first read and kept (a plain gate is its
+shape's own Gate, and identical IF lines share one), so callers must not
+rely on gate or tuple identity.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -188,6 +194,9 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
     cbit: int | None = None
     condition: tuple[int, int] | None = None
+
+
+_gate = partial(tuple.__new__, Gate)  # Gate(*fields), without its Python-level __new__
 
 
 def _operand_error(i: int, kind, qubits, qubit_count: int) -> str | None:
@@ -309,15 +318,12 @@ class Facts(NamedTuple):
     executed: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
-def _executed(total: int, conditions: list, measured: dict[int, int]):
-    """(all-zeros count, ((step, mask), ...)) of ``total`` gates, of which
-    those conditioned have the given conditions."""
-    if not conditions:
+def _executed(total: int, steps: list[int]):
+    """(all-zeros count, ((step, mask), ...)) of gates of which ``total`` run
+    on the all-zeros branch and steps[i] more on r_i = 1 (measurement i in
+    gate order)."""
+    if not any(steps):
         return total, ()
-    steps = [0] * len(measured)  # per measurement, in gate order
-    for cb, value in conditions:
-        total -= value
-        steps[measured[cb]] += 1 if value else -1
     digits: dict[int, bytearray] = {}  # step -> its mask in binary: digit i is bit m-1-i
     for i, step in enumerate(steps):
         if step:
@@ -327,16 +333,74 @@ def _executed(total: int, conditions: list, measured: dict[int, int]):
     return total, tuple((step, int(mask, 2)) for step, mask in digits.items())
 
 
+class Program(NamedTuple):
+    """A circuit's gates as the validation walk, the lane pass and
+    :func:`serialize` read them.  ``table`` holds each gate shape once, in
+    order of first use, and gate i has shape ``index[i]``.  A shape holds 0
+    where its gates' classical bit goes (cbit 0 for "-> c<k>", condition
+    (0, value) for "IF c<k>"), and ``numbers`` holds those bits, one per such
+    gate, in gate order.  A gate whose bit fields have any other form is a
+    shape of its own, which the walk refuses."""
+
+    table: list[Gate]
+    index: list[int]
+    numbers: list[int]
+
+
+_IF = ((0, 0), (0, 1))  # a conditioned shape's condition, by value
+
+
+def _split(cbit, condition) -> tuple:
+    """(cbit, condition, number) of a gate's bit fields in a program: a bit
+    of a form the walk accepts is 0 in the shape and ``number`` apart;
+    ``number`` is None for any other form, which the shape keeps."""
+    if condition is None:
+        if type(cbit) is int and cbit >= 0:
+            return 0, None, cbit
+    elif (cbit is None and type(condition) is tuple and len(condition) == 2
+          and type(condition[0]) is int and condition[0] >= 0
+          and type(condition[1]) is int and condition[1] in (0, 1)):
+        return None, _IF[condition[1]], condition[0]
+    return cbit, condition, None
+
+
+def _bit_error(kind: str, cbit, condition) -> str | None:
+    """What is wrong with a shape's classical-bit fields, or None."""
+    if kind == "MX":
+        if cbit is None:
+            return "MX requires a destination classical bit"
+        if type(cbit) is not int or cbit < 0:
+            return f"bad MX destination {_shown(cbit, repr)}"
+        if condition is not None:
+            return "measurements cannot be conditioned"
+    elif cbit is not None:
+        return f"{kind} does not write a classical bit"
+    elif condition is not None and _split(None, condition)[2] is None:
+        return f"bad condition {_shown(condition, repr)}"
+    return None
+
+
+def _positions(table: list[Gate], index: list[int], stop: int):
+    """The gates before ``stop`` whose shapes carry a classical bit, in order."""
+    carries = [cbit is not None or condition is not None for _, _, cbit, condition in table]
+    return compress(range(stop), map(carries.__getitem__, index))
+
+
 _NO_METADATA: dict[str, str] = {}  # Circuit's default, never stored: each gets a fresh {}
 
 
 class Circuit(_Record):
     """A validated kickmix circuit, a frozen :class:`_Record`; derive modified
     copies with ``_replace``, which re-validates and records fresh facts.
-    ``facts`` is a slot but no field: it is never compared, shown or replaced."""
+
+    A circuit is its :class:`Program`.  ``gates`` is a view of it, built
+    when first read and kept (given a gate list, it is that list as a
+    tuple), so callers must not rely on gate or tuple identity.  ``facts``
+    and ``program`` are slots but no fields: never compared, shown or
+    replaced."""
 
     _fields = ("qubit_count", "classical_bit_count", "inputs", "outputs", "gates", "metadata")
-    __slots__ = (*_fields, "facts")
+    __slots__ = (*_fields, "facts", "program")
 
     def __init__(self, qubit_count: int, classical_bit_count: int = 0,
                  inputs: tuple[Register, ...] = (), outputs: tuple[Register, ...] = (),
@@ -347,14 +411,23 @@ class Circuit(_Record):
                                    "not tuple or list")
         self._set(qubit_count, classical_bit_count, tuple(inputs), tuple(outputs), tuple(gates),
                   {} if metadata is _NO_METADATA else metadata)
-        object.__setattr__(self, "facts", self.validate())
+        object.__setattr__(self, "facts", self._validate(None))
+
+    def __getattr__(self, name: str):
+        """``gates``, built from the program when first read; nothing else."""
+        if name != "gates":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gates = _view(self.program)
+        object.__setattr__(self, "gates", gates)
+        return gates
 
     def validate(self) -> Facts:
         """Check every rule in the module docstring; return the facts met on the way."""
-        return self._validate(None)
+        return self._validate(self.program)
 
-    def _validate(self, program: tuple | None) -> Facts:
-        """:meth:`validate` of ``program`` (see :func:`_lower`), or of ``gates``."""
+    def _validate(self, program: Program | None) -> Facts:
+        """:meth:`validate` of ``program``, whose numbers may be an iterator;
+        None lowers ``gates`` (see :func:`_lower`) and keeps their program."""
         _exact(self.qubit_count, int, "qubit count")
         _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
@@ -383,65 +456,56 @@ class Circuit(_Record):
                         f"{spec_name} register {_shown(reg.name)!r} overlaps qubit "
                         f"{min(overlap)} already covered by another {spec_name} register")
                 used.update(reg.qubits)
-        gates, table, index, positions, numbers = program or _lower(self.gates)
-        # each (kind, operand tuple) once, at its first gate; checked: tuple id -> kind
-        stop, checked, cbit_count = len(gates), {}, self.classical_bit_count
-        for j, (kind, qubits, _, _) in enumerate(table):  # in order of first use
+        if program is None:
+            program = _lower(self.gates)
+            object.__setattr__(self, "program", program)
+        table, index, numbers = program
+        # Each shape once, in order of first use: its (kind, operand tuple) at
+        # the first shape that has it (checked: tuple id -> kind), then its
+        # bit fields.  The first bad shape stops the walk at its first gate.
+        stop, checked, bad = len(index), {}, None
+        for j, (kind, qubits, cbit, condition) in enumerate(table):
             if checked.get(id(qubits)) is not kind:
                 if _operand_error(j, kind, qubits, self.qubit_count):  # message: below
-                    stop = index.index(j)  # the bits of the gates before it are checked first
+                    bad = j
                     break
                 checked[id(qubits)] = kind
-        written: dict[int, int] = {}  # measured bit -> measurement index
-        conditions, non_clifford = [], []  # of conditioned gates, and of CCX/CCZ among them
-        conditioned_kinds: set[str] = set()
-        made: dict[Gate, Gate] = {}  # a parsed IF line's Gate, shared by identical lines
-        for i in positions:
-            if i >= stop:
+            if (cbit is not None or condition is not None or kind == "MX") and _bit_error(
+                    kind, cbit, condition):
+                bad = j
                 break
-            kind, qubits, cbit, condition = gates[i] or table[index[i]]
-            if gates[i] is None:  # a parsed line: its shape's Gate, with the line's number in
-                if condition is None:
-                    cbit = next(numbers)
-                    gates[i] = _gate((kind, qubits, cbit, None))
-                elif cbit is None:  # else both: "IF ... -> c<k>" breaks a rule below
-                    condition = (next(numbers), condition[1])
-                    gate = _gate((kind, qubits, None, condition))
-                    gates[i] = made.setdefault(gate, gate)
-            if kind == "MX":
-                if cbit is None:
-                    raise CircuitError("MX requires a destination classical bit", gate=i)
-                if type(cbit) is not int or cbit < 0:
-                    raise CircuitError(f"bad MX destination {_shown(cbit, repr)}", gate=i)
-                if condition is not None:
-                    raise CircuitError("measurements cannot be conditioned", gate=i)
-                cb = cbit  # the classical bit the gate writes or reads
-            elif cbit is not None:
-                raise CircuitError(f"{kind} does not write a classical bit", gate=i)
-            elif (type(condition) is not tuple or len(condition) != 2
-                  or type(condition[0]) is not int or condition[0] < 0
-                  or type(condition[1]) is not int or condition[1] not in (0, 1)):
-                raise CircuitError(f"bad condition {_shown(condition, repr)}", gate=i)
-            else:
-                cb = condition[0]
+        if bad is not None:
+            stop = index.index(bad)  # the bits of the gates before it are checked first
+        # The classical-bit rules at each gate with a bit, in gate order.
+        written: dict[int, int] = {}  # measured bit -> measurement index
+        steps: list[int] = []  # per measurement: gates more on r = 1 than on r = 0
+        nc_steps: list[int] = []  # the same for CCX/CCZ
+        cbit_count = self.classical_bit_count
+        for i, cb in zip(_positions(table, index, stop), numbers):
+            kind, _, _, condition = table[index[i]]
             if cb >= cbit_count:
                 raise CircuitError(f"classical bit c{_shown(cb)} out of range: gate {i} ({kind}) "
                                    f"uses c{_shown(cb)} but the circuit has {_shown(cbit_count)}",
                                    gate=i)
-            if kind == "MX":
+            if condition is None:  # an MX
                 if cb in written:
                     raise CircuitError(f"gate {i} (MX): classical bit c{cb} written twice", gate=i)
-                written[cb] = len(written)
-            elif cb not in written:
+                written[cb] = len(steps)
+                steps.append(0)
+                nc_steps.append(0)
+                continue
+            m = written.get(cb)
+            if m is None:
                 raise CircuitError(f"gate {i} ({kind}): condition on c{cb} before any "
                                    "measurement writes it", gate=i)
-            else:
-                conditions.append(condition)
-                if kind in _NON_CLIFFORD:
-                    non_clifford.append(condition)
-                conditioned_kinds.add(kind)
-        if stop < len(gates):
-            raise CircuitError(_operand_error(stop, *table[j][:2], self.qubit_count), gate=stop)
+            step = 1 if condition[1] else -1
+            steps[m] += step
+            if kind in _NON_CLIFFORD:
+                nc_steps[m] += step
+        if bad is not None:
+            kind, qubits, cbit, condition = table[bad]
+            raise CircuitError(_operand_error(stop, kind, qubits, self.qubit_count)
+                               or _bit_error(kind, cbit, condition), gate=stop)
         _exact(self.metadata, dict, "metadata")
         for key, value in self.metadata.items():
             _exact(key, str, "metadata key")
@@ -455,48 +519,122 @@ class Circuit(_Record):
             raise CircuitError(
                 f"exceptional policy {_shown(policy)!r} not in {EXCEPTIONAL_POLICIES}")
         kinds: Counter[str] = Counter()
+        conditioned_kinds: set[str] = set()
+        skipped = [0, 0]  # gates, and CCX/CCZ, that the all-zeros branch skips
         for j, count in Counter(index).items():
-            kinds[table[j].kind] += count
+            kind, _, _, condition = table[j]
+            kinds[kind] += count
+            if condition is not None:
+                conditioned_kinds.add(kind)
+                if condition[1]:
+                    skipped[0] += count
+                    skipped[1] += count if kind in _NON_CLIFFORD else 0
         return Facts(kinds, written, frozenset(conditioned_kinds),
-                     (_executed(len(gates), conditions, written),
-                      _executed(kinds["CCX"] + kinds["CCZ"], non_clifford, written)))
+                     (_executed(len(index) - skipped[0], steps),
+                      _executed(kinds["CCX"] + kinds["CCZ"] - skipped[1], nc_steps)))
 
 
-def _lower(gates) -> tuple:
-    """A gate list's program, in one pass: (gates, table, index, positions,
-    numbers).  ``table`` holds a Gate of each shape (here each operand tuple
-    and kind, by identity) in order of first use, gate i has shape
-    ``index[i]``, and ``positions`` are the gates that are MX or have a
-    classical bit.  The walk makes a parse's None gates from ``numbers``."""
+def _lower(gates) -> Program:
+    """A gate list's program, in one pass.  A plain gate is its shape's own
+    Gate; shapes are told apart by the form of their bit fields, then by the
+    identity of their operand tuple and their kind."""
     if not set(map(type, gates)) <= {Gate}:
         i, bad = next((i, g) for i, g in enumerate(gates) if type(g) is not Gate)
         raise CircuitError(f"gate {i} is a {_shown(type(bad).__name__)}, not a Gate", gate=i)
-    table, index, positions, cores = [], [], [], {}  # cores: id of an operand tuple -> entry
-    for i, (kind, qubits, cbit, condition) in enumerate(gates):
-        j = cores.get(id(qubits))
-        if j is None or table[j].kind is not kind:
-            j = cores[id(qubits)] = len(table)
-            table.append(gates[i])
-        index.append(j)
-        if cbit is not None or condition is not None or kind == "MX":
-            positions.append(i)
-    return gates, table, index, positions, iter(())
+    table: list[Gate] = []
+    index: list[int] = []
+    numbers: list[int] = []
+    kinds: list = []  # each shape's kind, as table[j].kind reads slower
+    # per bit form (none, "-> c<k>", "IF c<k>=0", "IF c<k>"): operand tuple id -> entry
+    plain, measured, conditioned = {}, {}, ({}, {})
+    add, add_number = index.append, numbers.append  # bound once: the loop runs once per gate
+    for gate in gates:
+        kind, qubits, cbit, condition = gate
+        # the forms of _split, spelled out
+        if condition is None:
+            if cbit is None:  # most gates: each is its shape's own Gate
+                j = plain.get(id(qubits))
+                if j is None or kinds[j] is not kind:
+                    j = plain[id(qubits)] = len(table)
+                    table.append(gate)
+                    kinds.append(kind)
+                add(j)
+                continue
+            if type(cbit) is not int or cbit < 0:
+                shapes = None
+            else:
+                add_number(cbit)
+                cbit, shapes = 0, measured
+        elif (cbit is None and type(condition) is tuple and len(condition) == 2
+              and type(condition[0]) is int and condition[0] >= 0
+              and type(condition[1]) is int and condition[1] in (0, 1)):
+            add_number(condition[0])
+            shapes = conditioned[condition[1]]
+            condition = _IF[condition[1]]
+        else:
+            shapes = None
+        if shapes is None:  # a shape of its own, which the walk refuses
+            add(len(table))
+            table.append(gate)
+            kinds.append(None)
+            continue
+        j = shapes.get(id(qubits))
+        if j is None or kinds[j] is not kind:
+            j = shapes[id(qubits)] = len(table)
+            table.append(_gate((kind, qubits, cbit, condition)))
+            kinds.append(kind)
+        add(j)
+    return Program(table, index, numbers)
 
 
-def _made(qubit_count, classical_bit_count, inputs, outputs, program, metadata) -> Circuit:
-    """``Circuit(...)`` of the gates of ``program``, which the validation walk completes."""
+def _converted(chunks: list):
+    """Each chunk of numbers as a list, converting a string of
+    space-separated numbers in place when it is reached."""
+    for k, chunk in enumerate(chunks):
+        if type(chunk) is str:
+            chunks[k] = chunk = list(map(int, chunk.split()))
+        yield chunk
+
+
+def _made(qubit_count, classical_bit_count, inputs, outputs, table, index, chunks,
+          metadata) -> Circuit:
+    """``Circuit(...)`` of the program (table, index, the numbers in
+    ``chunks``: lists, or strings that the walk converts as it reaches
+    them).  Its ``gates`` are built when first read."""
     circuit = Circuit.__new__(Circuit)
-    circuit._set(qubit_count, classical_bit_count, inputs, outputs, (), metadata)
-    object.__setattr__(circuit, "facts", circuit._validate(program))
-    object.__setattr__(circuit, "gates", tuple(program[0]))
+    circuit._set(qubit_count, classical_bit_count, inputs, outputs)  # the fields before gates
+    object.__setattr__(circuit, "metadata", metadata)
+    walked = Program(table, index, chain.from_iterable(_converted(chunks)))
+    object.__setattr__(circuit, "facts", circuit._validate(walked))
+    numbers = chunks[0] if chunks else []
+    for chunk in chunks[1:]:
+        numbers.extend(chunk)
+    object.__setattr__(circuit, "program", Program(table, index, numbers))
     return circuit
+
+
+def _view(program: Program) -> tuple[Gate, ...]:
+    """The gates of a program: a plain gate is its shape's own Gate, and a
+    gate with a bit is made from its shape and number (identical IF lines
+    share one)."""
+    table, index, numbers = program
+    gates = list(map(table.__getitem__, index))
+    made: dict[Gate, Gate] = {}
+    for i, number in zip(_positions(table, index, len(index)), numbers):
+        kind, qubits, _, condition = gates[i]
+        if condition is None:
+            gates[i] = _gate((kind, qubits, number, None))
+        else:
+            gate = _gate((kind, qubits, None, (number, condition[1])))
+            gates[i] = made.setdefault(gate, gate)
+    return tuple(gates)
 
 
 def static_resources(circuit: Circuit) -> StaticResources:
     """Peak qubits, gates, non-Clifford gates (CCX + CCZ) and measurements,
     from the circuit's facts."""
     kinds = circuit.facts.kinds
-    return StaticResources(circuit.qubit_count, len(circuit.gates),
+    return StaticResources(circuit.qubit_count, sum(kinds.values()),
                            kinds["CCX"] + kinds["CCZ"], kinds["MX"])
 
 
@@ -535,7 +673,6 @@ def _core(kind: str, qubits: tuple[int, ...]) -> str:
 # lines' shapes, which a circuit has few of.
 _CHUNK = 1 << 16
 _LIFT = re.compile(f"c{_NUM}(?![0-9])").split
-_gate = partial(tuple.__new__, Gate)  # Gate(*fields), without its Python-level __new__
 
 
 class _Shapes(dict):
@@ -561,7 +698,7 @@ class _Shapes(dict):
             gate = self.cores[core] = Gate(kind, qubits)
         if shape != core:
             gate = Gate(gate.kind, gate.qubits, None if dest is None else 0,
-                        None if cb is None else (0, 0 if zero else 1))
+                        None if cb is None else _IF[zero is None])
         self[shape] = len(self.table)
         self.table.append(gate)
         return self[shape]
@@ -618,7 +755,7 @@ def parse(text: str | bytes) -> Circuit:
     header_lines = lineno
     shapes = _Shapes()
     index: list[int] = []  # each gate line's shape
-    numbers: list[str] = []  # per chunk, its numbers joined by spaces; the walk converts them
+    numbers: list[str] = []  # per chunk that has any, its numbers joined by spaces
     pos = header.end()
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1
@@ -633,19 +770,14 @@ def parse(text: str | bytes) -> Circuit:
         except KeyError as exc:
             j = lines.index(exc.args[0])
             raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1) from None
-        numbers.append(" ".join(parts[1::2]))
+        if len(parts) > 1:
+            numbers.append(" ".join(parts[1::2]))
         lineno += len(lines)
         pos = end
 
-    table = shapes.table
-    plain = [gate if gate.cbit is None and gate.condition is None else None for gate in table]
-    walked = [gate is None or gate.kind == "MX" for gate in plain]
-    program = (list(map(plain.__getitem__, index)), table, index,
-               compress(range(len(index)), map(walked.__getitem__, index)),
-               map(int, chain.from_iterable(map(str.split, numbers))))
     try:
-        return _made(int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs), program,
-                     metadata)
+        return _made(int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs),
+                     shapes.table, index, numbers, metadata)
     except CircuitError as exc:
         lineno = 1 if exc.gate is None else header_lines + exc.gate + 1
         raise ParseError(str(exc), lineno) from None
@@ -664,17 +796,15 @@ def serialize(circuit: Circuit) -> bytes:
         lines.append(f"in {reg.name} {reg.lo}..{reg.hi}")
     for reg in circuit.outputs:
         lines.append(f"out {reg.name} {reg.lo}..{reg.hi}")
-    # "KIND q q q" of each (kind, operands), written once; a line adds its
-    # own "IF c<k>[=0] " prefix or " -> c<k>" suffix (Gate: only MX has a cbit)
-    cores: dict[tuple[str, tuple[int, ...]], str] = {}
-    for kind, qubits, cbit, condition in circuit.gates:
-        core = cores.get((kind, qubits))
-        if core is None:
-            core = cores[kind, qubits] = _core(kind, qubits)
+    # each shape's line, written once, with "%d" in its number's place
+    table, index, numbers = circuit.program
+    texts = []
+    for kind, qubits, cbit, condition in table:
+        core = _core(kind, qubits)
         if condition is not None:
-            cb, val = condition
-            core = f"IF c{cb} {core}" if val == 1 else f"IF c{cb}=0 {core}"
+            core = f"IF c%d {core}" if condition[1] else f"IF c%d=0 {core}"
         elif cbit is not None:
-            core = f"{core} -> c{cbit}"
-        lines.append(core)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+            core = f"{core} -> c%d"
+        texts.append(core + "\n")
+    lines.append("".join(map(texts.__getitem__, index)) % tuple(numbers))
+    return "\n".join(lines).encode("utf-8")

@@ -378,9 +378,12 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
     if unknown:
         raise _UsageError(_unknown("success_sweep field(s)", unknown))
     try:
-        lo = float(sweep.get("from", attack.attack_time / 10))
-        hi = float(sweep.get("to", attack.mean_block_interval * 3))
-    except (TypeError, ValueError):
+        bounds = (sweep.get("from", attack.attack_time / 10),
+                  sweep.get("to", attack.mean_block_interval * 3))
+        if str in map(type, bounds):  # a JSON string is no number, "60" included
+            raise ValueError
+        lo, hi = (float(costmodel._exact(bound)) for bound in bounds)  # refuses a bool
+    except (TypeError, ValueError, OverflowError):
         raise _UsageError("success_sweep from and to must be numbers") from None
     steps = sweep.get("steps", 100)
     if (

@@ -527,7 +527,7 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
 # number of distinct inputs while the per-pass overhead stays negligible.
 # The chunk does not set peak memory (tracemalloc, Python 3.11): the passes
 # of a 9024-test p11 run peak at 4.7 MiB, its report encoding at 9.4 MiB,
-# and parsing a 94k-gate circuit at 14 MiB.
+# and parsing the 94k-gate p1009 circuit at 4.9 MiB.
 LANE_CHUNK = 1024
 
 _SKIPPED = {"skipped": True, "output_ok": None, "phase_ok": None,
@@ -730,12 +730,13 @@ def _round_fraction(value: Fraction, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
+def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
             transcript: Transcript | None, fail_fast: bool,
             warnings: list[str]) -> VerificationReport:
     """Run the cases, judge them against the spec's bounds, and seal the
-    report with its digest: the one place a report is assembled.  transcript
-    is None in exhaustive mode."""
+    report with its digest: the one place a report is assembled.  commitment
+    is the circuit file's (:func:`commit`); transcript is None in exhaustive
+    mode."""
     resources = static_resources(plan.circuit)
     entries = _run_cases(plan.circuit, resources.measurement_count, cases, transcript, fail_fast)
     executed = [e for e in entries if not e["skipped"]]
@@ -767,7 +768,7 @@ def _report(circuit_bytes: bytes, plan: _Plan, spec: VerificationSpec, cases,
     verdict = "pass" if len(failures) <= tolerated and not violations else "fail"
 
     data = {
-        "circuit_commitment": commit(circuit_bytes),
+        "circuit_commitment": commitment,
         "curve": plan.curve.name,
         "mode": "exhaustive" if transcript is None else "transcript",
         "fail_fast": fail_fast,
@@ -829,7 +830,7 @@ def verify(
             f"{spec.tolerated_failure_fraction}"
         )
     cases = _transcript_cases(plan, transcript)
-    return _report(circuit_bytes, plan, spec, cases, transcript, fail_fast, warnings)
+    return _report(transcript.commitment, plan, spec, cases, transcript, fail_fast, warnings)
 
 
 def verify_exhaustive(circuit_bytes: bytes, spec: VerificationSpec) -> VerificationReport:
@@ -847,4 +848,4 @@ def verify_exhaustive(circuit_bytes: bytes, spec: VerificationSpec) -> Verificat
     points = enumerate_points(plan.curve)
     window_values = range(1 << plan.window_bits) if plan.window_reg else (None,)
     cases = _exhaustive_cases(plan, points, window_values)
-    return _report(circuit_bytes, plan, spec, cases, None, False, [])
+    return _report(commit(circuit_bytes), plan, spec, cases, None, False, [])

@@ -23,7 +23,8 @@ in each qubit's int; lanes share a slot exactly when they hold one inputs
 object.  It reads outputs once per slot, and each lane's exact sign and
 executed counts on its own sampled branch as columns (which a conditioned
 X/CX/CCX follows lane by lane, one slot per lane); its LaneResults are the
-one-lane view.  :func:`run` stays the reference.
+one-lane view.  The pass reads the circuit's program; :func:`run` stays the
+reference, over its gates.
 """
 
 from __future__ import annotations
@@ -224,11 +225,20 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
     [phases, executed_total, executed_non_clifford]).  lane_slot[j] is lane
     j's slot, numbered in order of first lane; reads[s] is slot s's
     (final_bits, outputs, phase_always_plus_one, phase_defects), shared by
-    its lanes; each column holds one LaneResult field per lane."""
+    its lanes; each column holds one LaneResult field per lane.
+
+    It reads the circuit's program, a shape and (for a gate with a bit) a
+    classical-bit number per gate, and keeps one plane per measured bit:
+    planes[cb] is the measured plane XOR the parity of every diagonal gate
+    conditioned on cb, so its set bits are the slots whose two halves of
+    measurement cb disagree.  A parity conditioned on value 0 also goes into
+    the zero-branch plane.  Only the non-zero planes are visited after the
+    gate loop, in bit order."""
     facts = circuit.facts
     top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
+    table, index, numbers = circuit.program
     # A conditioned X/CX/CCX makes the data bits follow each lane's branch;
-    # otherwise they and the defect planes depend only on the inputs.
+    # otherwise they and the planes depend only on the inputs.
     follows = not facts.conditioned_kinds.isdisjoint(PERMUTATION_KINDS)
     # A lane shares a slot only with lanes that hold its very inputs object:
     # every key is the id of an object that slot_inputs holds for the whole
@@ -245,17 +255,17 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         lane_slot.append(s)
     q = _lane_planes(circuit, slot_inputs)
     if follows and words is None:
-        i = next(i for i, g in enumerate(circuit.gates)
-                 if g.condition is not None and g.kind in PERMUTATION_KINDS)
-        raise ValueError(f"gate {i} is a conditioned {circuit.gates[i].kind}: branch space does "
+        i = next(i for i, j in enumerate(index)
+                 if table[j].condition is not None and table[j].kind in PERMUTATION_KINDS)
+        raise ValueError(f"gate {i} is a conditioned {table[index[i]].kind}: branch space does "
                          "not factorize; use run_all_measurement_branches instead")
     full = (1 << len(slot_inputs)) - 1
-    base = 0
-    measured: dict[int, int] = {}
-    corr: dict[tuple[int, int], int] = {}
+    zero = 0  # the sign plane of the all-zeros branch
+    planes: dict[int, int] = {}  # measured bit -> its plane
+    numbers = iter(numbers)
     # cbit -> lanes whose own outcome is 1; filled iff a conditioned X/CX/CCX ran
     outcomes: dict[int, int] = {}
-    for kind, qs, cbit, cond in circuit.gates:
+    for kind, qs, _, cond in map(table.__getitem__, index):
         if kind == "CCX":
             a, b, t = qs
             flip = q[a] & q[b]
@@ -267,7 +277,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
             flip = full
         elif kind == "MX":
             (a,) = qs
-            measured[cbit] = q[a]
+            planes[next(numbers)] = q[a]
             q[a] = 0
             continue
         else:
@@ -280,25 +290,24 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
             else:
                 parity = q[qs[0]]
             if cond is None:
-                base ^= parity
+                zero ^= parity
             else:
-                corr[cond] = corr.get(cond, 0) ^ parity
+                planes[next(numbers)] ^= parity
+                if not cond[1]:
+                    zero ^= parity
             continue
         if cond is not None:  # words is not None: checked above
-            cb, value = cond
+            cb = next(numbers)
             if cb not in outcomes:
                 shift = top - facts.measured[cb]
                 outcomes[cb] = sum((w >> shift & 1) << j for j, w in enumerate(words))
-            flip &= outcomes[cb] if value else outcomes[cb] ^ full
+            flip &= outcomes[cb] if cond[1] else outcomes[cb] ^ full
         q[t] ^= flip
 
-    zero = base
     defect_words: dict[int, int] = {}
     defects: dict[int, list[int]] = {}
-    for cb in sorted(measured):
-        c0 = corr.get((cb, 0), 0)
-        zero ^= c0
-        plane = measured[cb] ^ c0 ^ corr.get((cb, 1), 0)
+    for cb in sorted(filter(planes.__getitem__, planes)):
+        plane = planes[cb]
         bit = 1 << (top - facts.measured[cb])
         while plane:
             low = plane & -plane
@@ -343,15 +352,18 @@ def run_lanes(
     Data bits and defect planes depend only on the inputs, so each lane's
     sign and executed counts come from its own stream word (below).
 
-    MX records the measured plane v_i and clears the qubit; diagonal gates
-    XOR their parity into a base plane, or into corr0_i / corr1_i when
-    conditioned on c_i = 0 / 1.
-    The sign on branch r is then (see :func:`check_phase_all_branches`)
+    The planes are keyed by measured bit.  MX starts plane i, that of its
+    bit c_i, with the measured plane v_i and clears the qubit.  A diagonal
+    gate XORs its parity into the zero-branch plane, or into plane i when
+    conditioned on c_i, and into both when conditioned on c_i = 0.  So
+    plane i is v_i ^ corr0_i ^ corr1_i (corr0_i / corr1_i: the parities
+    conditioned on c_i = 0 / 1), and the sign on branch r is (see
+    :func:`check_phase_all_branches`)
 
-        zero-branch parity  XOR  XOR_i r_i & (v_i ^ corr0_i ^ corr1_i),
+        zero-branch plane  XOR  XOR_i r_i & plane_i,
 
-    so a lane is clean on every branch iff its zero-branch parity and all
-    its defect bits v_i ^ corr0_i ^ corr1_i are 0.
+    so a lane is clean on every branch iff its bit is 0 in the zero-branch
+    plane and in every plane i; its defects are the bits whose plane has it.
 
     words[j], when given, is lane j's measurement randomness: the first m
     bits of its stream read as one big-endian int, so measurement i (in gate

@@ -588,17 +588,36 @@ def _gate_line(gate: Gate) -> str:
     return " ".join(parts)
 
 
+def _gates_built(circuit: Circuit) -> bool:
+    """Whether the circuit's gates view has been built; reading the slot
+    itself builds nothing."""
+    try:
+        Circuit.__dict__["gates"].__get__(circuit, Circuit)
+    except AttributeError:
+        return False
+    return True
+
+
 def _plain_serialize(circuit) -> bytes:
     header = serialize(circuit._replace(gates=()))
     return header + "".join(_gate_line(g) + "\n" for g in circuit.gates).encode("ascii")
 
 
 class _FreshEmitter(builders_module._Emitter):
-    """The emitter with one fresh Gate, and operand tuple, per call."""
+    """The emitter that also keeps one fresh Gate, and operand tuple, per
+    call, and whose circuit is ``Circuit(...)`` of that list."""
+
+    def __init__(self, fixed_qubits):
+        super().__init__(fixed_qubits)
+        self.gates = []
 
     def emit(self, kind, *qubits, cond=None, cbit=None):
         super().emit(kind, *qubits, cond=cond, cbit=cbit)
-        self.gates[-1] = Gate(kind, tuple(qubits), cbit, cond)
+        self.gates.append(Gate(kind, qubits, cbit, cond))
+
+    def finish(self, *args, **kwargs):
+        report = super().finish(*args, **kwargs)
+        return report._replace(circuit=report.circuit._replace(gates=self.gates))
 
 
 @pytest.mark.parametrize("call", [row[0] for row in _BUILDER_PINS],
@@ -620,11 +639,17 @@ def test_shared_gates_match_fresh_gates_and_plain_lines(call, monkeypatch) -> No
                          ids=[_pin_id(row) for row in _BUILDER_PINS])
 def test_the_three_programs_of_a_circuit_give_its_facts(call) -> None:
     """The emitter's program, the parse's and the lowering of the gate list
-    each give the circuit the same facts."""
+    each give the circuit the same facts, gates and bytes; the build and the
+    parse make no gates to get there."""
     built = _build(call).circuit
-    parsed = parse(serialize(built))
-    assert parsed == built
-    assert parsed.facts == built.facts == built.validate() == parsed.validate()
+    data = serialize(built)
+    parsed = parse(data)
+    assert not _gates_built(built) and not _gates_built(parsed)
+    lowered = Circuit(built.qubit_count, built.classical_bit_count, built.inputs, built.outputs,
+                      built.gates, built.metadata)
+    assert parsed.gates == built.gates and parsed == built == lowered
+    assert parsed.facts == built.facts == lowered.facts == built.validate() == parsed.validate()
+    assert data == _plain_serialize(built) == serialize(lowered)
 
 
 def test_mutants_serialize_as_plain_lines(windowed11_w2) -> None:
@@ -648,7 +673,7 @@ def test_emitter_keeps_conditioned_and_measured_shapes_apart() -> None:
                 em.measure(*qubits)
             else:
                 em.emit(kind, *qubits, cond=cond)
-        return em.gates
+        return em.finish("play", (), {}).circuit.gates
 
     assert play(builders_module._Emitter(3)) == play(_FreshEmitter(3))
 
@@ -705,7 +730,7 @@ def test_emitter_refuses_what_gate_refuses(kind, qubits, cond) -> None:
         else:
             em.emit(twin.kind, *twin.qubits, cond=twin.condition)
             em.emit(twin.kind, *twin.qubits, cond=twin.condition)
-    bad = len(em.gates)
+    bad = len(em._index)
     for _ in range(2):
         em.emit(kind, *qubits, cond=cond)
     refused = _finish_refusal(em)

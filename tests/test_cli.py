@@ -839,6 +839,37 @@ def test_estimate_usage_errors_leave_no_results_file(tmp_path, capsys) -> None:
         assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("field", ["from", "to"])
+@pytest.mark.parametrize("bound", [True, "60", "1e3"], ids=["true", "str 60", "str 1e3"])
+def test_estimate_takes_only_json_numbers_as_success_sweep_bounds(
+    tmp_path, capsys, field, bound
+) -> None:
+    attack = {"attack_time": 540, "mean_block_interval": 600}
+    sweep = {"from": 60, "to": 1000, "steps": 2, field: bound}
+    path = _write_scenario(tmp_path, {"attack": attack, "success_sweep": sweep})
+    out, csv = tmp_path / "out.json", tmp_path / "s.csv"
+    assert main(["estimate", str(path), "-o", str(out), "--success-csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert err.endswith("success_sweep from and to must be numbers\n")
+    assert not out.exists() and not csv.exists()
+
+
+def test_a_success_sweep_bound_from_a_string_attack_field_is_a_usage_error(
+    tmp_path, capsys
+) -> None:
+    """The cost model takes "540" as an attack time; the sweep's default
+    bounds, worked out from it, are refused in one line, not a traceback."""
+    path = _write_scenario(tmp_path, {"attack": {"attack_time": "540",
+                                                 "mean_block_interval": 600}})
+    out, csv = tmp_path / "out.json", tmp_path / "s.csv"
+    assert main(["estimate", str(path), "-o", str(out), "--success-csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    _one_short_line(err)
+    assert err.endswith("success_sweep from and to must be numbers\n")
+    assert not out.exists() and not csv.exists()
+
+
 def test_estimate_cuts_long_scenario_strings(tmp_path, capsys) -> None:
     long = "x" * 5000
     cut = "x" * 20 + "…"

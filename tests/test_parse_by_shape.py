@@ -24,6 +24,7 @@ from kickmix import (
     serialize,
 )
 from kickmix.circuit import _GATE_LINE, _HEADER, _REGISTER, _core, _refused, _shown
+from test_builders import _plain_serialize
 
 
 def _per_line_parse(text: str | bytes) -> Circuit:
@@ -120,7 +121,7 @@ def _assert_parsed_as_the_reference(data: bytes) -> None:
     got = _outcome(parse, data)
     assert got == _outcome(_per_line_parse, data)
     if type(got[0]) is Circuit:
-        assert serialize(got[0]) == data
+        assert serialize(got[0]) == data == _plain_serialize(got[0])
 
 
 # ---------------------------------------------------------------------------
