@@ -380,9 +380,7 @@ def _success_sweep(attack: costmodel.AttackScenario, sweep: dict) -> list[tuple]
     try:
         bounds = (sweep.get("from", attack.attack_time / 10),
                   sweep.get("to", attack.mean_block_interval * 3))
-        if str in map(type, bounds):  # a JSON string is no number, "60" included
-            raise ValueError
-        lo, hi = (float(costmodel._exact(bound)) for bound in bounds)  # refuses a bool
+        lo, hi = (float(costmodel._exact(bound)) for bound in bounds)  # refuses a bool or str
     except (TypeError, ValueError, OverflowError):
         raise _UsageError("success_sweep from and to must be numbers") from None
     steps = sweep.get("steps", 100)

@@ -56,9 +56,10 @@ MAX_WINDOW = 4096
 
 
 def _exact(value, name: str = "a value") -> Fraction:
-    """Decimal-faithful Fraction: 0.1 means exactly 1/10; a bool is no number."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value}")
+    """Decimal-faithful Fraction: 0.1 means exactly 1/10; a bool or a string
+    is no number, "540" included."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a real number, got {_shown(value, repr)}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -127,6 +126,8 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
     eps is taken at decimal face value (0.01 means exactly 1/100).  eps = 0
     is refused: no finite number of random tests covers it — enumerate the
     domain instead (see verify_exhaustive)."""
+    from fractions import Fraction
+
     eps = tolerated_fraction if isinstance(tolerated_fraction, Fraction) else Fraction(
         str(tolerated_fraction)
     )
@@ -163,6 +164,8 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
 
 def achieved_security_bits(tolerated_fraction, test_count: int) -> float:
     """-test_count * log2(1 - eps): the exponent actually reached."""
+    from fractions import Fraction
+
     eps = float(Fraction(str(tolerated_fraction)))
     if not 0 < eps < 1:
         raise ValueError("tolerated fraction must be in (0, 1)")
@@ -526,8 +529,8 @@ def _exhaustive_cases(plan: _Plan, points: list[CurvePoint], window_values):
 # over S slots costs about S^2; fixed chunks keep the total linear in the
 # number of distinct inputs while the per-pass overhead stays negligible.
 # The chunk does not set peak memory (tracemalloc, Python 3.11): the passes
-# of a 9024-test p11 run peak at 4.7 MiB, its report encoding at 9.4 MiB,
-# and parsing the 94k-gate p1009 circuit at 4.9 MiB.
+# of a 9024-test p11 run peak at 3.1 MiB, its report encoding and sealing at
+# 6.8 MiB, and parsing the 94k-gate p1009 circuit at 4.9 MiB.
 LANE_CHUNK = 1024
 
 _SKIPPED = {"skipped": True, "output_ok": None, "phase_ok": None,
@@ -625,7 +628,9 @@ def _canonical_json(value) -> bytes:
     parts: list[str] = []
     _encode(value, "\n", parts.append)
     parts.append("\n")
-    return "".join(parts).encode("ascii")
+    text = "".join(parts)
+    del parts  # so that a long list's text is not held twice while it is encoded
+    return text.encode("ascii")
 
 
 def _encode(value, newline: str, out) -> None:
@@ -646,8 +651,10 @@ def _encode(value, newline: str, out) -> None:
     elif kind is list:
         inner = newline + "  "
         items = _columnar(value, inner) if len(value) > 1 else None
-        if items is not None:
-            out("[" + inner + ("," + inner).join(items) + newline + "]")
+        if items is not None:  # the joined items are long: written without a copy
+            out("[" + inner)
+            out(("," + inner).join(items))
+            out(newline + "]")
             return
         sep = "["
         for item in value:
@@ -667,6 +674,10 @@ def _encode(value, newline: str, out) -> None:
 
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALAR_FORM = {int: int.__repr__, str: encode_basestring_ascii}
+# Exact types whose equal values share one encoding: a column of one of them
+# holding one value is encoded once.  Equal floats (0.0 == -0.0) and equal
+# containers ([1] == [True]) can encode differently, so they never are.
+_ONE_FORM = {int, str, bool, type(None)}
 
 
 def _scalar_form(kinds: set):
@@ -683,9 +694,14 @@ def _columnar(items: list, inner: str) -> list[str] | None:
     for anything _encode refuses, so the item-by-item path raises the error
     it always raised, at the first bad value.
 
-    Rows fill one %-template of their sorted keys from one encoded column
-    per key.  Rows of the first row's size that all hold its keys (a
-    missing one is a KeyError) have its key set."""
+    Rows fill one %-template of their sorted keys, so a row pays only for
+    the columns that differ between rows.  A column of one value of one
+    _ONE_FORM type is encoded once and written into the template (its %
+    doubled); an int column is a %d field that % formats from the ints
+    themselves; any other column is a %s field filled from its encoded
+    values: one map with a _scalar_form, _encode value by value otherwise.
+    Rows of the first row's size that all hold its keys (a missing one is a
+    KeyError) have its key set."""
     kinds = set(map(type, items))
     if kinds != {dict}:
         form = _scalar_form(kinds)
@@ -696,35 +712,41 @@ def _columnar(items: list, inner: str) -> list[str] | None:
     if not keys:
         return ["{}"] * len(items)
     indent = inner + "  "
+    fields: list[str] = []
+    columns: list[list] = []
     try:
-        names = sorted(keys)
-        template = "{" + ",".join(
-            f"{indent}{encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names
-        ) + inner + "}"
-        columns = [_column(list(map(itemgetter(name), items)), indent) for name in names]
+        for name in sorted(keys):
+            values = list(map(itemgetter(name), items))
+            kinds = set(map(type, values))
+            form = _scalar_form(kinds)
+            if len(kinds) == 1 and kinds <= _ONE_FORM and values.count(values[0]) == len(values):
+                field = form(values[0]).replace("%", "%%")
+            elif kinds == {int}:
+                field = "%d"
+                columns.append(values)
+            else:
+                field = "%s"
+                columns.append(list(map(form, values)) if form is not None else
+                               list(map(_encoded, values, itertools.repeat(indent))))
+            fields.append(f"{indent}{encode_basestring_ascii(name).replace('%', '%%')}: {field}")
+        template = "{" + ",".join(fields) + inner + "}"
+        if not columns:
+            return [template % ()] * len(items)
+        return list(map(template.__mod__, zip(*columns)))
     except (KeyError, TypeError, ValueError):
         return None
-    return list(map(template.__mod__, zip(*columns)))
 
 
-def _column(values: list, indent: str) -> list[str]:
-    """Each value encoded at ``indent``: one map over a column with a
-    _scalar_form, _encode value by value otherwise."""
-    form = _scalar_form(set(map(type, values)))
-    if form is not None:
-        return list(map(form, values))
-    encoded = []
-    for value in values:
-        parts: list[str] = []
-        _encode(value, indent, parts.append)
-        encoded.append("".join(parts))
-    return encoded
+def _encoded(value, indent: str) -> str:
+    """One value encoded at ``indent``."""
+    parts: list[str] = []
+    _encode(value, indent, parts.append)
+    return "".join(parts)
 
 
-def _round_fraction(value: Fraction, places: int = 6) -> str:
-    scaled = value.numerator * 10**places
-    q, r = divmod(scaled, value.denominator)
-    if 2 * r >= value.denominator:
+def _round_fraction(numerator: int, denominator: int, places: int = 6) -> str:
+    q, r = divmod(numerator * 10**places, denominator)
+    if 2 * r >= denominator:
         q += 1
     whole, frac = divmod(q, 10**places)
     return f"{whole}.{frac:0{places}d}"
@@ -739,19 +761,24 @@ def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
     mode."""
     resources = static_resources(plan.circuit)
     entries = _run_cases(plan.circuit, resources.measurement_count, cases, transcript, fail_fast)
-    executed = [e for e in entries if not e["skipped"]]
-    failures = [e["index"] for e in executed if _failing(e)]
-    nc_sum = sum(e["executed_non_clifford"] for e in executed)
-    avg_nc = Fraction(nc_sum, len(executed)) if executed else Fraction(0)
+    executed = len(entries) - sum(map(itemgetter("skipped"), entries))
+    failures = [e["index"] for e in entries
+                if not (e["skipped"] or (e["output_ok"] and e["phase_ok"]))]
+    # A skipped entry counts 0 executed gates.
+    nc_sum = sum(map(itemgetter("executed_non_clifford"), entries))
+    # The average as a reduced fraction, 0/1 when nothing ran.
+    divisor = math.gcd(nc_sum, executed)
+    avg_nc = (nc_sum // divisor, executed // divisor) if executed else (0, 1)
 
     violations: list[str] = []
-    if spec.max_avg_non_clifford is not None and avg_nc > Fraction(
-        str(spec.max_avg_non_clifford)
-    ):
-        violations.append(
-            f"average executed non-Clifford {float(avg_nc):.3f} exceeds "
-            f"{spec.max_avg_non_clifford}"
-        )
+    if spec.max_avg_non_clifford is not None:
+        from fractions import Fraction
+
+        if Fraction(*avg_nc) > Fraction(str(spec.max_avg_non_clifford)):
+            violations.append(
+                f"average executed non-Clifford {avg_nc[0] / avg_nc[1]:.3f} exceeds "
+                f"{spec.max_avg_non_clifford}"
+            )
     if spec.max_qubits is not None and resources.qubit_count > spec.max_qubits:
         violations.append(f"qubit count {resources.qubit_count} exceeds {spec.max_qubits}")
     if spec.max_total_ops is not None and resources.total_gate_count > spec.max_total_ops:
@@ -764,6 +791,8 @@ def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
 
     tolerated = 0
     if spec.allow_failures:
+        from fractions import Fraction
+
         tolerated = math.floor(Fraction(str(spec.tolerated_failure_fraction)) * len(entries))
     verdict = "pass" if len(failures) <= tolerated and not violations else "fail"
 
@@ -775,16 +804,16 @@ def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
         "protocol": _PROTOCOL_HEADER,
         "spec": spec.to_dict(),
         "test_count": len(entries),
-        "executed_tests": len(executed),
-        "skipped_exceptional": len(entries) - len(executed),
+        "executed_tests": executed,
+        "skipped_exceptional": len(entries) - executed,
         "failures": len(failures),
         "failure_indices": failures,
         "tolerated_failures": tolerated,
         "tests": entries,
         "avg_executed_non_clifford": {
-            "numerator": avg_nc.numerator,
-            "denominator": avg_nc.denominator,
-            "rounded": _round_fraction(avg_nc),
+            "numerator": avg_nc[0],
+            "denominator": avg_nc[1],
+            "rounded": _round_fraction(*avg_nc),
         },
         "static_resources": resources.as_dict(),
         "peak_qubits": resources.qubit_count,
@@ -797,7 +826,8 @@ def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
     body = _canonical_json(data)
     data["report_digest"] = digest = hashlib.sha256(body).hexdigest()
     at = body.index(b'\n  "skipped_exceptional": ')
-    sealed = b"".join((body[:at], b'\n  "report_digest": "%s",' % digest.encode(), body[at:]))
+    view = memoryview(body)
+    sealed = b"".join((view[:at], b'\n  "report_digest": "%s",' % digest.encode(), view[at:]))
     return VerificationReport(data=data, sealed=sealed)
 
 

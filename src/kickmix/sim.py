@@ -233,7 +233,9 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
     conditioned on cb, so its set bits are the slots whose two halves of
     measurement cb disagree.  A parity conditioned on value 0 also goes into
     the zero-branch plane.  Only the non-zero planes are visited after the
-    gate loop, in bit order."""
+    gate loop, in bit order.  When neither the zero-branch plane nor any
+    measured bit's plane is set, every lane's sign is +1 and the sign column
+    is made with no per-lane scan."""
     facts = circuit.facts
     top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
     table, index, numbers = circuit.program
@@ -324,10 +326,14 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         reads.append((bits, outputs, verdict, () if outcomes else tuple(defects.get(s, ()))))
 
     lanes = len(lane_slot)
-    columns = [[None] * lanes if words is None else [
-        -1 if (zero >> s) & 1 ^ ((w & defect_words.get(s, 0)).bit_count() & 1) else 1
-        for s, w in zip(lane_slot, words)
-    ]]
+    if words is None:
+        signs = [None] * lanes
+    elif zero or defect_words:
+        signs = [-1 if (zero >> s) & 1 ^ ((w & defect_words.get(s, 0)).bit_count() & 1) else 1
+                 for s, w in zip(lane_slot, words)]
+    else:  # no sign plane is set: +1 on every branch of every lane
+        signs = [1] * lanes
+    columns = [signs]
     for constant, steps in facts.executed:
         column = [constant] * lanes
         for step, mask in () if words is None else steps:

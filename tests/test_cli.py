@@ -855,19 +855,27 @@ def test_estimate_takes_only_json_numbers_as_success_sweep_bounds(
     assert not out.exists() and not csv.exists()
 
 
-def test_a_success_sweep_bound_from_a_string_attack_field_is_a_usage_error(
-    tmp_path, capsys
+@pytest.mark.parametrize("flags", [(), ("-o",), ("--success-csv",), ("-o", "--success-csv")],
+                         ids=["stdout", "-o", "--success-csv", "-o --success-csv"])
+@pytest.mark.parametrize("scenario, message", [
+    ({"attack": {"attack_time": "540", "mean_block_interval": 600}},
+     "bad attack section: attack_time must be a real number, got '540'"),
+    ({"machine": {"reaction_time": "1e-5", "round_time": 1e-6}, "attack": _ATTACK},
+     "bad machine section: reaction_time must be a real number, got '1e-5'"),
+], ids=["attack_time 540", "reaction_time 1e-5"])
+def test_estimate_refuses_a_numeric_string_where_a_field_needs_a_number(
+    tmp_path, capsys, scenario, message, flags
 ) -> None:
-    """The cost model takes "540" as an attack time; the sweep's default
-    bounds, worked out from it, are refused in one line, not a traceback."""
-    path = _write_scenario(tmp_path, {"attack": {"attack_time": "540",
-                                                 "mean_block_interval": 600}})
-    out, csv = tmp_path / "out.json", tmp_path / "s.csv"
-    assert main(["estimate", str(path), "-o", str(out), "--success-csv", str(csv)]) == 2
-    err = capsys.readouterr().err
-    _one_short_line(err)
-    assert err.endswith("success_sweep from and to must be numbers\n")
-    assert not out.exists() and not csv.exists()
+    """A JSON string is no number, though Fraction would read "540"."""
+    path = _write_scenario(tmp_path, scenario)
+    files = {"-o": tmp_path / "out.json", "--success-csv": tmp_path / "s.csv"}
+    argv = ["estimate", str(path)]
+    for flag in flags:
+        argv += [flag, str(files[flag])]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not any(file.exists() for file in files.values())
 
 
 def test_estimate_cuts_long_scenario_strings(tmp_path, capsys) -> None:
@@ -879,9 +887,11 @@ def test_estimate_cuts_long_scenario_strings(tmp_path, capsys) -> None:
     for scenario, shown in (
         ({"attack": attack, "success_sweep": {"from": long}},
          "success_sweep from and to must be numbers\n"),
-        ({"machine": machine, "t_rate": long}, f"'{cut}' is not a number\n"),
+        ({"machine": machine, "t_rate": long},
+         f"t_rate must be a real number, got '{'x' * 19}…\n"),
         ({"machine": {**machine, "reaction_time": long}},
-         f"bad machine section: '{cut}' is not a number\n"),
+         f"bad machine section: reaction_time must be a real number, got '{'x' * 19}…\n"),
+        ({"machine": machine, "t_rate": [long]}, f'"[{repr(long)[:19]}…" is not a number\n'),
         ({"ecdlp": {**ecdlp, long: 1}}, f"unknown ecdlp field(s): {cut}\n"),
         ({"attack": {**attack, long: 1}}, f"unknown attack field(s): {cut}\n"),
         ({"attack": attack, "wallets": [{"balance": 1, long: 1}]},

@@ -1009,6 +1009,12 @@ _COLUMNS = [
     st.floats(allow_nan=False, allow_infinity=False),
     st.lists(st.integers(), max_size=3) | st.just("inf"),
     _JSON_TREES,
+    # Constant columns, and equal values that encode differently.
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([[1], [True]]),
+    st.just("%s"),
+    st.just(None),
+    st.just(7),
 ]
 
 
@@ -1042,6 +1048,39 @@ def test_canonical_json_encodes_rows_and_scalar_lists_like_json_dumps(rows, scal
 
 class _Colour(enum.IntEnum):
     RED = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[{"s": text, "i": i} for i in range(3)] for text in ("%", "%s", "%%", "a%(b)s%d")] + [
+        [{"n": 7, "i": 0}, {"n": 7, "i": 1}],
+        [{"b": True, "i": 0}, {"b": True, "i": 1}],
+        [{"b": False, "z": None, "s": "é"}, {"b": False, "z": None, "s": "é"}],
+        [{"z": None, "i": 5}, {"z": None, "i": 6}],
+        # Equal values of one column that encode differently.
+        [{"a": 0.0}, {"a": -0.0}],
+        [{"a": [1]}, {"a": [True]}],
+        [{"a": 1}, {"a": True}],
+        [{"a": 1.0, "i": 0}, {"a": 1.0, "i": 1}],
+        [{"a": {"x": [1]}}, {"a": {"x": [True]}}],
+        # Two rows whose columns are all constant, one with % in its key.
+        [{"%": "%s", "n": 7, "t": True, "z": None}] * 2,
+        [{"%": 0, "q": "q"}, {"%": 0, "q": "q"}],
+        [{"n": 2**64, "%d": -(2**64)}] * 3,
+    ],
+)
+def test_canonical_json_writes_one_value_columns_into_the_row_template(value) -> None:
+    for tree in (value, {"tests": value}, [value, value]):
+        assert harness._canonical_json(tree) == (
+            json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        ).encode()
+
+
+def test_canonical_json_refuses_a_one_value_int_enum_column() -> None:
+    with pytest.raises(TypeError, match="_Colour has no canonical JSON form"):
+        harness._canonical_json([{"a": _Colour.RED, "i": 0}, {"a": _Colour.RED, "i": 1}])
+    with pytest.raises(TypeError, match="_Colour has no canonical JSON form"):
+        harness._canonical_json([{"a": _Colour.RED}] * 2)
 
 
 _ROWS = [{"index": i, "scalar": i * i, "ok": i % 2 == 0, "x": float(i)} for i in range(6)]

@@ -15,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickmix import sim
+from kickmix import harness, sim
 from kickmix import (
     Circuit,
     Gate,
     Register,
     check_phase_all_branches,
+    mutate,
     run,
     run_all_measurement_branches,
     run_lanes,
+    spec_for_circuit,
 )
 
 _ARITY = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
@@ -333,3 +335,28 @@ def test_a_lane_with_bad_inputs_raises_what_it_raises_alone() -> None:
     # True == 1, but a bool lane in its own mapping has its own slot and runs like int 1.
     flags = run_lanes(circuit, [{"a": 1}, {"a": True}], [0, 0])
     assert flags[0] == flags[1] and flags[1].outputs == {"a": 3}
+
+
+@pytest.mark.parametrize("seed, defects", [(None, False), (4, True), (5, False)],
+                         ids=["clean", "mutant 4, phase defects", "mutant 5, zero-branch plane"])
+def test_a_p11_pass_gives_each_lane_the_sign_of_its_own_run(pointadd11, pointadd11_bytes,
+                                                            seed, defects) -> None:
+    """A clean pass sets no sign plane, so its sign column is all +1; a
+    mutant's planes give each lane the sign of its own run."""
+    circuit = pointadd11.circuit if seed is None else mutate(pointadd11.circuit, seed)
+    plan = harness._resolve(circuit, spec_for_circuit(circuit))
+    transcript = harness._derive(pointadd11_bytes, plan, 300)
+    ran = [(entry, case) for entry, case in harness._transcript_cases(plan, transcript) if case]
+    inputs = [inputs for _, (inputs, _) in ran]
+    m = len(circuit.facts.measured)
+    words = transcript.measurement_words([entry["index"] for entry, _ in ran], m)
+    _, reads, (signs, _, _) = sim._lane_pass(circuit, inputs, words)
+    assert any(read[3] for read in reads) == defects
+    assert all(read[2] for read in reads) == (seed is None)
+    runs = [run(circuit, i, [(w >> (m - 1 - b)) & 1 for b in range(m)]).phase
+            for i, w in zip(inputs, words)]
+    assert signs == runs
+    if seed is None:
+        assert signs == [1] * len(inputs)
+    else:
+        assert -1 in signs

@@ -286,3 +286,27 @@ def test_a_process_runs_every_command_without_dataclasses_inspect_or_pathlib(
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
     assert json.loads(report.read_bytes())["report_digest"] == GOLDEN["p11-transcript"]
+
+
+# The report digest of the p11 point adder checked on its whole domain.
+_P11_EXHAUSTIVE = "b37e3ed9136f8140d39a72fabcc615014f41a2b2afa1d10d876dfc59bf67d9c8"
+
+
+def test_an_exhaustive_verify_runs_without_fractions_or_decimal(
+    pointadd11, pointadd11_bytes, tmp_path
+) -> None:
+    """Only a sampled plan and a spec's decimal face values need exact
+    fractions; an exhaustive verify averages its counts on plain ints."""
+    circuit, spec, report = tmp_path / "p11.kmx", tmp_path / "spec.json", tmp_path / "report.json"
+    circuit.write_bytes(pointadd11_bytes)
+    spec.write_text(json.dumps(spec_for_circuit(
+        pointadd11.circuit, test_count=0, tolerated_failure_fraction=0).to_dict()))
+    argvs = [["verify", str(circuit), "--spec", str(spec), "--exhaustive", "-o", str(report)]]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _CHILD, json.dumps(argvs), "fractions", "decimal"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0], []]
+    assert json.loads(report.read_bytes())["report_digest"] == _P11_EXHAUSTIVE
