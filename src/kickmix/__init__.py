@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "sim": (
         "LaneResult", "RngExhausted", "RunResult",
-        "check_phase_all_branches", "run", "run_all_measurement_branches", "run_lanes",
+        "check_phase_all_branches", "run", "run_all_measurement_branches",
     ),
     "builders": (
         "BuildReport", "build_adder", "build_lookup", "build_mod_add_const",

@@ -426,19 +426,17 @@ def _address_node(em: _Emitter, address: Sequence[int], apply_leaf, ctrl: int,
     em.drop_temp_and(t, ctrl, bit)
 
 
-def build_lookup(
-    table: Sequence[int], window: int | None = None, entry_bits: int | None = None
-) -> BuildReport:
-    """Table read: |k>|0> -> |k>|table[k]>.
+def build_lookup(table: Sequence[int], entry_bits: int | None = None) -> BuildReport:
+    """Table read: |k>|0> -> |k>|table[k]>, with a window of w address bits
+    for a table of 2^w entries.
 
     Walks the address space with the iteration tree above and copies each
     entry's bits into the value register under the leaf indicator.  Costs
     exactly 2^w - 2 CCX; a 1-bit window is a single (conjugated) controlled
     copy with no CCX at all."""
-    if window is None:
-        window = (len(table) - 1).bit_length() if len(table) > 1 else 1
-    if not 1 <= window <= MAX_LOOKUP_WINDOW:
-        raise ValueError(f"window must be in 1..{MAX_LOOKUP_WINDOW}, got {_shown(window)}")
+    window = (len(table) - 1).bit_length() if len(table) > 1 else 1
+    if window > MAX_LOOKUP_WINDOW:
+        raise ValueError(f"window must be in 1..{MAX_LOOKUP_WINDOW}, got {window}")
     if len(table) != 1 << window:
         raise ValueError(
             f"table length {len(table)} does not match window {window} "

@@ -47,8 +47,9 @@ grinding margin.
 Structural rules enforced on every circuit:
 
 * ``inputs``, ``outputs`` and ``gates`` are tuples or lists (checked by
-  ``Circuit.__init__`` before it makes them tuples), ``metadata`` a
-  dict; every ``inputs``/``outputs`` entry is a :class:`Register` and every
+  ``Circuit.__init__`` before it makes them tuples), ``metadata`` a dict
+  (kept as a read-only view of the circuit's own copy); every
+  ``inputs``/``outputs`` entry is a :class:`Register` and every
   ``gates`` entry a :class:`Gate`; counts, register bounds, operands and
   classical bits are exact ints, names and metadata exact strs;
 * gate operands are distinct, in-range qubit indices;
@@ -102,6 +103,7 @@ import re
 from collections import Counter
 from functools import partial
 from itertools import chain, compress
+from types import MappingProxyType
 from typing import NamedTuple
 
 __all__ = [
@@ -224,7 +226,10 @@ class _Record:
     (its ``__slots__`` may hold more, never compared or shown); equality
     (same type, equal fields), hash, repr, ``_replace`` and ``_asdict`` read
     them off it.  Each record's ``__init__`` sets its slots with ``_set`` and
-    checks them; nothing can assign or delete one afterwards."""
+    checks them; nothing can assign or delete one afterwards.  A dict field
+    that must not change is kept as a read-only view of a copy of its own
+    (``MappingProxyType``); ``_asdict``, ``_replace``, copy and pickle hand
+    it on as a plain dict."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -255,16 +260,20 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._values()
+        return type(self), tuple(self._asdict().values())
 
     def _replace(self, **changes):
         """A copy with some fields changed; __init__ checks it again."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        return type(self)(**{**self._asdict(), **changes})
 
     def _asdict(self) -> dict:
-        """The fields by name, each dict or list value a copy of its own."""
-        return {name: value.copy() if type(value) in (dict, list) else value
+        """The fields by name, each dict, list or read-only view a plain copy
+        of its own."""
+        return {name: value.copy() if type(value) in _COPIED else value
                 for name, value in zip(self._fields, self._values())}
+
+
+_COPIED = (dict, list, MappingProxyType)  # MappingProxyType.copy() is a dict
 
 
 class Register(_Record):
@@ -386,7 +395,7 @@ def _positions(table: list[Gate], index: list[int], stop: int):
     return compress(range(stop), map(carries.__getitem__, index))
 
 
-_NO_METADATA: dict[str, str] = {}  # Circuit's default, never stored: each gets a fresh {}
+_NO_METADATA: dict[str, str] = {}  # Circuit's default, never stored: each gets a copy
 
 
 class Circuit(_Record):
@@ -409,8 +418,9 @@ class Circuit(_Record):
             if type(value) not in (tuple, list):
                 raise CircuitError(f"circuit {name} of type {_shown(type(value).__name__)}, "
                                    "not tuple or list")
+        _exact(metadata, dict, "metadata")
         self._set(qubit_count, classical_bit_count, tuple(inputs), tuple(outputs), tuple(gates),
-                  {} if metadata is _NO_METADATA else metadata)
+                  MappingProxyType(dict(metadata)))
         object.__setattr__(self, "facts", self._validate(None))
 
     def __getattr__(self, name: str):
@@ -506,7 +516,6 @@ class Circuit(_Record):
             kind, qubits, cbit, condition = table[bad]
             raise CircuitError(_operand_error(stop, kind, qubits, self.qubit_count)
                                or _bit_error(kind, cbit, condition), gate=stop)
-        _exact(self.metadata, dict, "metadata")
         for key, value in self.metadata.items():
             _exact(key, str, "metadata key")
             _exact(value, str, f"metadata value for {_shown(key)!r}")
@@ -603,7 +612,7 @@ def _made(qubit_count, classical_bit_count, inputs, outputs, table, index, chunk
     them).  Its ``gates`` are built when first read."""
     circuit = Circuit.__new__(Circuit)
     circuit._set(qubit_count, classical_bit_count, inputs, outputs)  # the fields before gates
-    object.__setattr__(circuit, "metadata", metadata)
+    object.__setattr__(circuit, "metadata", MappingProxyType(metadata))
     walked = Program(table, index, chain.from_iterable(_converted(chunks)))
     object.__setattr__(circuit, "facts", circuit._validate(walked))
     numbers = chunks[0] if chunks else []

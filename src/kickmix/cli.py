@@ -138,33 +138,52 @@ def _parse_point(curve: CurveParams, text: str) -> CurvePoint:
 # build
 
 
+# Each builder's options: those it requires, then those it may take.
+_BUILDER_OPTIONS = {
+    "temp-and": ((), ()),
+    "adder": (("width",), ()),
+    "mod-add": (("width", "constant", "modulus"), ()),
+    "lookup": (("table",), ("entry_bits",)),
+    "pointadd": (("curve", "point"), ()),
+    "windowed-pointadd": (("curve", "point", "window"), ()),
+}
+_EVERY_OPTION = dict.fromkeys(n for req, opt in _BUILDER_OPTIONS.values() for n in req + opt)
+
+
+def _flags(names: list[str]) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     from . import builders  # here, not at the top: verify starts without it
+
+    if args.builder not in _BUILDER_OPTIONS:
+        raise _UsageError(f"unknown builder {_shown(args.builder)!r}")
+    required, optional = _BUILDER_OPTIONS[args.builder]
+    missing = [n for n in required if getattr(args, n) is None]
+    if missing:
+        raise _UsageError(f"builder {args.builder!r} requires {_flags(missing)}")
+    extra = [n for n in _EVERY_OPTION if n not in required + optional
+             and getattr(args, n) is not None]
+    if extra:
+        raise _UsageError(f"builder {args.builder!r} does not take {_flags(extra)}")
 
     if args.builder == "temp-and":
         report = builders.build_temp_and()
     elif args.builder == "adder":
-        _require(args, "width")
         report = builders.build_adder(args.width)
     elif args.builder == "mod-add":
-        _require(args, "width", "constant", "modulus")
         report = builders.build_mod_add_const(args.width, args.constant, args.modulus)
     elif args.builder == "lookup":
-        _require(args, "table")
         table = _parse_table(args.table)
         report = builders.build_lookup(table, entry_bits=args.entry_bits)
-    elif args.builder == "pointadd":
-        _require(args, "curve", "point")
-        curve = named_curve(args.curve)
-        base = _parse_point(curve, args.point)
-        report = builders.build_pointadd_permutation(curve, base)
-    elif args.builder == "windowed-pointadd":
-        _require(args, "curve", "point", "window")
-        curve = named_curve(args.curve)
-        base = _parse_point(curve, args.point)
-        report = builders.build_windowed_pointadd(curve, base, args.window)
     else:
-        raise _UsageError(f"unknown builder {_shown(args.builder)!r}")
+        curve = named_curve(args.curve)
+        base = _parse_point(curve, args.point)
+        if args.builder == "pointadd":
+            report = builders.build_pointadd_permutation(curve, base)
+        else:
+            report = builders.build_windowed_pointadd(curve, base, args.window)
 
     _check_writable(args.output, "circuit file")
     _check_writable(args.output + ".json", "sidecar file")
@@ -173,13 +192,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     for line, value in report.predicted.as_dict().items():
         print(f"{_LABELS[line]}: {value}")
     return 0
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise _UsageError(f"builder {args.builder!r} requires {flags}")
 
 
 def _parse_table(text: str) -> list[int]:

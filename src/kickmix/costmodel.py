@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .circuit import _Record, _shown
 
@@ -43,8 +43,6 @@ __all__ = [
     "t_factory_qubits",
     "magic_limited_key_time",
     "onspend_success",
-    "partition_reference",
-    "partition_even",
     "multi_machine_speedup",
     "salvage_timeline",
 ]
@@ -287,35 +285,21 @@ def onspend_success(scenario: AttackScenario) -> float:
 # The one published multi-machine data point: 11 machines bring a 208-addition
 # schedule down to 32 additions each.  The partition scheme behind it is not
 # derivable from the number pair alone, so it is pinned as a lookup and
-# everything else falls back to an even ceil split.
+# everything else gets an even ceil split.
 _PINNED_PARTITION = {(11, 208): 32}
 
 
-def partition_even(machines: int, total_additions: int) -> int:
-    """Even split, rounded up: each machine runs ceil(total/machines)."""
+def multi_machine_speedup(machines: int, total_additions: int):
+    """How much faster the machine pool finishes than one machine:
+    total_additions / per-machine additions, where a machine's share is the
+    pinned published schedule point if there is one, else
+    ceil(total_additions / machines)."""
     if machines < 1:
         raise ValueError("machines must be >= 1")
     if total_additions < 1:
         raise ValueError("total_additions must be >= 1")
-    return -(-total_additions // machines)
-
-
-def partition_reference(machines: int, total_additions: int) -> int:
-    """Pinned published schedule points, falling back to the even split."""
-    pinned = _PINNED_PARTITION.get((machines, total_additions))
-    return pinned if pinned is not None else partition_even(machines, total_additions)
-
-
-def multi_machine_speedup(
-    machines: int,
-    total_additions: int,
-    partition: Callable[[int, int], int] = partition_reference,
-):
-    """How much faster the machine pool finishes than one machine:
-    total_additions / per-machine additions under the given partition."""
-    per_machine = partition(machines, total_additions)
-    if per_machine < 1:
-        raise ValueError("partition produced a nonpositive per-machine share")
+    per_machine = _PINNED_PARTITION.get((machines, total_additions),
+                                        -(-total_additions // machines))
     return _as_number(Fraction(total_additions, per_machine))
 
 

@@ -51,6 +51,7 @@ import itertools
 import math
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .circuit import Circuit, _Record, _shown, parse, static_resources
@@ -197,7 +198,8 @@ class VerificationSpec(_Record):
     """What to verify and under which budgets.
 
     registers maps roles (accumulator_x, accumulator_y, optional window,
-    optional addend_x/addend_y) to the circuit's register names.
+    optional addend_x/addend_y) to the circuit's register names; the spec
+    keeps a read-only view of its own copy.
     base_source selects where the fixed addend comes from: the circuit's
     'base' metadata, or the curve generator.  max_avg_non_clifford bounds
     the *average executed* CCX+CCZ count per test; max_qubits and
@@ -210,8 +212,6 @@ class VerificationSpec(_Record):
                  tolerated_failure_fraction: float = 0.01, security_bits: int = 128,
                  max_avg_non_clifford: float | None = None, max_qubits: int | None = None,
                  max_total_ops: int | None = None, allow_failures: bool = False) -> None:
-        if registers is _DEFAULT_REGISTERS:
-            registers = dict(registers)
         self._set(curve, test_count, registers, base_source, tolerated_failure_fraction,
                   security_bits, max_avg_non_clifford, max_qubits, max_total_ops, allow_failures)
         for name, (types, what) in _SPEC_FIELDS.items():
@@ -219,6 +219,7 @@ class VerificationSpec(_Record):
             if not _fits(value, types):
                 raise HarnessError(f"spec field {name!r} must be {what}, "
                                    f"got {_shown(type(value).__name__)}")
+        object.__setattr__(self, "registers", MappingProxyType(dict(self.registers)))
         if not 0 <= self.test_count <= MAX_TEST_COUNT:
             raise HarnessError(
                 f"test_count must be >= 0 and at most {MAX_TEST_COUNT}, "
@@ -314,14 +315,10 @@ class Transcript(_Record):
                     yield (byte >> shift) & 1
             start, end = end, 2 * end
 
-    def measurement_word(self, index: int, count: int) -> int:
-        """The first count bits of test index's measurement stream as one
-        big-endian int: the stream's first bit is the most significant."""
-        return self.measurement_words((index,), count)[0]
-
     def measurement_words(self, indices: Iterable[int], count: int) -> list[int]:
-        """measurement_word(index, count) for each index, with the seed
-        prefix decoded once."""
+        """For each index, the first count bits of that test's measurement
+        stream as one big-endian int (the stream's first bit is the most
+        significant), with the seed prefix decoded once."""
         prefix, shake, word = bytes.fromhex(self.commitment), hashlib.shake_256, int.from_bytes
         size, shift = (count + 7) // 8, -count % 8
         return [word(shake(prefix + i.to_bytes(8, "big")).digest(size), "big") >> shift

@@ -18,13 +18,9 @@ runs reproducible and lets callers enumerate outcome branches exhaustively.
 For circuits whose conditioned gates are all diagonal, the branch space
 factorizes per measurement, and :func:`check_phase_all_branches` delivers an
 exact all-branch verdict from a single instrumented pass — no enumeration.
-:func:`run_lanes` makes that pass for many inputs at once, one bit per slot
-in each qubit's int; lanes share a slot exactly when they hold one inputs
-object.  It reads outputs once per slot, and each lane's exact sign and
-executed counts on its own sampled branch as columns (which a conditioned
-X/CX/CCX follows lane by lane, one slot per lane); its LaneResults are the
-one-lane view.  The pass reads the circuit's program; :func:`run` stays the
-reference, over its gates.
+That pass, :func:`_lane_pass`, runs many inputs at once and states its
+algebra.  It reads the circuit's program; :func:`run` stays the reference,
+over its gates.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ __all__ = [
     "RunResult",
     "LaneResult",
     "run",
-    "run_lanes",
     "run_all_measurement_branches",
     "check_phase_all_branches",
     "DEFAULT_BRANCH_LIMIT",
@@ -186,26 +181,21 @@ def run_all_measurement_branches(
 
 
 class LaneResult(_Record):
-    """One lane of :func:`run_lanes`.
+    """The verdict of :func:`check_phase_all_branches` on one input.
 
     outputs and final_bits hold on every measurement branch.
-    phase_always_plus_one and phase_defects (the classical bits whose r=0 and
-    r=1 halves disagree) are the all-branch verdict of
-    :func:`check_phase_all_branches` (None and () for a circuit with a
-    conditioned X/CX/CCX, whose branch space does not factorize).
-    phase is the sign on the lane's own branch (None without a stream word);
-    the executed counts are taken on that branch, or on the all-zeros branch
-    without a stream word.
+    phase_always_plus_one says whether the sign is +1 on every branch, and
+    phase_defects are the classical bits whose r=0 and r=1 halves disagree.
+    The executed counts are those of the all-zeros branch.
     """
 
-    __slots__ = _fields = ("outputs", "phase", "phase_always_plus_one", "phase_defects",
+    __slots__ = _fields = ("outputs", "phase_always_plus_one", "phase_defects",
                            "executed_total", "executed_non_clifford", "final_bits")
 
-    def __init__(self, outputs: dict[str, int], phase: int | None,
-                 phase_always_plus_one: bool | None, phase_defects: tuple[int, ...],
-                 executed_total: int, executed_non_clifford: int,
-                 final_bits: tuple[int, ...]) -> None:
-        self._set(outputs, phase, phase_always_plus_one, phase_defects, executed_total,
+    def __init__(self, outputs: dict[str, int], phase_always_plus_one: bool,
+                 phase_defects: tuple[int, ...], executed_total: int,
+                 executed_non_clifford: int, final_bits: tuple[int, ...]) -> None:
+        self._set(outputs, phase_always_plus_one, phase_defects, executed_total,
                   executed_non_clifford, final_bits)
 
 
@@ -221,21 +211,48 @@ def _lane_planes(circuit: Circuit, slot_inputs: Sequence[Mapping[str, int]]) -> 
 
 def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
                words: Sequence[int] | None):
-    """The pass behind :func:`run_lanes`, in columns: (lane_slot, reads,
-    [phases, executed_total, executed_non_clifford]).  lane_slot[j] is lane
-    j's slot, numbered in order of first lane; reads[s] is slot s's
-    (final_bits, outputs, phase_always_plus_one, phase_defects), shared by
-    its lanes; each column holds one LaneResult field per lane.
+    """Simulate many basis-state runs in one bitwise pass (bitslicing), and
+    return them in columns: (lane_slot, reads, [signs, executed_total,
+    executed_non_clifford]).
 
-    It reads the circuit's program, a shape and (for a gate with a bit) a
-    classical-bit number per gate, and keeps one plane per measured bit:
-    planes[cb] is the measured plane XOR the parity of every diagonal gate
-    conditioned on cb, so its set bits are the slots whose two halves of
-    measurement cb disagree.  A parity conditioned on value 0 also goes into
-    the zero-branch plane.  Only the non-zero planes are visited after the
-    gate loop, in bit order.  When neither the zero-branch plane nor any
-    measured bit's plane is set, every lane's sign is +1 and the sign column
-    is made with no per-lane scan."""
+    Lanes map to slots, one per distinct inputs object: lanes that hold one
+    mapping share its slot, and equal mappings held apart get one each (so a
+    lane whose inputs are invalid raises what it raises alone).  lane_slot[j]
+    is lane j's slot, numbered in order of first lane.  Each qubit is one int
+    whose bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]`` for every
+    slot at once.  reads[s] is slot s's (final_bits, outputs,
+    phase_always_plus_one, phase_defects), read once and shared by its
+    lanes; each column holds one entry per lane.
+
+    The pass reads the circuit's program, a shape and (for a gate with a
+    bit) a classical-bit number per gate, and keeps one plane per measured
+    bit.  MX starts plane i, that of its bit c_i, with the measured plane v_i
+    and clears the qubit.  A diagonal gate XORs its parity into the
+    zero-branch plane, or into plane i when conditioned on c_i, and into
+    both when conditioned on c_i = 0.  So plane i is v_i ^ corr0_i ^ corr1_i
+    (corr0_i / corr1_i: the parities conditioned on c_i = 0 / 1), its set
+    bits are the slots whose two halves of measurement i disagree, and the
+    sign on branch r is
+
+        zero-branch plane  XOR  XOR_i r_i & plane_i.
+
+    So a slot is clean on every branch iff its bit is 0 in the zero-branch
+    plane and in every plane i, and its defects are the bits whose plane has
+    it.  Only the non-zero planes are visited after the gate loop, in bit
+    order.
+
+    words[j], when given, is lane j's measurement randomness: the first m
+    bits of its stream read as one big-endian int, so measurement i (in gate
+    order) is bit m-1-i.  Lane j's sign and executed counts are exact on
+    that branch; without words the signs are None and the counts are those
+    of the all-zeros branch.  When no sign plane is set, every lane's sign
+    is +1 and the sign column is made with no per-lane scan.
+
+    A conditioned X/CX/CCX acts only on the lanes whose own outcome matches
+    its condition, so every lane follows its own branch in a slot of its own
+    (the slot of lane j is j), and the sign formula still holds on it; the
+    all-branch verdict does not (the branch space no longer factorizes), so
+    it is None and ().  Without words such a gate raises ValueError."""
     facts = circuit.facts
     top = len(facts.measured) - 1  # measurement i is stream-word bit top - i
     table, index, numbers = circuit.program
@@ -342,76 +359,18 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
     return lane_slot, reads, columns
 
 
-def run_lanes(
-    circuit: Circuit,
-    lane_inputs: Sequence[Mapping[str, int]],
-    words: Sequence[int] | None = None,
-) -> list[LaneResult]:
-    """Simulate many basis-state runs in one bitwise pass (bitslicing).
-
-    Lanes map to slots, one per distinct inputs object: lanes that hold one
-    mapping share its slot, and equal mappings held apart get one each (so a
-    lane whose inputs are invalid raises what it raises alone).  Each qubit
-    is one int whose bit s holds slot s, so CCX is ``q[t] ^= q[a] & q[b]``
-    for every slot at once, and outputs, final bits and defects are read out
-    once per slot.
-    Data bits and defect planes depend only on the inputs, so each lane's
-    sign and executed counts come from its own stream word (below).
-
-    The planes are keyed by measured bit.  MX starts plane i, that of its
-    bit c_i, with the measured plane v_i and clears the qubit.  A diagonal
-    gate XORs its parity into the zero-branch plane, or into plane i when
-    conditioned on c_i, and into both when conditioned on c_i = 0.  So
-    plane i is v_i ^ corr0_i ^ corr1_i (corr0_i / corr1_i: the parities
-    conditioned on c_i = 0 / 1), and the sign on branch r is (see
-    :func:`check_phase_all_branches`)
-
-        zero-branch plane  XOR  XOR_i r_i & plane_i,
-
-    so a lane is clean on every branch iff its bit is 0 in the zero-branch
-    plane and in every plane i; its defects are the bits whose plane has it.
-
-    words[j], when given, is lane j's measurement randomness: the first m
-    bits of its stream read as one big-endian int, so measurement i (in gate
-    order) is bit m-1-i.  The lane's phase and executed counts are exact on
-    that branch.  A conditioned X/CX/CCX then acts only on the lanes whose
-    own outcome matches its condition, so every lane follows its own branch
-    in a slot of its own (the slot of lane j is j), and the sign formula
-    still holds on it; the all-branch verdict does not (the branch space no
-    longer factorizes), so it is None and ().  Without words such a gate
-    raises ValueError.
-
-    This is the one-lane view of the pass: a LaneResult per lane, with its
-    own copy of its slot's outputs.
-    """
-    lane_slot, reads, columns = _lane_pass(circuit, lane_inputs, words)
-    results = []
-    for s, phase, total, nc in zip(lane_slot, *columns):
-        bits, outputs, verdict, phase_defects = reads[s]
-        results.append(LaneResult(outputs=dict(outputs), phase=phase,
-                                  phase_always_plus_one=verdict, phase_defects=phase_defects,
-                                  executed_total=total, executed_non_clifford=nc,
-                                  final_bits=bits))
-    return results
-
-
 def check_phase_all_branches(circuit: Circuit, inputs: Mapping[str, int]) -> LaneResult:
     """Exact all-branch phase/output verdict from one instrumented pass.
 
     Requires every conditioned gate to be diagonal (Z/CZ/CCZ).  Then the data
-    bits never depend on measurement outcomes, and the total sign over a
-    branch splits into independent per-measurement factors:
-
-        sign(r) = (-1)^base * prod_i (-1)^[r_i*v_i + corr_i(r_i)]
-
-    where v_i is the measured bit and corr_i(r_i) the parity contributed by
-    diagonal gates conditioned on classical bit i.  The sign is +1 on every
-    one of the 2^m branches iff each measurement's two halves agree
-    (corr_i(0) == v_i + corr_i(1) mod 2) and the all-zeros branch is +1.
-
-    This is a one-lane :func:`run_lanes` call; its LaneResult is the verdict.
-    Cross-validated against brute-force branch enumeration in the test suite;
-    raises ValueError when a conditioned permutation gate makes it inapplicable.
+    bits never depend on measurement outcomes, and the sign over a branch
+    splits into independent per-measurement factors, so one
+    :func:`_lane_pass` over this input decides all 2^m branches; its
+    docstring states the algebra.  Cross-validated against brute-force
+    branch enumeration in the test suite; raises ValueError when a
+    conditioned permutation gate makes it inapplicable.
     """
-    [lane] = run_lanes(circuit, [inputs])
-    return lane
+    _, [(bits, outputs, verdict, defects)], (_, [total], [nc]) = _lane_pass(
+        circuit, [inputs], None)
+    return LaneResult(outputs=outputs, phase_always_plus_one=verdict, phase_defects=defects,
+                      executed_total=total, executed_non_clifford=nc, final_bits=bits)

@@ -170,11 +170,11 @@ def test_lookup_entry_bits_and_errors() -> None:
     with pytest.raises(ValueError, match=r"do not fit in 2 bit\(s\)"):
         build_lookup([4, 0], entry_bits=2)
     with pytest.raises(ValueError, match="does not match window"):
-        build_lookup([1, 2, 3], window=2)
+        build_lookup([1, 2, 3])
     with pytest.raises(ValueError, match="non-negative"):
         build_lookup([-1, 0])
     with pytest.raises(ValueError, match="window must be in 1..8"):
-        build_lookup(list(range(512)), window=9)
+        build_lookup(list(range(512)))
 
 
 def test_lookup_refuses_more_qubits_than_the_ceiling_before_building(monkeypatch) -> None:
@@ -462,7 +462,7 @@ _BUILDER_PINS = [
         None,
     ),
     (
-        (build_lookup, [0, 3, 1, 2], None, 3),
+        (build_lookup, [0, 3, 1, 2], 3),
         "c6009f50ac1bf4dba3aa9c44628688f5d5c986da657a46a1ba2090aa191708d3",
         "lookup",
         (6, 18, 2, 2),
@@ -646,7 +646,7 @@ def test_the_three_programs_of_a_circuit_give_its_facts(call) -> None:
     parsed = parse(data)
     assert not _gates_built(built) and not _gates_built(parsed)
     lowered = Circuit(built.qubit_count, built.classical_bit_count, built.inputs, built.outputs,
-                      built.gates, built.metadata)
+                      built.gates, dict(built.metadata))
     assert parsed.gates == built.gates and parsed == built == lowered
     assert parsed.facts == built.facts == lowered.facts == built.validate() == parsed.validate()
     assert data == _plain_serialize(built) == serialize(lowered)

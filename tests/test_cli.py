@@ -7,7 +7,9 @@ what a shell user sees without spawning subprocesses.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,72 @@ def test_build_rejects_bad_parameters(tmp_path, capsys) -> None:
     assert main(["build", "lookup", "-o", out, "--table", "1,2,three"]) == 2
     assert "table must be comma-separated integers" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())  # nothing half-written
+
+
+# A valid value for each builder option, and each builder's options, the
+# optional ones last.
+_OPTION_VALUES = {"--width": "4", "--constant": "3", "--modulus": "11", "--table": "1,0",
+                  "--entry-bits": "2", "--curve": "toy-p11-b7", "--point": "G", "--window": "1"}
+_TAKES = {
+    "temp-and": ((), ()),
+    "adder": (("--width",), ()),
+    "mod-add": (("--width", "--constant", "--modulus"), ()),
+    "lookup": (("--table",), ("--entry-bits",)),
+    "pointadd": (("--curve", "--point"), ()),
+    "windowed-pointadd": (("--curve", "--point", "--window"), ()),
+}
+
+
+def _build_argv(builder: str, out: str, options) -> list[str]:
+    return ["build", builder, "-o", out,
+            *(token for option in options for token in (option, _OPTION_VALUES[option]))]
+
+
+@pytest.mark.parametrize("builder", list(_TAKES))
+def test_a_builder_refuses_a_missing_option_and_one_it_does_not_take(
+    tmp_path, capsys, builder
+) -> None:
+    out = str(tmp_path / "x.kmx")
+    required, optional = _TAKES[builder]
+    for option in required:
+        assert main(_build_argv(builder, out, [o for o in required if o != option])) == 2
+        assert capsys.readouterr().err == f"error: builder {builder!r} requires {option}\n"
+    for option in _OPTION_VALUES.keys() - {*required, *optional}:
+        assert main(_build_argv(builder, out, [*required, option])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: builder {builder!r} does not take {option}\n"
+        assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+    assert main(_build_argv(builder, out, [*required, *optional])) == 0
+    assert main(_build_argv(builder, out, required)) == 0
+
+
+def test_a_builder_names_every_option_it_does_not_take(tmp_path, capsys) -> None:
+    out = str(tmp_path / "x.kmx")
+    for argv, message in (
+        (["build", "lookup", "--table", "1,0", "--window", "7", "-o", out],
+         "builder 'lookup' does not take --window"),
+        (["build", "temp-and", "--width", "9", "--curve", "secp256k1", "-o", out],
+         "builder 'temp-and' does not take --width, --curve"),
+        # a missing option is named before one the builder does not take
+        (["build", "adder", "--window", "2", "-o", out], "builder 'adder' requires --width"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_benchmark_builds_with_only_options_its_builder_takes(monkeypatch) -> None:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        argv = workload.build_args(0, "x.kmx")
+        required, optional = _TAKES[argv[1]]
+        given = {token for token in argv if token.startswith("--")}
+        assert set(required) <= given <= {*required, *optional}
 
 
 def test_integer_options_take_one_spelling(tmp_path, capsys) -> None:
@@ -543,7 +611,6 @@ def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
         ["verify", "x.kmx", "--spec", "s.json", f"--exhaustive={long}"],
         ["verify", "x.kmx", "--spec", "s.json", "--jobs", f"-{nines}"],
         ["build", "adder", "-o", out, f"--wi={long}"],
-        ["build", "adder", "-o", out, f"-h{long}"],
         ["build", "adder", "-o", out, "--width", nines],
         ["build", "mod-add", "-o", out, "--width", "4", "--constant", nines, "--modulus", "5"],
         ["build", "mod-add", "-o", out, "--width", "4", "--constant", "1", "--modulus", nines],
@@ -556,6 +623,18 @@ def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "\u2026" in captured.err and len(captured.err) < 200 and captured.out == ""
+    # a value glued to -h: argparse refuses it before 3.13, and runs -h from 3.13 on
+    argv = ["build", "adder", "-o", out, f"-h{long}"]
+    if sys.version_info < (3, 13):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: argument -h/--help: ignored explicit "
+                                           "argument 'yyyyyyyyyyyyyyyyyyyy\u2026'\n")
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: kickmix build") and captured.err == ""
     assert not list(tmp_path.iterdir())
     # a file path is cut too, whether it cannot be read or written
     assert main(["build", "temp-and", "-o", out]) == 0

@@ -26,7 +26,6 @@ from kickmix import (
     t_production_rate,
     windowed_addition_count,
 )
-from kickmix.costmodel import partition_even, partition_reference
 
 # 256-bit run, 16-bit windows: ceil(512/16) - 4 = 28 windowed additions,
 # each costing the point-addition core plus a 3 * 2^16 = 196,608 lookup.
@@ -221,23 +220,19 @@ def test_onspend_success_scales_with_machines_and_time() -> None:
 
 
 def test_partitions_and_speedup() -> None:
-    assert partition_even(11, 208) == 19
-    assert partition_even(4, 208) == 52
-    assert partition_even(3, 208) == 70  # rounds up
-    assert partition_reference(11, 208) == 32  # the published schedule
-    assert partition_reference(4, 208) == 52  # falls back to the even split
-
+    # the published schedule: 11 machines run 32 of 208 additions each
     assert multi_machine_speedup(11, 208) == 6.5
+    # everything else is the even split, rounded up
     assert multi_machine_speedup(1, 208) == 1
     assert multi_machine_speedup(2, 208) == 2
-    assert multi_machine_speedup(11, 208, partition=partition_even) == pytest.approx(208 / 19)
-    assert multi_machine_speedup(11, 208, partition=lambda m, t: 16) == 13
-    with pytest.raises(ValueError, match="nonpositive per-machine share"):
-        multi_machine_speedup(11, 208, partition=lambda m, t: 0)
+    assert multi_machine_speedup(4, 208) == 4  # 52 each
+    assert multi_machine_speedup(3, 208) == pytest.approx(208 / 70)  # rounds up
+    assert multi_machine_speedup(11, 209) == 11  # 19 each: only (11, 208) is pinned
+    assert multi_machine_speedup(300, 208) == 208  # one each
     with pytest.raises(ValueError, match="machines must be >= 1"):
-        partition_even(0, 208)
+        multi_machine_speedup(0, 208)
     with pytest.raises(ValueError, match="total_additions must be >= 1"):
-        partition_even(3, 0)
+        multi_machine_speedup(3, 0)
 
 
 def test_salvage_timeline_frozen_curve() -> None:

@@ -791,7 +791,7 @@ def test_verify_builds_no_lane_result(pointadd11, monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a LaneResult")
 
-    monkeypatch.setattr(sim, "run_lanes", refuse)
+    monkeypatch.setattr(sim, "check_phase_all_branches", refuse)
     monkeypatch.setattr(sim, "LaneResult", refuse)
     p11 = pointadd11.circuit
     assert verify(serialize(p11), spec_for_circuit(p11)).digest == GOLDEN["p11-transcript"]
@@ -831,12 +831,13 @@ def test_measurement_bits_are_prefix_exact_and_hash_linearly(
     assert len(shakes) == 1 and shakes[0].hashed <= 4 * (count // 8)
 
 
-def test_measurement_word_is_the_stream_prefix(pointadd11, pointadd11_bytes) -> None:
+def test_measurement_words_are_the_stream_prefix(pointadd11, pointadd11_bytes) -> None:
     transcript = derive_tests(pointadd11_bytes, spec_for_circuit(pointadd11.circuit, test_count=3))
     for count in (0, 1, 7, 8, 9, 66, 200):
         bits = transcript.measurement_bits(2)
         prefix = [next(bits) for _ in range(count)]
-        assert transcript.measurement_word(2, count) == int("".join(map(str, prefix)) or "0", 2)
+        [word] = transcript.measurement_words([2], count)
+        assert word == int("".join(map(str, prefix)) or "0", 2)
 
 
 def test_measurement_words_are_each_index_shake_prefix_hashed_once(
@@ -850,7 +851,7 @@ def test_measurement_words_are_each_index_shake_prefix_hashed_once(
                 (count + 7) // 8), "big") >> (-count % 8)
             for i in indices
         ]
-        words = [transcript.measurement_word(i, count) for i in indices]
+        words = [transcript.measurement_words([i], count)[0] for i in indices]
         shakes: list[_CountingShake] = []
 
         class CountingHashlib:

@@ -1,6 +1,6 @@
 """The bit-sliced lane engine against the scalar reference.
 
-``sim.run_lanes`` must agree with ``sim.run`` lane by lane on the sampled
+``sim._lane_pass`` must agree with ``sim.run`` lane by lane on the sampled
 branch (outputs, sign, executed counts, final bits) and with brute-force
 branch enumeration on the all-branch verdict.  Circuits are random and small,
 with conditioned diagonal gates that often leave phase defects, plus the
@@ -10,6 +10,7 @@ temporary-AND pattern that cleans its own kickback.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from kickmix import (
     mutate,
     run,
     run_all_measurement_branches,
-    run_lanes,
     spec_for_circuit,
 )
 
@@ -81,6 +81,24 @@ def circuits(draw, conditioned_permutations: bool = False) -> Circuit:
     )
 
 
+class _Lane(NamedTuple):
+    outputs: dict
+    phase: int | None
+    phase_always_plus_one: bool | None
+    phase_defects: tuple
+    executed_total: int
+    executed_non_clifford: int
+    final_bits: tuple
+
+
+def _lanes(circuit: Circuit, inputs, words=None) -> list[_Lane]:
+    """The pass seen lane by lane: each lane's slot read plus its entry in
+    each column."""
+    lane_slot, reads, columns = sim._lane_pass(circuit, inputs, words)
+    return [_Lane(reads[s][1], phase, reads[s][2], reads[s][3], total, nc, reads[s][0])
+            for s, phase, total, nc in zip(lane_slot, *columns)]
+
+
 def _measurements(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if g.kind == "MX")
 
@@ -110,7 +128,7 @@ def lanes(draw, conditioned_permutations: bool = False):
 def test_every_lane_matches_scalar_run_on_its_own_branch(case) -> None:
     circuit, inputs, words = case
     m = _measurements(circuit)
-    for lane, lane_inputs, word in zip(run_lanes(circuit, inputs, words), inputs, words):
+    for lane, lane_inputs, word in zip(_lanes(circuit, inputs, words), inputs, words):
         scalar = run(circuit, lane_inputs, _bits(word, m))
         assert lane.outputs == scalar.outputs
         assert lane.phase == scalar.phase
@@ -123,7 +141,7 @@ def test_every_lane_matches_scalar_run_on_its_own_branch(case) -> None:
 @given(lanes())
 def test_all_branch_verdict_matches_enumeration(case) -> None:
     circuit, inputs, _ = case
-    results = run_lanes(circuit, inputs)
+    results = _lanes(circuit, inputs)
     for lane, lane_inputs in zip(results[:4], inputs):
         branches = run_all_measurement_branches(circuit, lane_inputs, branch_limit=10)
         assert lane.phase_always_plus_one == all(b.phase == 1 for b in branches)
@@ -145,7 +163,9 @@ def test_all_branch_verdict_matches_enumeration(case) -> None:
             if phase[outcomes] != phase[outcomes[:c] + (1 - outcomes[c],) + outcomes[c + 1:]]
         }
         assert lane.phase_defects == tuple(sorted(flips))
-        assert check_phase_all_branches(circuit, lane_inputs).phase_defects == lane.phase_defects
+        # the public verdict is this lane's read of a one-lane pass
+        verdict = check_phase_all_branches(circuit, lane_inputs)
+        assert verdict._asdict() == {name: getattr(lane, name) for name in verdict._fields}
 
 
 def test_the_random_corpus_exercises_both_verdicts() -> None:
@@ -155,7 +175,7 @@ def test_the_random_corpus_exercises_both_verdicts() -> None:
     @given(lanes())
     def collect(case) -> None:
         circuit, inputs, _ = case
-        seen.update(lane.phase_always_plus_one for lane in run_lanes(circuit, inputs))
+        seen.update(lane.phase_always_plus_one for lane in _lanes(circuit, inputs))
 
     collect()
     assert seen == {True, False}
@@ -180,21 +200,21 @@ def test_conditioned_permutations_fall_back_to_scalar_runs() -> None:
     circuit = _conditioned_cx()
     inputs = [{"a": v} for v in range(8)]
     words = [v % 2 for v in range(8)]
-    for lane, lane_inputs, word in zip(run_lanes(circuit, inputs, words), inputs, words):
+    for lane, lane_inputs, word in zip(_lanes(circuit, inputs, words), inputs, words):
         scalar = run(circuit, lane_inputs, [word])
         assert lane.outputs == scalar.outputs and lane.phase == scalar.phase
         assert lane.phase_always_plus_one is None
     with pytest.raises(ValueError, match="gate 2 is a conditioned CX: branch space"):
-        run_lanes(circuit, inputs)
+        _lanes(circuit, inputs)
 
 
 def test_lane_inputs_are_validated_like_scalar_runs() -> None:
     circuit = _conditioned_cx()
     with pytest.raises(ValueError, match=r"no such input register\(s\): b"):
-        run_lanes(circuit, [{"a": 1}, {"a": 1, "b": 0}])
+        _lanes(circuit, [{"a": 1}, {"a": 1, "b": 0}])
     with pytest.raises(ValueError, match="value 8 does not fit input register 'a'"):
-        run_lanes(circuit, [{"a": 8}])
-    assert run_lanes(circuit, [], []) == []
+        _lanes(circuit, [{"a": 8}])
+    assert _lanes(circuit, [], []) == []
 
 
 def test_conditioned_permutations_never_run_the_scalar_reference(monkeypatch) -> None:
@@ -204,10 +224,10 @@ def test_conditioned_permutations_never_run_the_scalar_reference(monkeypatch) ->
     expected = [run(circuit, lane_inputs, [word]) for lane_inputs, word in zip(inputs, words)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("run_lanes called sim.run")
+        raise AssertionError("the lane pass called sim.run")
 
     monkeypatch.setattr(sim, "run", refuse)
-    lanes = run_lanes(circuit, inputs, words)
+    lanes = _lanes(circuit, inputs, words)
     assert [lane.outputs for lane in lanes] == [scalar.outputs for scalar in expected]
     assert [lane.phase for lane in lanes] == [scalar.phase for scalar in expected]
     assert [lane.final_bits for lane in lanes] == [scalar.final_bits for scalar in expected]
@@ -247,7 +267,7 @@ def test_lanes_with_equal_inputs_match_their_own_runs(case) -> None:
     circuit, inputs, words, order = case
     m = _measurements(circuit)
     lane_words = words if words is not None else [0] * len(inputs)
-    results = run_lanes(circuit, inputs, words)
+    results = _lanes(circuit, inputs, words)
     for lane, lane_inputs, word in zip(results, inputs, lane_words):
         scalar = run(circuit, lane_inputs, _bits(word, m))
         assert lane.outputs == scalar.outputs
@@ -255,21 +275,20 @@ def test_lanes_with_equal_inputs_match_their_own_runs(case) -> None:
         assert lane.executed_total == scalar.executed_total
         assert lane.executed_non_clifford == scalar.executed_non_clifford
         assert lane.final_bits == scalar.final_bits
-        [alone] = run_lanes(circuit, [lane_inputs], None if words is None else [word])
+        [alone] = _lanes(circuit, [lane_inputs], None if words is None else [word])
         assert lane.phase_always_plus_one == alone.phase_always_plus_one
         assert lane.phase_defects == alone.phase_defects
         assert lane == alone
 
-    shuffled = run_lanes(circuit, [inputs[i] for i in order],
+    shuffled = _lanes(circuit, [inputs[i] for i in order],
                          None if words is None else [words[i] for i in order])
     assert shuffled == [results[i] for i in order]
-    assert run_lanes(circuit, inputs * 2, None if words is None else words * 2) == results * 2
+    assert _lanes(circuit, inputs * 2, None if words is None else words * 2) == results * 2
 
 
 @settings(max_examples=100, deadline=None)
 @given(pooled_lanes())
-def test_run_lanes_is_the_one_lane_view_of_the_pass(case) -> None:
-    """run_lanes[j] is lane j's slot read plus entry j of each column."""
+def test_the_pass_numbers_slots_by_first_lane_and_shares_them_by_object(case) -> None:
     circuit, inputs, words, _ = case
     lane_slot, reads, columns = sim._lane_pass(circuit, inputs, words)
     assert len(lane_slot) == len(inputs) and all(len(c) == len(inputs) for c in columns)
@@ -283,14 +302,7 @@ def test_run_lanes_is_the_one_lane_view_of_the_pass(case) -> None:
         ]
     else:
         assert lane_slot == list(range(len(inputs)))
-    views = [
-        sim.LaneResult(outputs=reads[s][1], phase=phase, phase_always_plus_one=reads[s][2],
-                       phase_defects=reads[s][3], executed_total=total,
-                       executed_non_clifford=nc, final_bits=reads[s][0])
-        for s, phase, total, nc in zip(lane_slot, *columns)
-    ]
-    assert run_lanes(circuit, inputs, words) == views
-    assert run_lanes(circuit, [], []) == []
+    assert sim._lane_pass(circuit, [], []) == ([], [], [[], [], []])
 
 
 def test_a_shared_inputs_object_is_simulated_once(monkeypatch) -> None:
@@ -307,19 +319,17 @@ def test_a_shared_inputs_object_is_simulated_once(monkeypatch) -> None:
                     outputs=circuit.outputs, gates=(Gate("CX", (0, 2)),))
     pool = [{"a": v} for v in range(3)]
     inputs = [pool[v % 3] for v in range(30)]
-    lanes = run_lanes(plain, inputs, [0] * 30)
+    lanes = _lanes(plain, inputs, [0] * 30)
     assert seen == [0, 1, 2]
     assert [lane.outputs for lane in lanes] == [run(plain, i, []).outputs for i in inputs]
-    lanes[0].outputs["a"] = 99
-    assert lanes[3].outputs == {"a": 0}
     # Equal values in distinct mappings get a slot each, with identical results.
     seen.clear()
-    apart = run_lanes(plain, [{"a": v % 3} for v in range(30)], [0] * 30)
+    apart = _lanes(plain, [{"a": v % 3} for v in range(30)], [0] * 30)
     assert seen == [v % 3 for v in range(30)]
-    assert apart == run_lanes(plain, inputs, [0] * 30)
+    assert apart == _lanes(plain, inputs, [0] * 30)
     # A conditioned CX follows each lane's own outcome, so every lane is its own slot.
     seen.clear()
-    run_lanes(circuit, inputs, [v % 2 for v in range(30)])
+    _lanes(circuit, inputs, [v % 2 for v in range(30)])
     assert len(seen) == 30
 
 
@@ -328,12 +338,12 @@ def test_a_lane_with_bad_inputs_raises_what_it_raises_alone() -> None:
                       outputs=(Register("a", 0, 1),), gates=(Gate("CX", (0, 1)),))
     for bad in ({"a": 1.0}, {"a": [1]}, {"a": 1, "b": 0}, {"a": 4}):
         with pytest.raises((TypeError, ValueError)) as alone:
-            run_lanes(circuit, [bad])
+            _lanes(circuit, [bad])
         with pytest.raises(alone.type) as after:
-            run_lanes(circuit, [{"a": 1}, {"a": 0}, bad, {"a": 1}])
+            _lanes(circuit, [{"a": 1}, {"a": 0}, bad, {"a": 1}])
         assert str(after.value) == str(alone.value)
     # True == 1, but a bool lane in its own mapping has its own slot and runs like int 1.
-    flags = run_lanes(circuit, [{"a": 1}, {"a": True}], [0, 0])
+    flags = _lanes(circuit, [{"a": 1}, {"a": True}], [0, 0])
     assert flags[0] == flags[1] and flags[1].outputs == {"a": 3}
 
 

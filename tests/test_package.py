@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import kickmix
 
@@ -42,4 +43,15 @@ def test_the_point_text_lives_in_curve_only_and_the_branch_verdict_is_a_lane() -
     adder = kickmix.build_adder(2).circuit
     verdict = kickmix.check_phase_all_branches(adder, {"a": 3, "b": 1})
     assert type(verdict) is kickmix.LaneResult
-    assert verdict.phase_always_plus_one and verdict.outputs["b"] == 0
+    assert verdict.phase_always_plus_one is True and verdict.outputs["b"] == 0
+    assert "phase" not in verdict._fields
+    # the verdict is read from the lane pass, with no per-lane view beside it
+    assert "run_lanes" not in kickmix.__all__ and not hasattr(sim, "run_lanes")
+    assert not hasattr(harness.Transcript, "measurement_word")
+
+
+def test_the_readme_python_quickstart_runs() -> None:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})

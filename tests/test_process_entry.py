@@ -74,7 +74,7 @@ def inputs(tmp_path_factory) -> dict[str, str]:
             spec_for_circuit(circuit, test_count=0, tolerated_failure_fraction=0).to_dict()))
         unknown = dict.fromkeys([f"field{i}" for i in range(2 if tag == "small" else 200)], 1)
         put(f"{tag}-bad.json", json.dumps({**spec.to_dict(), **unknown}))
-    put("small-deep.json", "[" * 5_000)
+    put("small-deep.json", "[" * 20_000)
     put("large-deep.json", "[" * 100_000)
     scenario = {
         "ecdlp": {"pa_toffoli": 2_100_000, "pa_qubits": 1175, "n": 256, "w": 16},

@@ -29,7 +29,7 @@ from test_golden_reports import conditioned_cx_circuit
 
 def _lowered(circuit: Circuit) -> Circuit:
     return Circuit(circuit.qubit_count, circuit.classical_bit_count, circuit.inputs,
-                   circuit.outputs, circuit.gates, circuit.metadata)
+                   circuit.outputs, circuit.gates, dict(circuit.metadata))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """The frozen records: every one is a slotted class on circuit._Record.
 
 Their equality, hash, repr and immutability are what the dataclasses they
-replace gave; the reprs below are the strings those dataclasses printed.
+replace gave; the reprs below are the strings those dataclasses printed,
+except that ``Circuit.metadata`` and ``VerificationSpec.registers`` show as
+the read-only views they are.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ import pickle
 import pytest
 
 from kickmix.builders import BuildReport, build_temp_and
-from kickmix.circuit import Circuit, CircuitError, Gate, Register, StaticResources, _Record
+from kickmix.circuit import (
+    Circuit,
+    CircuitError,
+    Gate,
+    Register,
+    StaticResources,
+    _Record,
+    parse,
+    serialize,
+)
 from kickmix.costmodel import AttackScenario, MachineProfile, PointAddCost, WalletRecord
 from kickmix.curve import INFINITY, CurveParams, CurvePoint, named_curve
 from kickmix.harness import (
@@ -29,8 +40,8 @@ _CIRCUIT = (
     "Register(name='b', lo=1, hi=1)), outputs=(Register(name='a', lo=0, hi=0), "
     "Register(name='b', lo=1, hi=1)), gates=(Gate(kind='CCX', qubits=(0, 1, 2), cbit=None, "
     "condition=None), Gate(kind='MX', qubits=(2,), cbit=0, condition=None), Gate(kind='CZ', "
-    "qubits=(0, 1), cbit=None, condition=(0, 1))), metadata={'construction': 'temp_and', "
-    "'exceptional': 'correct'})"
+    "qubits=(0, 1), cbit=None, condition=(0, 1))), metadata=mappingproxy({'construction': "
+    "'temp_and', 'exceptional': 'correct'}))"
 )
 _CURVE = "CurveParams(name='toy-p11-b7', p=11, a=0, b=7, gx=4, gy=4, order=12)"
 _STATIC = ("StaticResources(qubit_count=3, total_gate_count=3, non_clifford_gate_count=1, "
@@ -50,8 +61,8 @@ def _records() -> dict[str, tuple[_Record, str]]:
         "CurveParams": (curve, _CURVE),
         "VerificationSpec": (
             VerificationSpec(curve="toy-p11-b7", test_count=3),
-            "VerificationSpec(curve='toy-p11-b7', test_count=3, registers={'accumulator_x': "
-            "'qx', 'accumulator_y': 'qy'}, base_source='metadata', "
+            "VerificationSpec(curve='toy-p11-b7', test_count=3, registers=mappingproxy("
+            "{'accumulator_x': 'qx', 'accumulator_y': 'qy'}), base_source='metadata', "
             "tolerated_failure_fraction=0.01, security_bits=128, max_avg_non_clifford=None, "
             "max_qubits=None, max_total_ops=None, allow_failures=False)",
         ),
@@ -76,9 +87,9 @@ def _records() -> dict[str, tuple[_Record, str]]:
             "executed_non_clifford=1, final_bits=(1, 0, 0))",
         ),
         "LaneResult": (
-            LaneResult({"a": 1}, None, True, (), 3, 1, (1, 0, 0)),
-            "LaneResult(outputs={'a': 1}, phase=None, phase_always_plus_one=True, "
-            "phase_defects=(), executed_total=3, executed_non_clifford=1, final_bits=(1, 0, 0))",
+            LaneResult({"a": 1}, True, (), 3, 1, (1, 0, 0)),
+            "LaneResult(outputs={'a': 1}, phase_always_plus_one=True, phase_defects=(), "
+            "executed_total=3, executed_non_clifford=1, final_bits=(1, 0, 0))",
         ),
         "BuildReport": (
             built,
@@ -124,7 +135,7 @@ def test_repr_is_the_dataclass_repr(name: str) -> None:
 def test_equality_and_hash_read_the_fields(name: str) -> None:
     record, _ = _RECORDS[name]
     values = tuple(getattr(record, field) for field in record._fields)
-    twin = type(record)(*values)
+    twin = type(record)(*record._asdict().values())
     assert twin == record and not twin != record
     assert record._replace() == record
     assert record != values and values != record
@@ -133,8 +144,8 @@ def test_equality_and_hash_read_the_fields(name: str) -> None:
     assert all(record != other for other in others)
     try:
         expected = hash(values)
-    except TypeError:  # a dict, here or in a record among the values
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+    except TypeError:  # a dict or a view of one, here or in a record among the values
+        with pytest.raises(TypeError, match="unhashable type: '(dict|mappingproxy)'"):
             hash(record)
     else:
         assert hash(record) == expected == hash(twin)
@@ -177,7 +188,7 @@ def test_circuit_replace_revalidates_and_records_fresh_facts() -> None:
     circuit = build_temp_and().circuit
     trimmed = circuit._replace(gates=list(circuit.gates[:1]))
     assert trimmed.gates == circuit.gates[:1] and type(trimmed.gates) is tuple
-    assert trimmed.metadata is circuit.metadata and trimmed.inputs == circuit.inputs
+    assert trimmed.metadata == circuit.metadata and trimmed.inputs == circuit.inputs
     assert trimmed.facts.kinds == {"CCX": 1} and circuit.facts.kinds["MX"] == 1
     assert trimmed.facts.measured == {} and circuit.facts.measured == {0: 0}
     with pytest.raises(CircuitError, match="qubit 9 out of range"):
@@ -222,6 +233,58 @@ def test_spec_registers_are_fresh_and_to_dict_copies_them() -> None:
     data["registers"].pop("accumulator_x")
     assert first.registers == {"accumulator_x": "qx", "accumulator_y": "qy"}
     assert VerificationSpec.from_dict(first.to_dict()) == first
+
+
+def _frozen_dict_fields():
+    """Each record with a dict field it must keep, the field's name, and how
+    the record was made: from a caller's dict, by parse, or by a builder."""
+    given = {"k": "v"}
+    yield Circuit(1, metadata=given), "metadata", given
+    given = {"accumulator_x": "qx", "accumulator_y": "qy"}
+    yield VerificationSpec(curve="toy-p11-b7", test_count=3, registers=given), "registers", given
+    built = build_temp_and().circuit
+    yield built, "metadata", None
+    yield parse(serialize(built)), "metadata", None
+
+
+@pytest.mark.parametrize("record, field, given", list(_frozen_dict_fields()),
+                         ids=["Circuit", "VerificationSpec", "built", "parsed"])
+def test_a_dict_field_cannot_change_after_its_checks(record, field, given) -> None:
+    shown, kept = repr(record), dict(getattr(record, field))
+    if given is not None:  # the caller's dict is not the record's
+        given["bad key"] = "x\ny"
+        given.pop(next(iter(kept)))
+    with pytest.raises(TypeError):
+        getattr(record, field)["bad key"] = "x\ny"
+    with pytest.raises(TypeError):
+        del getattr(record, field)[next(iter(kept))]
+    assert getattr(record, field) == kept and repr(record) == shown
+    # its plain forms are dicts of their own
+    plain = record._asdict()[field]
+    assert type(plain) is dict and plain == kept
+    plain["other"] = "x"
+    assert getattr(record, field) == kept
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                  record._replace()):
+        assert clone == record and getattr(clone, field) == kept
+        with pytest.raises(TypeError):
+            getattr(clone, field)["other"] = "x"
+
+
+def test_the_two_escapes_through_a_dict_field_are_closed() -> None:
+    circuit = Circuit(1, metadata={"k": "v"})
+    with pytest.raises(TypeError):
+        circuit.metadata["bad key"] = "x\ny"
+    assert parse(serialize(circuit)) == circuit
+    spec = VerificationSpec(curve="toy-p11-b7", test_count=3)
+    with pytest.raises(TypeError):
+        spec.registers["bogus"] = "qq"
+    assert type(spec.to_dict()["registers"]) is dict
+    # a read-only view is no dict, so a caller cannot hand one in
+    with pytest.raises(CircuitError, match="metadata of type mappingproxy, not dict"):
+        Circuit(1, metadata=circuit.metadata)  # type: ignore[arg-type]
+    with pytest.raises(HarnessError, match="registers.*must be an object"):
+        VerificationSpec(curve="toy-p11-b7", test_count=3, registers=spec.registers)
 
 
 def test_build_report_records_the_recount_when_nothing_is_predicted() -> None:

@@ -22,8 +22,8 @@ from kickmix import (
     parse,
     run,
     run_all_measurement_branches,
-    run_lanes,
     static_resources,
+    sim,
 )
 
 
@@ -164,7 +164,7 @@ def test_checker_rejects_conditioned_permutation_gates() -> None:
                           "IF c0=0 CCX 0 1 2\nIF c1 X 0\n")
     message = ("gate 5 is a conditioned CCX: branch space does not factorize; "
                "use run_all_measurement_branches instead")
-    for call in (lambda: run_lanes(circuit, [{"a": 0}, {"a": 5}]),
+    for call in (lambda: sim._lane_pass(circuit, [{"a": 0}, {"a": 5}], None),
                  lambda: check_phase_all_branches(circuit, {"a": 3})):
         with pytest.raises(ValueError) as excinfo:
             call()
