@@ -19,7 +19,7 @@ _EXPORTS = {
     "curve": (
         "CurveParams", "CurvePoint", "INFINITY", "decode_point", "encode_point",
         "enumerate_points", "format_point", "is_on_curve", "named_curve", "parse_point",
-        "point_add", "point_neg", "registry_names", "scalar_mul",
+        "point_add", "point_neg", "scalar_mul",
     ),
     "sim": (
         "LaneResult", "RngExhausted", "RunResult",
@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "harness": (
         "HarnessError", "Transcript", "VerificationReport", "VerificationSpec",
-        "achieved_security_bits", "commit", "derive_tests", "required_test_count",
-        "spec_for_circuit", "verify", "verify_exhaustive",
+        "commit", "derive_tests", "required_test_count", "spec_for_circuit", "verify",
+        "verify_exhaustive",
     ),
     "costmodel": (
         "AttackScenario", "MachineProfile", "PointAddCost", "WalletRecord",

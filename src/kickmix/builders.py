@@ -99,7 +99,7 @@ class BuildReport(_Record):
     def sidecar_dict(self) -> dict:
         data: dict = {
             "construction": self.construction,
-            "predicted": self.predicted.as_dict(),
+            "predicted": self.predicted._asdict(),
         }
         if self.lookup_overhead_non_clifford is not None:
             data["lookup_overhead_non_clifford"] = self.lookup_overhead_non_clifford
@@ -111,15 +111,13 @@ class _Emitter:
     ancilla qubits (LIFO reuse) and classical bits.  qubit watermark == peak
     circuit width.
 
-    Each (kind, operands) gets one operand tuple, shared by the shapes of
-    its gates, and each shape one Gate; :meth:`finish` hands the program to
-    the validation walk."""
+    Each shape gets one Gate, which keeps the operand tuple that was
+    emitted; :meth:`finish` hands the program to the validation walk."""
 
     def __init__(self, fixed_qubits: int):
         self.cbits = 0
         self.watermark = fixed_qubits
         self._free: list[int] = []
-        self._cores: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}  # -> operand tuple
         self._shapes: dict[tuple, int] = {}  # (kind, operands, cbit, condition) -> its entry
         self._table: list[Gate] = []
         self._index: list[int] = []
@@ -147,7 +145,6 @@ class _Emitter:
             self._numbers.append(number)
         j = self._shapes.setdefault((kind, qubits, cbit, cond), len(self._table))
         if j == len(self._table):
-            qubits = self._cores.setdefault((kind, qubits), qubits)
             self._table.append(Gate(kind, qubits, cbit, cond))
         self._index.append(j)
 

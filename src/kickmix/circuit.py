@@ -310,9 +310,6 @@ class StaticResources(_Record):
                  measurement_count: int) -> None:
         self._set(qubit_count, total_gate_count, non_clifford_gate_count, measurement_count)
 
-    def as_dict(self) -> dict[str, int]:
-        return self._asdict()
-
 
 class Facts(NamedTuple):
     """What the validation walk learns of a valid circuit; ``kinds`` from the
@@ -470,18 +467,13 @@ class Circuit(_Record):
             program = _lower(self.gates)
             object.__setattr__(self, "program", program)
         table, index, numbers = program
-        # Each shape once, in order of first use: its (kind, operand tuple) at
-        # the first shape that has it (checked: tuple id -> kind), then its
-        # bit fields.  The first bad shape stops the walk at its first gate.
-        stop, checked, bad = len(index), {}, None
+        # Each shape once, in order of first use: its kind and operands, then
+        # its bit fields.  The first bad shape stops the walk at its first gate.
+        stop, bad = len(index), None
         for j, (kind, qubits, cbit, condition) in enumerate(table):
-            if checked.get(id(qubits)) is not kind:
-                if _operand_error(j, kind, qubits, self.qubit_count):  # message: below
-                    bad = j
-                    break
-                checked[id(qubits)] = kind
-            if (cbit is not None or condition is not None or kind == "MX") and _bit_error(
-                    kind, cbit, condition):
+            if _operand_error(j, kind, qubits, self.qubit_count) or (  # message: below
+                    (cbit is not None or condition is not None or kind == "MX")
+                    and _bit_error(kind, cbit, condition)):
                 bad = j
                 break
         if bad is not None:
@@ -651,12 +643,10 @@ def static_resources(circuit: Circuit) -> StaticResources:
 # parsing
 
 
-# An integer as str(int) spells it, in at most _MAX_DIGITS digits, as one
-# group; [0-9], not \d, as parse refuses non-ASCII digits.  Gate operands
-# match the looser _INT: parse compares the first line of each core with
-# _core of its operands instead, which costs nothing on the later lines.
-_NUM = f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
-_INT = f"[0-9]{{1,{_MAX_DIGITS}}}"
+# _DIGITS spells an integer as str(int) does, in at most _MAX_DIGITS digits,
+# and _NUM is it as one group; [0-9], not \d, as parse refuses non-ASCII digits.
+_DIGITS = f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_NUM = f"({_DIGITS})"
 # the header lines as serialize writes them; groups: qubits, cbits (each
 # optional, so that a missing one is named), the meta, in and out lines
 _HEADER = re.compile(
@@ -668,7 +658,7 @@ _REGISTER = re.compile(f"([^ ]+) {_NUM}\\.\\.{_NUM}").fullmatch
 # a gate line as serialize writes it; groups: IF bit, "=0", core (opcode
 # and operands), MX bit
 _GATE_LINE = re.compile(
-    f"(?:IF c{_NUM}(=0)? )?([A-Z]{{1,3}}(?: {_INT}){{1,3}})(?: -> c{_NUM})?"
+    f"(?:IF c{_NUM}(=0)? )?([A-Z]{{1,3}}(?: (?:{_DIGITS})){{1,3}})(?: -> c{_NUM})?"
 ).fullmatch
 
 def _core(kind: str, qubits: tuple[int, ...]) -> str:
@@ -687,29 +677,20 @@ _LIFT = re.compile(f"c{_NUM}(?![0-9])").split
 class _Shapes(dict):
     """Gate-line shape -> its index in ``table``, which holds each shape's
     Gate, with cbit 0 for "-> c<k>" and condition (0, value) for "IF c<k>"
-    in a number's place.  The shapes of one core share its kind and operand
-    tuple.  A refused shape raises KeyError."""
+    in a number's place.  A refused shape raises KeyError."""
 
     def __init__(self) -> None:
-        self.table, self.cores = [], {}  # cores: "KIND q q q" -> its Gate
+        self.table: list[Gate] = []
 
     def __missing__(self, shape: str) -> int:
         match = _GATE_LINE(shape)
         if match is None:
             raise KeyError(shape)
         cb, zero, core, dest = match.groups()
-        gate = self.cores.get(core)
-        if gate is None:
-            kind, *operands = core.split(" ")
-            qubits = tuple(map(int, operands))
-            if _core(kind, qubits) != core:
-                raise KeyError(shape)
-            gate = self.cores[core] = Gate(kind, qubits)
-        if shape != core:
-            gate = Gate(gate.kind, gate.qubits, None if dest is None else 0,
-                        None if cb is None else _IF[zero is None])
+        kind, *operands = core.split(" ")
         self[shape] = len(self.table)
-        self.table.append(gate)
+        self.table.append(Gate(kind, tuple(map(int, operands)), None if dest is None else 0,
+                               None if cb is None else _IF[zero is None]))
         return self[shape]
 
 

@@ -43,10 +43,16 @@ class _Parser(argparse.ArgumentParser):
     """argparse with its usage errors raised as _UsageError, so that they
     print one `error:` line like every other usage error.  An argument that
     argparse echoes whole (itself, its value after "=", or the tail of a
-    "-xVALUE") is cut by _shown, as are unrecognized arguments."""
+    "-xVALUE") is cut by _shown, as are unrecognized arguments.  Text glued
+    to -h before any "--" is refused on every interpreter, with the message
+    argparse gives before 3.13 (3.13 runs -h instead)."""
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
+        for arg in args[: args.index("--")] if "--" in args else args:
+            if arg.startswith("-h") and arg != "-h":
+                self.error("argument -h/--help: ignored explicit argument "
+                           f"{_shown(arg[2:].removeprefix('='))!r}")
         try:
             parsed, extras = self.parse_known_args(args, namespace)
         except _UsageError as exc:
@@ -189,7 +195,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     _check_writable(args.output + ".json", "sidecar file")
     _write_file(args.output, serialize(report.circuit), "circuit file")
     _write_file(args.output + ".json", _canonical_json(report.sidecar_dict()), "sidecar file")
-    for line, value in report.predicted.as_dict().items():
+    for line, value in report.predicted._asdict().items():
         print(f"{_LABELS[line]}: {value}")
     return 0
 
@@ -301,6 +307,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if "ecdlp" in scenario:
         section = dict(scenario["ecdlp"])
         optimize = section.pop("optimize_window", False)
+        if type(optimize) is not bool:
+            raise _UsageError("bad ecdlp section: optimize_window must be true or false, "
+                              f"got {type(optimize).__name__}")
         cost = _from_section(costmodel.PointAddCost, section, "ecdlp")
         if optimize:
             best = costmodel.optimal_window(cost.pa_toffoli, cost.n)
@@ -437,7 +446,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     histogram = dict(sorted(circuit.facts.kinds.items()))
     if args.json:
         data = {
-            "resources": resources.as_dict(),
+            "resources": resources._asdict(),
             "classical_bits": circuit.classical_bit_count,
             "inputs": {r.name: [r.lo, r.hi] for r in circuit.inputs},
             "outputs": {r.name: [r.lo, r.hi] for r in circuit.outputs},
@@ -447,7 +456,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             data["histogram"] = histogram
         sys.stdout.write(_canonical_json(data).decode("ascii"))
         return 0
-    for key, value in resources.as_dict().items():
+    for key, value in resources._asdict().items():
         print(f"{_LABELS[key]}: {value}")
     print(f"classical bits: {circuit.classical_bit_count}")
     for side, regs in (("inputs", circuit.inputs), ("outputs", circuit.outputs)):

@@ -40,7 +40,6 @@ __all__ = [
     "parse_point",
     "enumerate_points",
     "named_curve",
-    "registry_names",
     "CURVE_REGISTRY_ENV",
 ]
 
@@ -316,11 +315,6 @@ def _external_registry() -> dict[str, dict]:
             f"of the integers {', '.join(_CURVE_FIELDS)}"
         )
     return raw
-
-
-def registry_names() -> list[str]:
-    """Names of all known curves (built-in plus any external registry)."""
-    return sorted({**_BUILTIN, **_external_registry()})
 
 
 def named_curve(name: str) -> CurveParams:

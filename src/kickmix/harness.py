@@ -73,7 +73,6 @@ __all__ = [
     "verify",
     "verify_exhaustive",
     "required_test_count",
-    "achieved_security_bits",
     "spec_for_circuit",
     "ROLES",
     "MAX_POWER_BITS",
@@ -161,16 +160,6 @@ def required_test_count(tolerated_fraction, security_bits: int) -> int:
     while n > 1 and survive ** (n - 1) <= bound:
         n -= 1
     return n
-
-
-def achieved_security_bits(tolerated_fraction, test_count: int) -> float:
-    """-test_count * log2(1 - eps): the exponent actually reached."""
-    from fractions import Fraction
-
-    eps = float(Fraction(str(tolerated_fraction)))
-    if not 0 < eps < 1:
-        raise ValueError("tolerated fraction must be in (0, 1)")
-    return -test_count * math.log2(1 - eps)
 
 
 # The JSON type of each spec field, and how an error message names it;
@@ -812,7 +801,7 @@ def _report(commitment: str, plan: _Plan, spec: VerificationSpec, cases,
             "denominator": avg_nc[1],
             "rounded": _round_fraction(*avg_nc),
         },
-        "static_resources": resources.as_dict(),
+        "static_resources": resources._asdict(),
         "peak_qubits": resources.qubit_count,
         "bound_violations": violations,
         "warnings": warnings,

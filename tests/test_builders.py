@@ -40,6 +40,7 @@ from kickmix import (
     parse,
     point_add,
     run,
+    run_all_measurement_branches,
     scalar_mul,
     serialize,
 )
@@ -124,6 +125,19 @@ def test_mod_add_const_exhaustive() -> None:
         assert invariant.outputs == {"x": expected}, x
         assert invariant.phase_always_plus_one, x
     assert check_phase_all_branches(circuit, {"x": 9}).outputs == {"x": 3}
+
+
+def test_mod_add_const_at_width_2_matches_integers_on_every_branch() -> None:
+    # at width 2 each transposition's multi-controlled X has one control
+    for modulus in range(1, 4):
+        for constant in range(modulus):
+            circuit = build_mod_add_const(2, constant, modulus).circuit
+            for x in range(4):
+                expected = {"x": (x + constant) % modulus if x < modulus else x}
+                for result in run_all_measurement_branches(circuit, {"x": x}):
+                    assert (result.outputs, result.phase) == (expected, 1), (modulus, constant)
+                invariant = check_phase_all_branches(circuit, {"x": x})
+                assert invariant.outputs == expected and invariant.phase_always_plus_one
 
 
 def test_mod_add_const_parameter_errors() -> None:
@@ -563,7 +577,7 @@ def test_builder_outputs_are_pinned(
     assert report.lookup_overhead_non_clifford == overhead
     sidecar = {
         "construction": construction,
-        "predicted": StaticResources(*predicted).as_dict(),
+        "predicted": StaticResources(*predicted)._asdict(),
     }
     if overhead is not None:
         sidecar["lookup_overhead_non_clifford"] = overhead
@@ -719,8 +733,8 @@ def test_emitter_refuses_what_gate_refuses(kind, qubits, cond) -> None:
     message = _circuit_refusal(measured, Gate(kind, qubits, condition=cond))
     em = builders_module._Emitter(4)
     em.measure(0)
-    # a twin with int operands shares the bad gate's operand tuple; a bool
-    # or float operand equal to an int is the same qubit to the emitter
+    # a valid twin with the bad gate's kind and int operands comes first; a
+    # bool or float operand equal to an int is the same qubit to the emitter
     twin = Gate(kind, qubits, condition=None if cond is None else (0, 1))
     if all(type(q) is int for q in qubits):
         try:

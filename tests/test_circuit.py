@@ -191,6 +191,10 @@ def test_four_gate_example_counts() -> None:
         ("qubits 2\ncbits 0\nin a 1..0\n", 3, 1, "bad register range 1..0"),
         ("qubits 1\ncbits 0\nin a 0..0\nin a 0..0\n", 1, 1, "duplicate in register 'a'"),
         ("qubits 2\ncbits 0\nin a 0..3\n", 1, 1, "exceeds qubit count"),
+        ("qubits 2\ncbits 0\nin a 0..1\nin b 1..1\n", 1, 1,
+         "in register 'b' overlaps qubit 1 already covered by another in register"),
+        ("qubits 3\ncbits 0\nin a 0..2\nout a 0..1\nout b 1..2\n", 1, 1,
+         "out register 'b' overlaps qubit 1 already covered by another out register"),
         # Gate lines: syntax first, then Circuit.validate's rules.
         ("qubits 2\ncbits 0\nBOGUS 0\n", 3, 1, "expected a gate line, got 'BOGUS 0'"),
         ("qubits 2\ncbits 0\nH 0\n", 3, 1, "unknown gate kind 'H'"),
@@ -449,9 +453,8 @@ def _first_bad_gate(gates, qubit_count: int, cbit_count: int) -> int | None:
     return None
 
 
-# operand tuples by arity, shared by every gate that draws one
 # operand tuples of each kind, each shared by every gate that draws it, as
-# parse and the builders share them
+# a caller's gate list may share them
 _GOOD_OPERANDS = {kind: [tuple(range(n)), tuple(range(4 - n, 4))] for kind, n in _ARITIES.items()}
 _HUGE = 10**5000  # str() refuses an int this long
 _BAD_OPERANDS = [(), (1, 1), (-1,), (0, 4), (True,), (0, 1.0), (0, [1]), [0], [0, 1],
@@ -569,6 +572,16 @@ def test_circuit_validation() -> None:
         Circuit(qubit_count=-1)
     with pytest.raises(CircuitError, match="exceeds qubit count"):
         Circuit(qubit_count=1, inputs=(Register("a", 0, 1),))
+    # registers are disjoint within each spec; an input register may be an output too
+    a, b = Register("a", 0, 2), Register("b", 2, 3)
+    for spec, message in (("inputs", "in register 'b' overlaps qubit 2 already covered by "
+                                     "another in register"),
+                          ("outputs", "out register 'b' overlaps qubit 2 already covered by "
+                                      "another out register")):
+        with pytest.raises(CircuitError) as excinfo:
+            Circuit(qubit_count=4, **{spec: (a, b)})
+        assert str(excinfo.value) == message
+    assert Circuit(qubit_count=4, inputs=(a,), outputs=(a, Register("b", 3, 3))).outputs[0] == a
     with pytest.raises(CircuitError, match="uses qubit 5 but the circuit has 1"):
         Circuit(qubit_count=1, gates=(Gate("X", (5,)),))
     long_type = type("T" * 40, (int,), {})
@@ -859,9 +872,9 @@ def test_gate_rules_run_once_per_distinct_operand_tuple(toy1009, monkeypatch) ->
 def test_replace_on_a_copied_gate_revalidates() -> None:
     circuit = parse("qubits 3\ncbits 2\nMX 0 -> c0\nMX 0 -> c1\n"
                     "IF c0 CX 1 2\nIF c1=0 CX 1 2\n")
-    measure, conditioned = circuit.gates[1], circuit.gates[3]  # second of each core
+    measure, conditioned = circuit.gates[1], circuit.gates[3]  # second of each shape
     assert (measure.cbit, conditioned.condition) == (1, (1, 0))
-    assert measure.qubits is circuit.gates[0].qubits  # one tuple per core
+    assert measure.qubits is circuit.gates[0].qubits  # one tuple per shape
     assert measure._replace(cbit=5) == Gate("MX", (0,), cbit=5)
     for i, changes, message in (
         (1, {"cbit": None}, "MX requires a destination classical bit"),

@@ -418,6 +418,23 @@ def test_estimate_optimizes_the_window_when_asked(tmp_path, capsys) -> None:
     assert results["toffoli"] == 64_305_024
 
 
+@pytest.mark.parametrize("value, shown", [("no", "str"), (1, "int"), (0, "int"), ([], "list"),
+                                          (None, "NoneType")],
+                         ids=["str", "1", "0", "list", "null"])
+def test_estimate_takes_only_true_or_false_as_optimize_window(tmp_path, capsys, value,
+                                                              shown) -> None:
+    scenario = {"ecdlp": {**_SCENARIO["ecdlp"], "optimize_window": value}}
+    out = tmp_path / "out.json"
+    assert main(["estimate", str(_write_scenario(tmp_path, scenario)), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: bad ecdlp section: optimize_window must be true or false, "
+                   f"got {shown}\n")
+    assert not out.exists()
+    scenario["ecdlp"]["optimize_window"] = False
+    assert main(["estimate", str(_write_scenario(tmp_path, scenario)), "-o", str(out)]) == 0
+    assert "optimal_window" not in json.loads(out.read_text())
+
+
 def test_estimate_multi_machine_speedup(tmp_path, capsys) -> None:
     scenario = dict(_SCENARIO)
     scenario["attack"] = {"mean_block_interval": 600, "machines": 11}
@@ -623,18 +640,16 @@ def test_argparse_usage_errors_are_one_line(tmp_path, capsys) -> None:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "\u2026" in captured.err and len(captured.err) < 200 and captured.out == ""
-    # a value glued to -h: argparse refuses it before 3.13, and runs -h from 3.13 on
-    argv = ["build", "adder", "-o", out, f"-h{long}"]
-    if sys.version_info < (3, 13):
+    # text glued to -h is refused on every interpreter, flags included (3.13's
+    # argparse would run -h, and every version runs it for "-hox.kmx")
+    for argv, glued in (
+        (["build", "adder", "-o", out, f"-h{long}"], "yyyyyyyyyyyyyyyyyyyy\u2026"),
+        (["build", "adder", "--width", "4", "-hox.kmx"], "ox.kmx"),
+        (["verify", "x.kmx", "--spec", "s.json", "-hz"], "z"),
+    ):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: argument -h/--help: ignored explicit "
-                                           "argument 'yyyyyyyyyyyyyyyyyyyy\u2026'\n")
-    else:
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("usage: kickmix build") and captured.err == ""
+                                           f"argument '{glued}'\n")
     assert not list(tmp_path.iterdir())
     # a file path is cut too, whether it cannot be read or written
     assert main(["build", "temp-and", "-o", out]) == 0
@@ -905,6 +920,10 @@ def test_estimate_usage_errors_leave_no_results_file(tmp_path, capsys) -> None:
     for scenario, flag, shown in (
         ({"attack": attack, "success_sweep": {"steps": 1e300}}, "--success-csv",
          "success_sweep steps must be a whole number from 1 to 10000, got 1e+300\n"),
+        *(({"attack": attack, "success_sweep": sweep}, "--success-csv",
+           "success_sweep needs 0 < from <= to\n")
+          for sweep in ({"from": 600, "to": 60}, {"from": 0, "to": 60}, {"from": -1, "to": 60},
+                        {"from": -60, "to": -1})),
         ({"attack": attack}, "--salvage-csv", "--salvage-csv needs a wallets section\n"),
         ({"machine": {"reaction_time": 1e-5, "round_time": 1e-6}}, "--success-csv",
          "--success-csv needs an attack section\n"),

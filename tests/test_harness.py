@@ -28,7 +28,6 @@ from kickmix import (
     HarnessError,
     ParseError,
     VerificationSpec,
-    achieved_security_bits,
     build_pointadd_permutation,
     build_windowed_pointadd,
     commit,
@@ -203,14 +202,30 @@ def test_required_test_count_refuses_a_float_that_is_no_integer(bits) -> None:
     assert str(excinfo.value) == f"security_bits must be a positive integer, got {bits}"
 
 
-def test_achieved_security_bits() -> None:
-    got = achieved_security_bits(0.01, 9024)
-    assert got == pytest.approx(-9024 * math.log2(0.99))
-    assert got > 130
-    # the inverse direction of required_test_count
-    assert achieved_security_bits(0.01, required_test_count(0.01, 40)) >= 40
-    with pytest.raises(ValueError):
-        achieved_security_bits(0, 100)
+def test_required_test_count_steps_down_from_a_float_estimate_one_too_high() -> None:
+    # at eps 1/2 the float estimate rounds up past the exact count for
+    # 29, 31, 47, 58 and 62 bits, among others
+    assert [required_test_count(0.5, bits) for bits in range(1, 301)] == list(range(1, 301))
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(1, 100)):
+        for bits in (1, 2, 29, 31, 40, 47, 58, 62, 93, 128):
+            n = required_test_count(eps, bits)
+            bound = Fraction(1, 1 << bits)
+            # n tests reach the security bits (the bits that n tests achieve
+            # are at least these), and n - 1 do not
+            assert (1 - eps) ** n <= bound < (1 - eps) ** (n - 1), (eps, bits)
+
+
+def test_round_fraction_rounds_half_up_at_six_places() -> None:
+    # what every report's avg_executed_non_clifford.rounded goes through
+    for numerator, denominator, rounded in (
+        (2, 3, "0.666667"),  # up
+        (1, 3, "0.333333"),  # down
+        (9999995, 10**7, "1.000000"),  # a half, up into the whole part
+        (1, 2 * 10**6, "0.000001"),  # a half, up from zero
+        (3, 2 * 10**6, "0.000002"),
+        (7, 1, "7.000000"),
+    ):
+        assert harness._round_fraction(numerator, denominator) == rounded
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kickmix
@@ -18,6 +22,29 @@ def test_every_public_name_resolves_to_the_object_its_home_module_defines() -> N
         assert getattr(kickmix, name) is getattr(home, name), (module, name)
     for name in kickmix.__all__:
         assert getattr(kickmix, name) is not None
+
+
+# Run in a fresh interpreter, in which no kickmix submodule is loaded yet.
+_CHILD = """
+import json, sys, kickmix
+names = dir(kickmix)
+loaded = sorted(name for name in sys.modules if name.startswith("kickmix."))
+sim = kickmix.sim
+print(json.dumps([names, loaded, sim.__name__, "kickmix.sim" in sys.modules,
+                  kickmix.sim is sim, hasattr(kickmix, "nosuch")]))
+"""
+
+
+def test_a_submodule_is_reached_without_an_import_and_dir_names_every_export() -> None:
+    src = str(Path(kickmix.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", _CHILD],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names, loaded, name, imported, kept, unknown = json.loads(done.stdout)
+    assert loaded == []  # dir() imports nothing
+    assert (name, imported, kept, unknown) == ("kickmix.sim", True, True, False)
+    assert {*kickmix.__all__, *kickmix._EXPORTS} <= set(names) and names == sorted(names)
 
 
 def test_the_point_encoding_lives_in_curve_only() -> None:
@@ -48,6 +75,17 @@ def test_the_point_text_lives_in_curve_only_and_the_branch_verdict_is_a_lane() -
     # the verdict is read from the lane pass, with no per-lane view beside it
     assert "run_lanes" not in kickmix.__all__ and not hasattr(sim, "run_lanes")
     assert not hasattr(harness.Transcript, "measurement_word")
+
+
+def test_names_that_nothing_calls_are_gone() -> None:
+    import kickmix.circuit as circuit
+    import kickmix.curve as curve
+    import kickmix.harness as harness
+
+    for module, name in ((harness, "achieved_security_bits"), (curve, "registry_names")):
+        assert name not in kickmix.__all__ and name not in module.__all__
+        assert not hasattr(module, name)
+    assert not hasattr(circuit.StaticResources, "as_dict")
 
 
 def test_the_readme_python_quickstart_runs() -> None:
