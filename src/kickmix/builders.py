@@ -394,14 +394,9 @@ def _iterate_addresses(em: _Emitter, address: Sequence[int], apply_leaf) -> None
     branch), which is why the tree costs 2^w - 2 CCX gates, not 2^w - 1."""
     msb = address[-1]
     em.emit("X", msb)
-    if len(address) == 1:
-        apply_leaf(msb, 0)
-        em.emit("X", msb)
-        apply_leaf(msb, 1)
-    else:
-        _address_node(em, address, apply_leaf, msb, 1, 0)
-        em.emit("X", msb)
-        _address_node(em, address, apply_leaf, msb, 1, 1)
+    _address_node(em, address, apply_leaf, msb, 1, 0)
+    em.emit("X", msb)
+    _address_node(em, address, apply_leaf, msb, 1, 1)
 
 
 def _address_node(em: _Emitter, address: Sequence[int], apply_leaf, ctrl: int,
@@ -443,6 +438,8 @@ def build_lookup(table: Sequence[int], entry_bits: int | None = None) -> BuildRe
         raise ValueError("table entries must be non-negative")
     if entry_bits is None:
         entry_bits = max(1, max(table).bit_length())
+    if entry_bits < 1:
+        raise ValueError(f"entry_bits must be >= 1, got {_shown(entry_bits)}")
     if window + entry_bits > MAX_QUBITS:  # before any list is sized by entry_bits
         raise ValueError(f"{_shown(window + entry_bits)} qubits exceed the ceiling {MAX_QUBITS}")
     if max(table).bit_length() > entry_bits:
@@ -555,41 +552,25 @@ def mutate(circuit: Circuit, seed: int) -> Circuit:
         raise ValueError("circuit has no gates to mutate")
     depended_cbits = {g.condition[0] for g in gates if g.condition is not None}
 
-    retarget_sites = [
-        i for i, g in enumerate(gates) if circuit.qubit_count > len(g.qubits)
-    ]
-    drop_sites = [
-        i
-        for i, g in enumerate(gates)
-        if g.kind != "MX" or g.cbit not in depended_cbits
-    ]
-    toggle_sites = [i for i, g in enumerate(gates) if g.condition is not None]
-
-    choices = []
-    if retarget_sites:
-        choices.append("retarget")
-    if drop_sites:
-        choices.append("drop")
-    if toggle_sites:
-        choices.append("toggle")
+    sites = {
+        "retarget": [i for i, g in enumerate(gates) if circuit.qubit_count > len(g.qubits)],
+        "drop": [i for i, g in enumerate(gates)
+                 if g.kind != "MX" or g.cbit not in depended_cbits],
+        "toggle": [i for i, g in enumerate(gates) if g.condition is not None],
+    }
+    choices = [kind for kind, found in sites.items() if found]
     if not choices:
         raise ValueError("circuit has no mutable structure")
-    kind = choices[rng.randrange(len(choices))]
-
+    kind = rng.choice(choices)
+    i = rng.choice(sites[kind])
+    gate = gates[i]
     if kind == "retarget":
-        i = retarget_sites[rng.randrange(len(retarget_sites))]
-        gate = gates[i]
         pos = rng.randrange(len(gate.qubits))
-        candidates = [
-            q for q in range(circuit.qubit_count) if q not in gate.qubits
-        ]
-        new_q = candidates[rng.randrange(len(candidates))]
+        new_q = rng.choice([q for q in range(circuit.qubit_count) if q not in gate.qubits])
         gates[i] = gate._replace(qubits=gate.qubits[:pos] + (new_q,) + gate.qubits[pos + 1 :])
     elif kind == "drop":
-        i = drop_sites[rng.randrange(len(drop_sites))]
         del gates[i]
     else:
-        i = toggle_sites[rng.randrange(len(toggle_sites))]
-        cb, val = gates[i].condition
-        gates[i] = gates[i]._replace(condition=(cb, 1 - val))
+        cb, val = gate.condition
+        gates[i] = gate._replace(condition=(cb, 1 - val))
     return circuit._replace(gates=tuple(gates))

@@ -144,52 +144,49 @@ def _parse_point(curve: CurveParams, text: str) -> CurvePoint:
 # build
 
 
-# Each builder's options: those it requires, then those it may take.
-_BUILDER_OPTIONS = {
-    "temp-and": ((), ()),
-    "adder": (("width",), ()),
-    "mod-add": (("width", "constant", "modulus"), ()),
-    "lookup": (("table",), ("entry_bits",)),
-    "pointadd": (("curve", "point"), ()),
-    "windowed-pointadd": (("curve", "point", "window"), ()),
+# Each builder: its function on kickmix.builders, the options it requires (in
+# that function's argument order), then those it may take by name.
+_BUILDERS = {
+    "temp-and": ("build_temp_and", (), ()),
+    "adder": ("build_adder", ("width",), ()),
+    "mod-add": ("build_mod_add_const", ("width", "constant", "modulus"), ()),
+    "lookup": ("build_lookup", ("table",), ("entry_bits",)),
+    "pointadd": ("build_pointadd_permutation", ("curve", "point"), ()),
+    "windowed-pointadd": ("build_windowed_pointadd", ("curve", "point", "window"), ()),
 }
-_EVERY_OPTION = dict.fromkeys(n for req, opt in _BUILDER_OPTIONS.values() for n in req + opt)
+_EVERY_OPTION = dict.fromkeys(n for _, req, opt in _BUILDERS.values() for n in req + opt)
 
 
 def _flags(names: list[str]) -> str:
     return ", ".join("--" + n.replace("_", "-") for n in names)
 
 
+def _listed(names, last: str = "and") -> str:
+    """The names as 'a, b and c', or with another last word ('a, b or c')."""
+    *head, tail = names
+    return f"{', '.join(head)} {last} {tail}" if head else tail
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     from . import builders  # here, not at the top: verify starts without it
 
-    if args.builder not in _BUILDER_OPTIONS:
+    if args.builder not in _BUILDERS:
         raise _UsageError(f"unknown builder {_shown(args.builder)!r}")
-    required, optional = _BUILDER_OPTIONS[args.builder]
-    missing = [n for n in required if getattr(args, n) is None]
+    function, required, optional = _BUILDERS[args.builder]
+    values = dict(vars(args))
+    missing = [n for n in required if values[n] is None]
     if missing:
         raise _UsageError(f"builder {args.builder!r} requires {_flags(missing)}")
-    extra = [n for n in _EVERY_OPTION if n not in required + optional
-             and getattr(args, n) is not None]
+    extra = [n for n in _EVERY_OPTION if n not in required + optional and values[n] is not None]
     if extra:
         raise _UsageError(f"builder {args.builder!r} does not take {_flags(extra)}")
-
-    if args.builder == "temp-and":
-        report = builders.build_temp_and()
-    elif args.builder == "adder":
-        report = builders.build_adder(args.width)
-    elif args.builder == "mod-add":
-        report = builders.build_mod_add_const(args.width, args.constant, args.modulus)
-    elif args.builder == "lookup":
-        table = _parse_table(args.table)
-        report = builders.build_lookup(table, entry_bits=args.entry_bits)
-    else:
-        curve = named_curve(args.curve)
-        base = _parse_point(curve, args.point)
-        if args.builder == "pointadd":
-            report = builders.build_pointadd_permutation(curve, base)
-        else:
-            report = builders.build_windowed_pointadd(curve, base, args.window)
+    if args.table is not None:
+        values["table"] = _parse_table(args.table)
+    if args.curve is not None:  # every builder that takes --curve requires --point
+        values["curve"] = named_curve(args.curve)
+        values["point"] = _parse_point(values["curve"], args.point)
+    by_name = {n: values[n] for n in optional if values[n] is not None}
+    report = getattr(builders, function)(*[values[n] for n in required], **by_name)
 
     _check_writable(args.output, "circuit file")
     _check_writable(args.output + ".json", "sidecar file")
@@ -224,6 +221,8 @@ _LABELS = {
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {_shown(args.jobs)}")
+    if args.exhaustive and args.fail_fast:
+        raise _UsageError("--fail-fast does not apply to --exhaustive")
     circuit_bytes = _read_file(args.circuit, "circuit file")
     spec_data = _read_json(args.spec, "spec file")
     try:
@@ -275,10 +274,14 @@ MAX_SWEEP_STEPS = 10_000  # rows of --success-csv; the default is 100
 
 
 def _from_section(cls, data, what: str, part: str = "section"):
-    """cls(**data) for one scenario object; fields cls does not declare and
-    values it refuses are usage errors."""
+    """cls(**data) for one scenario object; a missing field (all of those
+    without a default are named), fields cls does not declare and values it
+    refuses are usage errors."""
     if not isinstance(data, dict):
         raise _UsageError(f"{what} {part} must be a JSON object")
+    required = cls._fields[: len(cls._fields) - len(cls.__init__.__defaults__ or ())]
+    if not data.keys() >= set(required):
+        raise _UsageError(f"{what} {part} needs {_listed(required)}")
     unknown = sorted(set(data).difference(cls._fields))
     if unknown:
         raise _UsageError(_unknown(f"{what} field(s)", unknown))
@@ -321,10 +324,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         results["windowed_additions"] = costmodel.windowed_addition_count(cost.n, cost.w)
 
     if "machine" in scenario:
-        section = scenario["machine"]
-        if not {"reaction_time", "round_time"} <= section.keys():
-            raise _UsageError("machine section needs reaction_time and round_time")
-        machine = _from_section(costmodel.MachineProfile, section, "machine")
+        machine = _from_section(costmodel.MachineProfile, scenario["machine"], "machine")
         results["t_production_rate"] = costmodel.t_production_rate(machine)
         if toffoli is not None:
             full = costmodel.runtime(toffoli, machine)
@@ -488,10 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "build",
         help="emit a circuit file plus a JSON sidecar with predicted resources",
     )
-    p_build.add_argument(
-        "builder",
-        help="temp-and, adder, mod-add, lookup, pointadd or windowed-pointadd",
-    )
+    p_build.add_argument("builder", help=_listed(_BUILDERS, "or"))
     p_build.add_argument("-o", "--output", required=True, help="circuit file to write")
     p_build.add_argument("--width", type=_integer, help="register width in bits")
     p_build.add_argument("--constant", type=_integer, help="added constant (mod-add)")

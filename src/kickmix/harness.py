@@ -831,8 +831,11 @@ def verify(
 
     tolerated_failure_fraction = 0 means random sampling cannot reach the
     target, so the whole enumerable domain is checked instead (equivalent to
-    verify_exhaustive; test_count is ignored)."""
+    verify_exhaustive; test_count is ignored), where fail_fast is refused."""
     if spec.tolerated_failure_fraction == 0:
+        if fail_fast:
+            raise HarnessError("fail_fast does not apply to exhaustive verification "
+                               "(tolerated_failure_fraction 0)")
         return verify_exhaustive(circuit_bytes, spec)
     plan = _resolve(parse(circuit_bytes), spec)
     transcript = _derive(circuit_bytes, plan, spec.test_count)

@@ -277,7 +277,7 @@ def _lane_pass(circuit: Circuit, lane_inputs: Sequence[Mapping[str, int]],
         i = next(i for i, j in enumerate(index)
                  if table[j].condition is not None and table[j].kind in PERMUTATION_KINDS)
         raise ValueError(f"gate {i} is a conditioned {table[index[i]].kind}: branch space does "
-                         "not factorize; use run_all_measurement_branches instead")
+                         "not factorize; check it with sampled verification instead")
     full = (1 << len(slot_inputs)) - 1
     zero = 0  # the sign plane of the all-zeros branch
     planes: dict[int, int] = {}  # measured bit -> its plane

@@ -183,6 +183,9 @@ def test_lookup_entry_bits_and_errors() -> None:
     assert value_reg.width == 5
     with pytest.raises(ValueError, match=r"do not fit in 2 bit\(s\)"):
         build_lookup([4, 0], entry_bits=2)
+    for entry_bits in (0, -3):
+        with pytest.raises(ValueError, match=f"^entry_bits must be >= 1, got {entry_bits}$"):
+            build_lookup([1, 0], entry_bits=entry_bits)
     with pytest.raises(ValueError, match="does not match window"):
         build_lookup([1, 2, 3])
     with pytest.raises(ValueError, match="non-negative"):

@@ -8,14 +8,16 @@ what a shell user sees without spawning subprocesses.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from kickmix import mutate, parse, serialize
-from kickmix.cli import main
+from kickmix import builders, mutate, parse, serialize
+from kickmix.cli import _BUILDERS, main
 
 
 def _write_spec(tmp_path: Path, **fields) -> Path:
@@ -117,6 +119,28 @@ def test_a_builder_names_every_option_it_does_not_take(tmp_path, capsys) -> None
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_a_builder_row_names_a_function_that_takes_its_options(builder) -> None:
+    # the required options positionally, in order, then the optional ones by name
+    function, required, optional = _BUILDERS[builder]
+    params = list(inspect.signature(getattr(builders, function)).parameters.values())
+    assert len(params) == len(required) + len(optional)
+    for param in params[: len(required)]:
+        assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
+    for param, name in zip(params[len(required):], optional):
+        assert param.name == name and param.default is not param.empty
+        assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+
+
+def test_build_help_names_every_builder(capsys, monkeypatch) -> None:
+    monkeypatch.setenv("COLUMNS", "200")  # the builder list on one line
+    with pytest.raises(SystemExit):
+        main(["build", "-h"])
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  builder ")]
+    assert re.split(r", | or ", line.split(None, 1)[1]) == list(_TAKES) == list(_BUILDERS)
+
+
 def test_the_benchmark_builds_with_only_options_its_builder_takes(monkeypatch) -> None:
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -173,6 +197,15 @@ def test_lookup_entry_bits_over_the_qubit_ceiling_is_one_line(tmp_path, capsys) 
         assert capsys.readouterr().err == (
             f"error: {shown} qubits exceed the ceiling 65536\n"
         )
+    assert not out.exists()
+
+
+def test_lookup_entry_bits_below_one_is_one_line(tmp_path, capsys) -> None:
+    out = tmp_path / "x.kmx"
+    for bits in ("0", "-3"):
+        assert main(["build", "lookup", "-o", str(out), "--table", "1,0",
+                     "--entry-bits", bits]) == 2
+        assert capsys.readouterr() == ("", f"error: entry_bits must be >= 1, got {bits}\n")
     assert not out.exists()
 
 
@@ -237,6 +270,22 @@ def test_verify_exhaustive_mode(tmp_path, capsys) -> None:
     capsys.readouterr()
     assert main(["verify", str(circuit), "--spec", str(spec), "--exhaustive"]) == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "exhaustive"
+
+
+def test_verify_refuses_fail_fast_where_the_whole_domain_is_checked(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    report = tmp_path / "report.json"
+    for fields, extra, message in (
+        ({}, ["--exhaustive"], "--fail-fast does not apply to --exhaustive"),
+        ({"tolerated_failure_fraction": 0}, [],
+         "fail_fast does not apply to exhaustive verification (tolerated_failure_fraction 0)"),
+    ):
+        spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=5, **fields)
+        capsys.readouterr()
+        assert main(["verify", str(circuit), "--spec", str(spec), "--fail-fast", *extra,
+                     "-o", str(report)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("extra", ["X 13", "CX 0 13"])
@@ -542,6 +591,25 @@ _NOT_A_NUMBER = [
     ({"attack": _ATTACK, "wallets": [{"balance": 1, "label": None}]},
      "bad wallet entry: label must be a string, got None"),
 ]
+
+
+# A section without a field its record has no default for names all of those.
+_MISSING_FIELD = [
+    ({"ecdlp": {"pa_toffoli": 100, "n": 256}},
+     "ecdlp section needs pa_toffoli, pa_qubits, n and w"),
+    ({"machine": {"round_time": 1e-6}}, "machine section needs reaction_time and round_time"),
+    ({"attack": {"attack_time": 540, "machines": 2}},
+     "attack section needs attack_time and mean_block_interval"),
+    ({"attack": _ATTACK, "wallets": [{"balance": 1}, {"label": "cold"}]},
+     "wallet entry needs balance"),
+]
+
+
+@pytest.mark.parametrize("scenario, message", _MISSING_FIELD,
+                         ids=[message.split()[0] for _, message in _MISSING_FIELD])
+def test_estimate_names_the_fields_a_section_needs(tmp_path, capsys, scenario, message) -> None:
+    assert main(["estimate", str(_write_scenario(tmp_path, scenario))]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("scenario, message", _NOT_A_NUMBER,

@@ -680,6 +680,15 @@ def test_zero_tolerance_delegates_to_exhaustive(pointadd11, pointadd11_bytes) ->
     assert report.passed
 
 
+def test_zero_tolerance_refuses_fail_fast(pointadd11, pointadd11_bytes) -> None:
+    spec = spec_for_circuit(pointadd11.circuit, test_count=0, tolerated_failure_fraction=0)
+    with pytest.raises(HarnessError) as excinfo:
+        verify(pointadd11_bytes, spec, fail_fast=True)
+    assert str(excinfo.value) == (
+        "fail_fast does not apply to exhaustive verification (tolerated_failure_fraction 0)"
+    )
+
+
 def test_exhaustive_covers_every_point_and_branch(pointadd11, pointadd11_bytes) -> None:
     spec = spec_for_circuit(pointadd11.circuit, test_count=0, tolerated_failure_fraction=0)
     report = verify_exhaustive(pointadd11_bytes, spec)

@@ -115,4 +115,4 @@ def test_built_parsed_and_lowered_copies_give_one_lane_pass(pointadd11, windowed
     assert any(len(bits) > 1 for bits in defects)
     assert all(list(bits) == sorted(bits) for bits in defects)  # in bit order
     assert _lane_outcome(cases["conditioned CX"], inputs, None).endswith(
-        "branch space does not factorize; use run_all_measurement_branches instead")
+        "branch space does not factorize; check it with sampled verification instead")

@@ -163,7 +163,7 @@ def test_checker_rejects_conditioned_permutation_gates() -> None:
     circuit = _bare(3, 2, "MX 0 -> c0\nIF c0 Z 1\nMX 1 -> c1\nX 2\nIF c1=0 CZ 0 2\n"
                           "IF c0=0 CCX 0 1 2\nIF c1 X 0\n")
     message = ("gate 5 is a conditioned CCX: branch space does not factorize; "
-               "use run_all_measurement_branches instead")
+               "check it with sampled verification instead")
     for call in (lambda: sim._lane_pass(circuit, [{"a": 0}, {"a": 5}], None),
                  lambda: check_phase_all_branches(circuit, {"a": 3})):
         with pytest.raises(ValueError) as excinfo:
