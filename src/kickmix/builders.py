@@ -31,6 +31,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     Gate,
+    Program,
     Register,
     StaticResources,
     _made,
@@ -166,11 +167,10 @@ class _Emitter:
         self.release(t)
 
     def mcx(self, controls: Sequence[int], target: int) -> None:
-        """Multi-controlled X via a ladder of measured-away temporary products."""
+        """X on target under one or more controls, via a ladder of measured-away
+        temporary products."""
         cs = list(controls)
-        if len(cs) == 0:
-            self.emit("X", target)
-        elif len(cs) == 1:
+        if len(cs) == 1:
             self.emit("CX", cs[0], target)
         elif len(cs) == 2:
             self.emit("CCX", cs[0], cs[1], target)
@@ -195,9 +195,7 @@ class _Emitter:
         """Swap basis states u and v of the data qubits; fix everything else.
 
         With an extra control, the swap happens only when that qubit is 1
-        (the alignment conjugation cancels itself on the 0 branch)."""
-        if u == v:
-            return
+        (the alignment conjugation cancels itself on the 0 branch); u != v."""
         width = len(data)
         diff = u ^ v
         pivot = (diff & -diff).bit_length() - 1
@@ -263,7 +261,7 @@ class _Emitter:
         prediction (a recount when the builder has no closed form)."""
         circuit = _made(self.watermark, self.cbits, registers,
                         registers if outputs is None else outputs,
-                        self._table, self._index, [self._numbers],
+                        Program(self._table, self._index, self._numbers),
                         {"construction": construction, **metadata})
         return BuildReport(
             circuit=circuit,
@@ -558,10 +556,8 @@ def mutate(circuit: Circuit, seed: int) -> Circuit:
                  if g.kind != "MX" or g.cbit not in depended_cbits],
         "toggle": [i for i, g in enumerate(gates) if g.condition is not None],
     }
-    choices = [kind for kind, found in sites.items() if found]
-    if not choices:
-        raise ValueError("circuit has no mutable structure")
-    kind = rng.choice(choices)
+    # a non-empty gate list always has a gate to drop
+    kind = rng.choice([kind for kind, found in sites.items() if found])
     i = rng.choice(sites[kind])
     gate = gates[i]
     if kind == "retarget":

@@ -65,8 +65,8 @@ Structural rules enforced on every circuit:
 
 These rules live in :class:`Register` and :class:`Circuit` only; a
 :class:`Gate` is a plain record, and :func:`parse` checks spelling and line
-order.  ``validate`` reports the first broken rule, checking the counts,
-the registers, the gates by position, then the metadata; :func:`parse`
+order.  The validation walk reports the first broken rule, checking the
+counts, the registers, the gates by position, then the metadata; :func:`parse`
 reports a spelling error anywhere in the file before any of these.  Every
 :class:`ParseError` is one line at column 1 (invalid UTF-8 excepted: it
 names the column of the first bad byte).  A refused line is quoted, cut to
@@ -78,20 +78,19 @@ A circuit is its *program* (:class:`Program`): the table of gate shapes,
 each gate's shape, and the classical-bit numbers in gate order, a shape
 holding 0 in its number's place.  :func:`parse` makes it a chunk of whole
 lines at a time: it lifts out each classical-bit number ``c<k>`` spelled as
-above, which leaves the line's shape (a number spelled otherwise stays, and
-the shape is refused), and matches each new shape once.  The builders
-record it as they emit, and ``Circuit(...)`` lowers a gate list into it.
-One walk checks each shape once (its (kind, operand tuple) and its bit
-fields), then the classical-bit rules at each gate with a bit, in gate
-order, from its shape and number; it makes no Gate, and converts a parse's
-numbers a chunk at a time as it reaches them.  A message stays one bounded
-line for any value.  The walk records the :class:`Facts` that every layer
-reads instead of recounting the gates; ``Circuit`` is frozen, so they
-cannot go stale.  The lane pass, :func:`serialize` and
-:func:`static_resources` read the program and the facts.  ``gates`` is a
-view of the program, built when first read and kept (a plain gate is its
-shape's own Gate, and identical IF lines share one), so callers must not
-rely on gate or tuple identity.
+above, as an int, which leaves the line's shape (a number spelled otherwise
+stays, and the shape is refused), and matches each new shape once.  The
+builders record it as they emit, and ``Circuit(...)`` lowers a gate list
+into it; each hands the validation walk a finished program.  The walk checks
+each shape once (its (kind, operand tuple) and its bit fields), then the
+classical-bit rules at each gate with a bit, in gate order, from its shape
+and number; it makes no Gate.  A message stays one bounded line for any
+value.  The walk records the :class:`Facts` that every layer reads instead
+of recounting the gates; ``Circuit`` is frozen, so they cannot go stale.
+The lane pass, :func:`serialize` and :func:`static_resources` read the
+program and the facts.  ``gates`` is a view of the program, built when
+first read and kept (a plain gate is its shape's own Gate, and identical IF
+lines share one), so callers must not rely on gate or tuple identity.
 
 MX resets the measured qubit to 0, so circuits may reuse the qubit index
 afterwards; ``qubit_count`` is the peak width.
@@ -102,7 +101,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import partial
-from itertools import chain, compress
+from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -190,7 +189,7 @@ class Gate(NamedTuple):
     """One gate: kind, qubit operands (controls first, target last for the
     permutation kinds), MX destination bit, and an optional classical
     condition (cbit index, required value).  A plain record: the rules a
-    gate must meet are checked by :meth:`Circuit.validate`."""
+    gate must meet are checked when a :class:`Circuit` is made."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -428,13 +427,10 @@ class Circuit(_Record):
         object.__setattr__(self, "gates", gates)
         return gates
 
-    def validate(self) -> Facts:
-        """Check every rule in the module docstring; return the facts met on the way."""
-        return self._validate(self.program)
-
     def _validate(self, program: Program | None) -> Facts:
-        """:meth:`validate` of ``program``, whose numbers may be an iterator;
-        None lowers ``gates`` (see :func:`_lower`) and keeps their program."""
+        """Check every rule in the module docstring on ``program`` (None
+        lowers ``gates``, see :func:`_lower`), keep it, and return the facts
+        met on the way."""
         _exact(self.qubit_count, int, "qubit count")
         _exact(self.classical_bit_count, int, "classical bit count")
         if self.qubit_count < 0 or self.classical_bit_count < 0:
@@ -465,7 +461,7 @@ class Circuit(_Record):
                 used.update(reg.qubits)
         if program is None:
             program = _lower(self.gates)
-            object.__setattr__(self, "program", program)
+        object.__setattr__(self, "program", program)
         table, index, numbers = program
         # Each shape once, in order of first use: its kind and operands, then
         # its bit fields.  The first bad shape stops the walk at its first gate.
@@ -551,34 +547,22 @@ def _lower(gates) -> Program:
     add, add_number = index.append, numbers.append  # bound once: the loop runs once per gate
     for gate in gates:
         kind, qubits, cbit, condition = gate
-        # the forms of _split, spelled out
-        if condition is None:
-            if cbit is None:  # most gates: each is its shape's own Gate
-                j = plain.get(id(qubits))
-                if j is None or kinds[j] is not kind:
-                    j = plain[id(qubits)] = len(table)
-                    table.append(gate)
-                    kinds.append(kind)
-                add(j)
-                continue
-            if type(cbit) is not int or cbit < 0:
-                shapes = None
-            else:
-                add_number(cbit)
-                cbit, shapes = 0, measured
-        elif (cbit is None and type(condition) is tuple and len(condition) == 2
-              and type(condition[0]) is int and condition[0] >= 0
-              and type(condition[1]) is int and condition[1] in (0, 1)):
-            add_number(condition[0])
-            shapes = conditioned[condition[1]]
-            condition = _IF[condition[1]]
-        else:
-            shapes = None
-        if shapes is None:  # a shape of its own, which the walk refuses
+        if cbit is None and condition is None:  # most gates: each is its shape's own Gate
+            j = plain.get(id(qubits))
+            if j is None or kinds[j] is not kind:
+                j = plain[id(qubits)] = len(table)
+                table.append(gate)
+                kinds.append(kind)
+            add(j)
+            continue
+        cbit, condition, number = _split(cbit, condition)
+        if number is None:  # a shape of its own, which the walk refuses
             add(len(table))
             table.append(gate)
             kinds.append(None)
             continue
+        add_number(number)
+        shapes = measured if condition is None else conditioned[condition[1]]
         j = shapes.get(id(qubits))
         if j is None or kinds[j] is not kind:
             j = shapes[id(qubits)] = len(table)
@@ -588,29 +572,13 @@ def _lower(gates) -> Program:
     return Program(table, index, numbers)
 
 
-def _converted(chunks: list):
-    """Each chunk of numbers as a list, converting a string of
-    space-separated numbers in place when it is reached."""
-    for k, chunk in enumerate(chunks):
-        if type(chunk) is str:
-            chunks[k] = chunk = list(map(int, chunk.split()))
-        yield chunk
-
-
-def _made(qubit_count, classical_bit_count, inputs, outputs, table, index, chunks,
+def _made(qubit_count, classical_bit_count, inputs, outputs, program: Program,
           metadata) -> Circuit:
-    """``Circuit(...)`` of the program (table, index, the numbers in
-    ``chunks``: lists, or strings that the walk converts as it reaches
-    them).  Its ``gates`` are built when first read."""
+    """``Circuit(...)`` of ``program``; its ``gates`` are built when first read."""
     circuit = Circuit.__new__(Circuit)
     circuit._set(qubit_count, classical_bit_count, inputs, outputs)  # the fields before gates
     object.__setattr__(circuit, "metadata", MappingProxyType(metadata))
-    walked = Program(table, index, chain.from_iterable(_converted(chunks)))
-    object.__setattr__(circuit, "facts", circuit._validate(walked))
-    numbers = chunks[0] if chunks else []
-    for chunk in chunks[1:]:
-        numbers.extend(chunk)
-    object.__setattr__(circuit, "program", Program(table, index, numbers))
+    object.__setattr__(circuit, "facts", circuit._validate(program))
     return circuit
 
 
@@ -745,7 +713,7 @@ def parse(text: str | bytes) -> Circuit:
     header_lines = lineno
     shapes = _Shapes()
     index: list[int] = []  # each gate line's shape
-    numbers: list[str] = []  # per chunk that has any, its numbers joined by spaces
+    numbers: list[int] = []  # the classical-bit numbers, in gate order
     pos = header.end()
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1
@@ -760,14 +728,13 @@ def parse(text: str | bytes) -> Circuit:
         except KeyError as exc:
             j = lines.index(exc.args[0])
             raise _refused("a gate line", chunk.split("\n", j + 1)[j], lineno + j + 1) from None
-        if len(parts) > 1:
-            numbers.append(" ".join(parts[1::2]))
+        numbers += map(int, parts[1::2])
         lineno += len(lines)
         pos = end
 
     try:
         return _made(int(qubit_count), int(cbit_count), tuple(inputs), tuple(outputs),
-                     shapes.table, index, numbers, metadata)
+                     Program(shapes.table, index, numbers), metadata)
     except CircuitError as exc:
         lineno = 1 if exc.gate is None else header_lines + exc.gate + 1
         raise ParseError(str(exc), lineno) from None

@@ -19,10 +19,12 @@ needs nothing but the file to reproduce the exact test set:
   order or in parallel without changing a single outcome.
 
 Test i drives the circuit with the point k_i * G and compares the simulated
-output registers with the oracle sum, and every other qubit with 0; the verdict
-also requires the run to end with phase +1 and the declared resource bounds to
-hold.  Inputs the circuit's metadata declares undefined-by-contract (identity /
-inverse / doubling cases) are skipped and counted, never silently passed.
+output registers with the oracle sum, and every other qubit with 0: every
+register has a role (the spec is refused otherwise); every other qubit ends
+at 0.  The verdict also requires the run to end with phase +1 and the
+declared resource bounds to hold.  Inputs the circuit's metadata declares
+undefined-by-contract (identity / inverse / doubling cases) are skipped and
+counted, never silently passed.
 
 A circuit wrong on at least a fraction eps of its domain slips past N
 random tests with probability at most (1 - eps)^N;
@@ -408,11 +410,12 @@ def _resolve(circuit: Circuit, spec: VerificationSpec) -> _Plan:
     window_bits = in_names[window_reg].width if window_reg else None
     addend_x = reg_for("addend_x")
     addend_y = reg_for("addend_y")
-    unmapped = [name for name in in_names if name not in roles]
-    if unmapped:
-        raise HarnessError(
-            f"register mapping mismatch: input register {_shown(unmapped[0])!r} has no role"
-        )
+    for side, names in (("input", in_names), ("output", out_names)):
+        unmapped = [name for name in names if name not in roles]
+        if unmapped:
+            raise HarnessError(
+                f"register mapping mismatch: {side} register {_shown(unmapped[0])!r} has no role"
+            )
 
     base: CurvePoint | None = None
     if addend_x is None and spec.base_source == "generator":
@@ -608,9 +611,9 @@ def _canonical_json(value) -> bytes:
     dict with str keys, list, str, int, finite float, bool and None by exact
     type; anything else raises TypeError or ValueError.
 
-    A list of two or more dicts with one key set (the report's ``tests``) or
-    of scalars of one exact type (``failure_indices``) is encoded a column
-    at a time (:func:`_columnar`); everything else value by value."""
+    Every list is encoded by :func:`_columnar`: a column at a time where its
+    items are dicts of one key set (the report's ``tests``) or scalars of one
+    exact type (``failure_indices``), item by item otherwise."""
     parts: list[str] = []
     _encode(value, "\n", parts.append)
     parts.append("\n")
@@ -635,19 +638,13 @@ def _encode(value, newline: str, out) -> None:
             sep = ","
         out(newline + "}" if value else "{}")
     elif kind is list:
-        inner = newline + "  "
-        items = _columnar(value, inner) if len(value) > 1 else None
-        if items is not None:  # the joined items are long: written without a copy
-            out("[" + inner)
-            out(("," + inner).join(items))
-            out(newline + "]")
+        if not value:
+            out("[]")
             return
-        sep = "["
-        for item in value:
-            out(sep + inner)
-            _encode(item, inner, out)
-            sep = ","
-        out(newline + "]" if value else "[]")
+        inner = newline + "  "
+        out("[" + inner)  # the joined items are long: written without a copy
+        out(("," + inner).join(_columnar(value, inner)))
+        out(newline + "]")
     elif kind is float:
         if not math.isfinite(value):
             raise ValueError(f"JSON has no form for the float {value!r}")
@@ -674,11 +671,11 @@ def _scalar_form(kinds: set):
     return _SCALAR_FORM.get(next(iter(kinds))) if len(kinds) == 1 else None
 
 
-def _columnar(items: list, inner: str) -> list[str] | None:
-    """The encoded items of a list whose items sit at ``inner``, if they are
-    dicts of one key set or scalars of one _scalar_form; else None, and None
-    for anything _encode refuses, so the item-by-item path raises the error
-    it always raised, at the first bad value.
+def _columnar(items: list, inner: str) -> list[str]:
+    """The encoded items of a non-empty list whose items sit at ``inner``: a
+    column at a time if they are dicts of one non-empty key set or scalars
+    of one _scalar_form, else one at a time, as for anything _encode
+    refuses, so that its error is raised at the first bad item.
 
     Rows fill one %-template of their sorted keys, so a row pays only for
     the columns that differ between rows.  A column of one value of one
@@ -691,36 +688,36 @@ def _columnar(items: list, inner: str) -> list[str] | None:
     kinds = set(map(type, items))
     if kinds != {dict}:
         form = _scalar_form(kinds)
-        return None if form is None else list(map(form, items))
-    keys = items[0].keys()
-    if set(map(len, items)) != {len(keys)}:
-        return None
-    if not keys:
-        return ["{}"] * len(items)
-    indent = inner + "  "
-    fields: list[str] = []
-    columns: list[list] = []
-    try:
-        for name in sorted(keys):
-            values = list(map(itemgetter(name), items))
-            kinds = set(map(type, values))
-            form = _scalar_form(kinds)
-            if len(kinds) == 1 and kinds <= _ONE_FORM and values.count(values[0]) == len(values):
-                field = form(values[0]).replace("%", "%%")
-            elif kinds == {int}:
-                field = "%d"
-                columns.append(values)
-            else:
-                field = "%s"
-                columns.append(list(map(form, values)) if form is not None else
-                               list(map(_encoded, values, itertools.repeat(indent))))
-            fields.append(f"{indent}{encode_basestring_ascii(name).replace('%', '%%')}: {field}")
-        template = "{" + ",".join(fields) + inner + "}"
-        if not columns:
-            return [template % ()] * len(items)
-        return list(map(template.__mod__, zip(*columns)))
-    except (KeyError, TypeError, ValueError):
-        return None
+        if form is not None:
+            return list(map(form, items))
+    elif items[0] and set(map(len, items)) == {len(items[0])}:
+        indent = inner + "  "
+        fields: list[str] = []
+        columns: list[list] = []
+        try:
+            for name in sorted(items[0]):
+                values = list(map(itemgetter(name), items))
+                kinds = set(map(type, values))
+                form = _scalar_form(kinds)
+                if (len(kinds) == 1 and kinds <= _ONE_FORM
+                        and values.count(values[0]) == len(values)):
+                    field = form(values[0]).replace("%", "%%")
+                elif kinds == {int}:
+                    field = "%d"
+                    columns.append(values)
+                else:
+                    field = "%s"
+                    columns.append(list(map(form, values)) if form is not None else
+                                   list(map(_encoded, values, itertools.repeat(indent))))
+                fields.append(
+                    f"{indent}{encode_basestring_ascii(name).replace('%', '%%')}: {field}")
+            template = "{" + ",".join(fields) + inner + "}"
+            if not columns:
+                return [template % ()] * len(items)
+            return list(map(template.__mod__, zip(*columns)))
+        except (KeyError, TypeError, ValueError):
+            pass
+    return list(map(_encoded, items, itertools.repeat(inner)))
 
 
 def _encoded(value, indent: str) -> str:

@@ -194,6 +194,26 @@ def test_lookup_entry_bits_and_errors() -> None:
         build_lookup(list(range(512)))
 
 
+def test_lookup_refuses_a_tree_that_emits_another_ccx_count(monkeypatch) -> None:
+    walk = builders_module._iterate_addresses
+
+    def one_more(em, address, apply_leaf) -> None:
+        walk(em, address, apply_leaf)
+        em.drop_temp_and(em.temp_and(address[0], address[1]), address[0], address[1])
+
+    monkeypatch.setattr(builders_module, "_iterate_addresses", one_more)
+    with pytest.raises(CircuitError, match="^lookup tree emitted 3 CCX, expected 2$"):
+        build_lookup([5, 0, 7, 3])
+
+
+def test_synth_permutation_refuses_a_mapping_that_is_no_permutation() -> None:
+    em = builders_module._Emitter(2)
+    with pytest.raises(CircuitError, match="^permutation entry 1->4 outside 2 bits$"):
+        em.synth_permutation({1: 4, 4: 1}, [0, 1])
+    with pytest.raises(CircuitError, match=r"^mapping is not a permutation \(moved set not"):
+        em.synth_permutation({0: 1, 1: 2}, [0, 1])
+
+
 def test_lookup_refuses_more_qubits_than_the_ceiling_before_building(monkeypatch) -> None:
     assert build_lookup([1, 0], entry_bits=MAX_QUBITS - 1).circuit.qubit_count == MAX_QUBITS
     # the refusal comes before any gate is emitted, so its cost is not sized
@@ -665,7 +685,7 @@ def test_the_three_programs_of_a_circuit_give_its_facts(call) -> None:
     lowered = Circuit(built.qubit_count, built.classical_bit_count, built.inputs, built.outputs,
                       built.gates, dict(built.metadata))
     assert parsed.gates == built.gates and parsed == built == lowered
-    assert parsed.facts == built.facts == lowered.facts == built.validate() == parsed.validate()
+    assert parsed.facts == built.facts == lowered.facts
     assert data == _plain_serialize(built) == serialize(lowered)
 
 

@@ -195,7 +195,7 @@ def test_four_gate_example_counts() -> None:
          "in register 'b' overlaps qubit 1 already covered by another in register"),
         ("qubits 3\ncbits 0\nin a 0..2\nout a 0..1\nout b 1..2\n", 1, 1,
          "out register 'b' overlaps qubit 1 already covered by another out register"),
-        # Gate lines: syntax first, then Circuit.validate's rules.
+        # Gate lines: syntax first, then the validation walk's rules.
         ("qubits 2\ncbits 0\nBOGUS 0\n", 3, 1, "expected a gate line, got 'BOGUS 0'"),
         ("qubits 2\ncbits 0\nH 0\n", 3, 1, "unknown gate kind 'H'"),
         ("qubits 2\ncbits 1\nMX 0\n", 3, 1, "MX requires a destination classical bit"),
@@ -344,7 +344,7 @@ def test_gate_validation() -> None:
 
 
 def test_direct_gate_construction_keeps_each_rule_message() -> None:
-    # the gate rules of Circuit.validate, in the order its checks run; a
+    # the gate rules of the validation walk, in the order its checks run; a
     # Gate itself is a plain record and refuses nothing
     for args, kwargs, line, message in (
         (("H", (0,)), {}, "H 0", "unknown gate kind 'H'"),
@@ -421,7 +421,7 @@ _ARITIES = {"X": 1, "CX": 2, "CCX": 3, "Z": 1, "CZ": 2, "CCZ": 3, "MX": 1}
 
 
 def _first_bad_gate(gates, qubit_count: int, cbit_count: int) -> int | None:
-    """The first gate that breaks a rule, found without Circuit.validate."""
+    """The first gate that breaks a rule, found without the validation walk."""
     def naturals(*values) -> bool:
         return all(type(v) is int and v >= 0 for v in values)
 
@@ -501,7 +501,7 @@ _CX, _MX = _GOOD_OPERANDS["CX"][0], _GOOD_OPERANDS["MX"][0]
 
 def _after_good_gates(*bad: Gate) -> list[Gate]:
     """Gates that measure c0 and c1 and use the CX and MX operand tuples,
-    then ``bad``: gates whose operand tuples validate has checked."""
+    then ``bad``: gates whose operand tuples the walk has checked."""
     return [Gate("MX", _MX, 0), Gate("MX", _MX, 1), Gate("CX", _CX), *bad]
 
 
@@ -761,7 +761,7 @@ def test_unicode_whitespace_and_line_breaks_are_refused() -> None:
                                   *lines[lineno:]])
                 with pytest.raises(ParseError) as excinfo:
                     parse(spaced)
-                # a metadata key holds no whitespace, a rule of Circuit.validate
+                # a metadata key holds no whitespace, a rule of the validation walk
                 # reported at line 1
                 key = line.startswith("meta ") and at == 6
                 assert excinfo.value.line == (1 if key else lineno), repr(spaced)
@@ -837,7 +837,7 @@ def test_gate_lines_parse_only_in_their_canonical_spelling(lines) -> None:
     try:
         circuit = parse(text)
     except ParseError as exc:
-        # spelling is checked line by line, Circuit.validate after
+        # spelling is checked line by line, the validation walk after
         assert not respelled or exc.line <= respelled[0]
     else:
         assert not respelled
@@ -893,7 +893,7 @@ def test_replace_on_a_copied_gate_revalidates() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the facts validate records
+# the facts the validation walk records
 
 
 def _recount(circuit: Circuit) -> tuple:

@@ -301,6 +301,21 @@ def test_verify_fails_a_qubit_left_set_outside_the_outputs(tmp_path, capsys, ext
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_output_register_with_no_role(tmp_path, capsys) -> None:
+    circuit = _build_pointadd(tmp_path)
+    junk = tmp_path / "junk.kmx"
+    last_out = b"out qy 4..7\n"
+    junk.write_bytes(circuit.read_bytes().replace(last_out, last_out + b"out junk 13..13\n")
+                     + b"X 13\n")
+    message = "error: register mapping mismatch: output register 'junk' has no role\n"
+    for fields, extra in (({"test_count": 2759}, []),
+                          ({"test_count": 0, "tolerated_failure_fraction": 0}, ["--exhaustive"])):
+        spec = _write_spec(tmp_path, curve="toy-p11-b7", **fields)
+        capsys.readouterr()
+        assert main(["verify", str(junk), "--spec", str(spec), *extra]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_verify_parallel_reports_are_byte_identical(tmp_path) -> None:
     circuit = _build_pointadd(tmp_path)
     spec = _write_spec(tmp_path, curve="toy-p11-b7", test_count=40)

@@ -9,6 +9,7 @@ from the functions being tested.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,6 +176,14 @@ def test_secp256k1_structure(secp) -> None:
     )
     with pytest.raises(ValueError, match="prime too large to enumerate"):
         enumerate_points(secp)
+
+
+def test_enumerate_points_checks_the_hasse_bound() -> None:
+    # CurveParams refuses a modulus that is no prime; enumerate_points reads
+    # only p, a and b, and y^2 = x^3 + 1 mod 8 has 21 points with infinity.
+    bogus = SimpleNamespace(p=8, a=0, b=1)
+    with pytest.raises(AssertionError, match="^point count 21 violates the Hasse bound for p=8$"):
+        enumerate_points(bogus)
 
 
 # Published multiples of the secp256k1 generator.

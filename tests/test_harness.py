@@ -16,6 +16,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,13 @@ def test_required_test_count_frozen_values() -> None:
     assert required_test_count(0.01, 128) == 8828
     assert required_test_count(0.01, 40) == 2759
     assert required_test_count(0.5, 10) == 10
+
+
+def test_required_test_count_steps_up_from_a_float_estimate_too_low(monkeypatch) -> None:
+    low = SimpleNamespace(**vars(math))
+    low.ceil = lambda x: math.ceil(x) - 1  # 2758 where the estimate rounds up to 2759
+    monkeypatch.setattr(harness, "math", low)
+    assert required_test_count(0.01, 40) == 2759
 
 
 def test_required_test_count_ceiling_keeps_documented_plans_exact() -> None:
@@ -543,11 +551,16 @@ def test_register_mapping_errors(pointadd11_bytes, windowed11_w2, windowed11_w2_
         registers={"accumulator_x": "qx", "accumulator_y": "qx"},
     )
     roleless = VerificationSpec(curve="toy-p11-b7", test_count=5)  # no window role for k
+    # an output-only register with no role would hide its qubits from the
+    # verdict: here the ancilla that X 13 leaves set
+    last_out = b"out qy 4..7\n"
+    junk = pointadd11_bytes.replace(last_out, last_out + b"out junk 13..13\n") + b"X 13\n"
     for raw, spec, message in (
         (pointadd11_bytes, twice,
          "register mapping mismatch: accumulator_y -> 'qx' is already mapped to accumulator_x"),
         (windowed11_w2_bytes, roleless,
          "register mapping mismatch: input register 'k' has no role"),
+        (junk, roleless, "register mapping mismatch: output register 'junk' has no role"),
     ):
         for run in (verify, verify_exhaustive, derive_tests):
             with pytest.raises(HarnessError) as excinfo:
