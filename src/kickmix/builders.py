@@ -113,7 +113,17 @@ class _Emitter:
     circuit width.
 
     Each shape gets one Gate, which keeps the operand tuple that was
-    emitted; :meth:`finish` hands the program to the validation walk."""
+    emitted; :meth:`finish` hands the program to the validation walk.
+
+    A ladder of :meth:`mcx` (three or more controls) is emitted gate by gate
+    the first time and replayed after that.  Its gates depend only on the
+    controls, the target and the ancilla state that :meth:`alloc` reads
+    (the watermark and the free list), so those key the ladder's shape
+    indices, its classical-bit numbers less the ``cbits`` it started at,
+    and the ancilla state it leaves.  A replay appends the indices, the
+    numbers offset by the current ``cbits``, and restores that state: the
+    program is exactly the one gate-by-gate emission makes, shape table
+    included."""
 
     def __init__(self, fixed_qubits: int):
         self.cbits = 0
@@ -123,6 +133,9 @@ class _Emitter:
         self._table: list[Gate] = []
         self._index: list[int] = []
         self._numbers: list[int] = []
+        # (controls, target, watermark, free list) -> (shape indices, numbers
+        # less the starting cbits, watermark after, free list after)
+        self._ladders: dict[tuple, tuple] = {}
 
     def alloc(self) -> int:
         if self._free:
@@ -175,6 +188,16 @@ class _Emitter:
         elif len(cs) == 2:
             self.emit("CCX", cs[0], cs[1], target)
         else:
+            key = (tuple(cs), target, self.watermark, tuple(self._free))
+            kept = self._ladders.get(key)
+            if kept is not None:
+                shapes, bits, self.watermark, free = kept
+                self._index += shapes
+                self._numbers += map(self.cbits.__add__, bits)
+                self.cbits += len(cs) - 1
+                self._free[:] = free
+                return
+            start, first, base = len(self._index), len(self._numbers), self.cbits
             ladder: list[tuple[int, int, int]] = []
             head = cs[0]
             for c in cs[1:]:
@@ -184,6 +207,9 @@ class _Emitter:
             self.emit("CX", head, target)
             for t, a, b in reversed(ladder):
                 self.drop_temp_and(t, a, b)
+            self._ladders[key] = (self._index[start:],
+                                  [n - base for n in self._numbers[first:]],
+                                  self.watermark, tuple(self._free))
 
     def transpose(
         self,

@@ -570,6 +570,26 @@ _BUILDER_PINS = [
     ),
 ]
 
+# The largest circuits whose emitter replays its ladders, recorded before it
+# did.  They are pinned only here: the gate-by-gate comparisons below take
+# seconds a circuit at this size, and the rows above replay ladders too.
+_LARGE_PINS = [
+    (
+        (build_mod_add_const, 12, 5, 4095),
+        "ce0ceb6c0cfb6800fccc61bfbca9dcf34d36f9feeab6f922bc3fd42792e025ee",
+        "mod_add_const",
+        (22, 192136, 40900, 40900),
+        None,
+    ),
+    (
+        (build_windowed_pointadd, "toy-p1009-b7", G, 2),
+        "dbf4b070b090e865840df4d35bb94f3edea4685db0e7da19821e25eeb586adaa",
+        "windowed_pointadd",
+        (42, 290862, 57990, 57990),
+        2,
+    ),
+]
+
 
 def _pin_id(row) -> str:
     builder, *args = row[0]
@@ -587,8 +607,8 @@ def _build(call):
 
 @pytest.mark.parametrize(
     "call, digest, construction, predicted, overhead",
-    _BUILDER_PINS,
-    ids=[_pin_id(row) for row in _BUILDER_PINS],
+    _BUILDER_PINS + _LARGE_PINS,
+    ids=[_pin_id(row) for row in _BUILDER_PINS + _LARGE_PINS],
 )
 def test_builder_outputs_are_pinned(
     call, digest, construction, predicted, overhead
@@ -640,13 +660,23 @@ def _plain_serialize(circuit) -> bytes:
     return header + "".join(_gate_line(g) + "\n" for g in circuit.gates).encode("ascii")
 
 
+class _KeepsNothing(dict):
+    """A ladder memo that keeps nothing, so that every ladder is emitted
+    gate by gate."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class _FreshEmitter(builders_module._Emitter):
-    """The emitter that also keeps one fresh Gate, and operand tuple, per
-    call, and whose circuit is ``Circuit(...)`` of that list."""
+    """The emitter that emits every gate through ``emit`` (its ladder memo
+    keeps nothing), also keeps one fresh Gate, and operand tuple, per call,
+    and whose circuit is ``Circuit(...)`` of that list."""
 
     def __init__(self, fixed_qubits):
         super().__init__(fixed_qubits)
         self.gates = []
+        self._ladders = _KeepsNothing()
 
     def emit(self, kind, *qubits, cond=None, cbit=None):
         super().emit(kind, *qubits, cond=cond, cbit=cbit)
@@ -713,6 +743,63 @@ def test_emitter_keeps_conditioned_and_measured_shapes_apart() -> None:
         return em.finish("play", (), {}).circuit.gates
 
     assert play(builders_module._Emitter(3)) == play(_FreshEmitter(3))
+
+
+def test_ladder_replays_are_keyed_by_the_ancilla_state() -> None:
+    """One 4-control mcx from a clean state, with a qubit held, after its
+    release, and with the free list empty at a higher watermark: the
+    program, cbits and watermark are those of gate-by-gate emission, and no
+    held qubit is ever a ladder ancilla."""
+
+    def play(em):
+        held: list[int] = []
+        spans = []  # (first gate, end, qubits held meanwhile)
+
+        def ladder():
+            start = len(em._index)
+            em.mcx([0, 1, 2, 3], 4)
+            spans.append((start, len(em._index), set(held)))
+
+        ladder()  # clean: ancillas 5, 6, 7 from the watermark
+        ladder()  # the same three from the free list [7, 6, 5]
+        held.append(em.alloc())  # 5 held: free list [7, 6], same watermark 8
+        ladder()  # ancillas 6, 7, 8
+        em.release(held.pop())  # free list [8, 7, 6, 5] at watermark 9
+        ladder()
+        ladder()  # the state the last ladder started from and left
+        held.extend(em.alloc() for _ in range(4))  # free list empty at watermark 9
+        ladder()  # ancillas 9, 10, 11
+        program = (em._table, em._index, em._numbers, em.cbits, em.watermark)
+        circuit = em.finish("play", (), {}).circuit
+        for start, end, taken in spans:
+            assert not taken & {q for g in circuit.gates[start:end] for q in g.qubits}
+        return program, circuit
+
+    replayed = builders_module._Emitter(5)
+    assert play(replayed) == play(_FreshEmitter(5))
+    assert len(replayed._ladders) == 5  # six ladders, one of them a replay
+
+
+def test_pointadd_replays_most_ladder_gates(toy1009, monkeypatch) -> None:
+    """A repeated ladder is replayed without an emit call per gate, so the
+    p1009 point add calls emit for fewer than half of its gates."""
+    emitters = []
+
+    class Counting(builders_module._Emitter):
+        def __init__(self, fixed_qubits):
+            super().__init__(fixed_qubits)
+            self.calls = 0
+            emitters.append(self)
+
+        def emit(self, *args, **kwargs):
+            self.calls += 1
+            super().emit(*args, **kwargs)
+
+    monkeypatch.setattr(builders_module, "_Emitter", Counting)
+    report = build_pointadd_permutation(toy1009, toy1009.generator)
+    [em] = emitters
+    assert report.predicted.total_gate_count == 94080
+    assert em.calls < 94080 // 2
 
 
 # (kind, operands, condition) that Circuit refuses; the emitter's circuit
